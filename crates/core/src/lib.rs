@@ -11,7 +11,7 @@
 //! * [`random`] — the NPB 48-bit linear-congruential pseudo-random number
 //!   generator (`randlc` / `vranlc` / `ipow46`), in both the classic
 //!   double-precision formulation and a fast integer formulation,
-//! * [`timer`] — the multi-slot wall-clock timers NPB codes use,
+//! * [`timer`] — a closure stopwatch and per-region summary statistics,
 //! * [`verify`] — verification outcome types and the NPB relative-error
 //!   comparison,
 //! * [`guard`] — in-computation SDC detection (per-iteration invariant
@@ -50,7 +50,7 @@ pub use iofault::{FaultFile, FaultInjector, FaultWriter, IoDegraded, IoFaultKind
 pub use random::{ipow46, randlc, vranlc, Randlc, RandlcInt, A_DEFAULT, SEED_DEFAULT};
 pub use report::{BenchReport, RegionProfile};
 pub use rlimit::ResourceLimits;
-pub use timer::{RegionRegistry, RegionStats, RegionTimerError, Timers};
+pub use timer::RegionStats;
 pub use trace::{SpanKind, TraceFormat, TraceSession};
 pub use verify::{arm_nan_corruption, nan_corruption_armed, rel_err_ok, Verified};
 

@@ -1,60 +1,7 @@
-//! Multi-slot wall-clock timers, mirroring the NPB `timers.f` interface
-//! (`timer_clear` / `timer_start` / `timer_stop` / `timer_read`).
+//! Wall-clock timing helpers: a closure stopwatch and the per-region
+//! summary statistics the trace layer reports.
 
 use std::time::Instant;
-
-/// A bank of independent accumulating stopwatches.
-///
-/// NPB codes time distinct phases (total, rhs, x-solve, ...) in numbered
-/// slots; we keep the same shape so profiling sections of the kernels read
-/// like the originals.
-#[derive(Debug, Clone)]
-pub struct Timers {
-    started: Vec<Option<Instant>>,
-    elapsed: Vec<f64>,
-}
-
-impl Timers {
-    /// Create `n` cleared timers.
-    pub fn new(n: usize) -> Self {
-        Timers { started: vec![None; n], elapsed: vec![0.0; n] }
-    }
-
-    /// Reset slot `i` to zero (and stop it if running).
-    pub fn clear(&mut self, i: usize) {
-        self.started[i] = None;
-        self.elapsed[i] = 0.0;
-    }
-
-    /// Start (or restart) accumulating on slot `i`.
-    pub fn start(&mut self, i: usize) {
-        self.started[i] = Some(Instant::now());
-    }
-
-    /// Stop slot `i`, adding the elapsed interval to its accumulator.
-    ///
-    /// Stopping a slot that is not running is a no-op, as in NPB.
-    pub fn stop(&mut self, i: usize) {
-        if let Some(t0) = self.started[i].take() {
-            self.elapsed[i] += t0.elapsed().as_secs_f64();
-        }
-    }
-
-    /// Accumulated seconds on slot `i` (not including a running interval).
-    pub fn read(&self, i: usize) -> f64 {
-        self.elapsed[i]
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.elapsed.len()
-    }
-
-    /// True if the bank has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.elapsed.is_empty()
-    }
-}
 
 /// Time a closure, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -102,162 +49,9 @@ impl RegionStats {
     }
 }
 
-/// Misuse of the [`RegionRegistry`] start/stop protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionTimerError {
-    /// The region id was never registered.
-    UnknownRegion,
-    /// `start` on a region that is already running.
-    AlreadyRunning,
-    /// `stop` on a region that is not running.
-    NotRunning,
-    /// `stop` on a running region that is not the innermost open one —
-    /// regions must nest like scopes.
-    NotInnermost,
-}
-
-impl std::fmt::Display for RegionTimerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegionTimerError::UnknownRegion => write!(f, "unknown region id"),
-            RegionTimerError::AlreadyRunning => write!(f, "region is already running"),
-            RegionTimerError::NotRunning => write!(f, "region is not running"),
-            RegionTimerError::NotInnermost => write!(f, "region is not the innermost open region"),
-        }
-    }
-}
-
-impl std::error::Error for RegionTimerError {}
-
-/// A hierarchical registry of *named* region timers.
-///
-/// Where [`Timers`] mirrors the NPB numbered-slot interface, this is the
-/// structured layer the observability subsystem builds on: regions are
-/// registered by name, must nest like scopes (`stop` only the innermost
-/// open region), and accumulate totals and invocation counts that the
-/// derived [`RegionStats`] metrics summarize.
-#[derive(Debug, Clone, Default)]
-pub struct RegionRegistry {
-    names: Vec<String>,
-    totals: Vec<f64>,
-    counts: Vec<u64>,
-    running: Vec<Option<Instant>>,
-    /// Open regions, innermost last.
-    stack: Vec<usize>,
-}
-
-impl RegionRegistry {
-    /// Create an empty registry.
-    pub fn new() -> RegionRegistry {
-        RegionRegistry::default()
-    }
-
-    /// Register `name`, returning its id; registering an existing name
-    /// returns the existing id.
-    pub fn register(&mut self, name: &str) -> usize {
-        if let Some(id) = self.names.iter().position(|n| n == name) {
-            return id;
-        }
-        self.names.push(name.to_string());
-        self.totals.push(0.0);
-        self.counts.push(0);
-        self.running.push(None);
-        self.names.len() - 1
-    }
-
-    /// Id of a registered name, if any.
-    pub fn lookup(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Registered region names, index = id.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Open region `id`. Errors if unknown or already running.
-    pub fn start(&mut self, id: usize) -> Result<(), RegionTimerError> {
-        if id >= self.names.len() {
-            return Err(RegionTimerError::UnknownRegion);
-        }
-        if self.running[id].is_some() {
-            return Err(RegionTimerError::AlreadyRunning);
-        }
-        self.running[id] = Some(Instant::now());
-        self.stack.push(id);
-        Ok(())
-    }
-
-    /// Close region `id`, returning the interval's seconds. Errors if
-    /// unknown, not running, or not the innermost open region.
-    pub fn stop(&mut self, id: usize) -> Result<f64, RegionTimerError> {
-        if id >= self.names.len() {
-            return Err(RegionTimerError::UnknownRegion);
-        }
-        let Some(t0) = self.running[id] else {
-            return Err(RegionTimerError::NotRunning);
-        };
-        if self.stack.last() != Some(&id) {
-            return Err(RegionTimerError::NotInnermost);
-        }
-        self.stack.pop();
-        self.running[id] = None;
-        let secs = t0.elapsed().as_secs_f64();
-        self.totals[id] += secs;
-        self.counts[id] += 1;
-        Ok(secs)
-    }
-
-    /// Nesting depth: number of currently open regions.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Accumulated seconds for region `id` (closed intervals only).
-    pub fn total(&self, id: usize) -> f64 {
-        self.totals.get(id).copied().unwrap_or(0.0)
-    }
-
-    /// Completed intervals for region `id`.
-    pub fn count(&self, id: usize) -> u64 {
-        self.counts.get(id).copied().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates_across_start_stop_pairs() {
-        let mut t = Timers::new(2);
-        t.start(0);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        t.stop(0);
-        let first = t.read(0);
-        assert!(first >= 0.004, "read {first}");
-        t.start(0);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        t.stop(0);
-        assert!(t.read(0) > first);
-        assert_eq!(t.read(1), 0.0);
-    }
-
-    #[test]
-    fn stop_without_start_is_noop() {
-        let mut t = Timers::new(1);
-        t.stop(0);
-        assert_eq!(t.read(0), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = Timers::new(1);
-        t.start(0);
-        t.stop(0);
-        t.clear(0);
-        assert_eq!(t.read(0), 0.0);
-    }
 
     #[test]
     fn timed_returns_value() {
@@ -276,39 +70,5 @@ mod tests {
         let z = RegionStats::from_samples(&[]);
         assert_eq!((z.min, z.max, z.mean), (0.0, 0.0, 0.0));
         assert_eq!(z.imbalance(), 1.0, "zero mean reports balanced");
-    }
-
-    #[test]
-    fn registry_registers_idempotently() {
-        let mut r = RegionRegistry::new();
-        let a = r.register("rhs");
-        let b = r.register("x_solve");
-        assert_ne!(a, b);
-        assert_eq!(r.register("rhs"), a);
-        assert_eq!(r.lookup("x_solve"), Some(b));
-        assert_eq!(r.lookup("nope"), None);
-        assert_eq!(r.names(), ["rhs".to_string(), "x_solve".to_string()]);
-    }
-
-    #[test]
-    fn registry_enforces_scope_nesting() {
-        let mut r = RegionRegistry::new();
-        let outer = r.register("outer");
-        let inner = r.register("inner");
-        assert_eq!(r.start(99), Err(RegionTimerError::UnknownRegion));
-        r.start(outer).unwrap();
-        assert_eq!(r.start(outer), Err(RegionTimerError::AlreadyRunning));
-        r.start(inner).unwrap();
-        assert_eq!(r.depth(), 2);
-        assert_eq!(r.stop(outer), Err(RegionTimerError::NotInnermost));
-        assert_eq!(r.stop(99), Err(RegionTimerError::UnknownRegion));
-        let secs = r.stop(inner).unwrap();
-        assert!(secs >= 0.0);
-        r.stop(outer).unwrap();
-        assert_eq!(r.stop(outer), Err(RegionTimerError::NotRunning));
-        assert_eq!(r.depth(), 0);
-        assert_eq!(r.count(outer), 1);
-        assert_eq!(r.count(inner), 1);
-        assert!(r.total(outer) >= r.total(inner));
     }
 }

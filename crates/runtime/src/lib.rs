@@ -38,12 +38,23 @@
 //! abandoned), and a seeded [`FaultPlan`] injects deterministic
 //! panics/delays/hangs/NaNs for chaos testing.
 //!
-//! The synchronization hot paths are hybrid **spin-then-park** (see the
-//! [`team`] module docs): region dispatch is lock-free epoch publication,
-//! barriers are sense-reversing with bounded adaptive spinning, and the
-//! condvar park of the paper's `wait()`/`notify()` model survives as the
-//! fallback (and as the explicit `NPB_SPIN_US=0` configuration). Per-run
-//! scratch that kernels reuse across regions lives in [`RankScratch`].
+//! The synchronization hot paths are hybrid **spin-then-park**: region
+//! dispatch is lock-free epoch publication, barriers are sense-reversing
+//! with bounded adaptive spinning, and the condvar park of the paper's
+//! `wait()`/`notify()` model survives as the fallback (and as the
+//! explicit `NPB_SPIN_US=0` configuration). Per-run scratch that kernels
+//! reuse across regions lives in [`RankScratch`].
+//!
+//! The threads runtime is four modules along its seams:
+//!
+//! * `team` — the shared team state, its lifecycle (a team keeps one
+//!   width and one identity from [`Team::new`] to drop), region dispatch
+//!   ([`Team::try_exec`]), in-place healing and the worker loop;
+//! * `par` — [`Par`], the scheduled-loop glue over `sched`, and the
+//!   barrier;
+//! * `spin` — the bounded adaptive spin every waiter runs before it
+//!   parks, and the `NPB_SPIN_US` / `NPB_REGION_TIMEOUT_MS` parsers;
+//! * `error` — [`RegionError`] and the runtime's own panic payloads.
 
 //!
 //! The multi-*process* generalization of all of the above — rank
@@ -51,26 +62,29 @@
 //! exchanges, cross-process futex barriers, and per-rank checkpoint
 //! slots — lives in [`procs`].
 
+mod error;
 mod inject;
+mod par;
 mod partials;
 mod partition;
 pub mod procs;
 mod sched;
 mod scratch;
 mod shared;
+mod spin;
 mod team;
 
+pub use error::{escalate_corruption, BarrierPoisoned, InjectedFault, RegionError};
 pub use inject::{FaultKind, FaultPlan};
 // The environmental (I/O) fault taxonomy is npb-core's; the procs
 // checkpoint slots accept its faults at commit time.
 pub use npb_core::iofault::WriteFault;
+pub use par::Par;
 pub use partials::Partials;
-pub use partition::{partition, partition_starts};
+pub use partition::partition;
 pub use procs::{backend_from_env, parse_backend, Backend};
 pub use sched::{parse_sched, sched_from_env, OrderedSplit, Sched};
 pub use scratch::RankScratch;
 pub use shared::SharedMut;
-pub use team::{
-    escalate_corruption, run_par, BarrierPoisoned, FailurePolicy, InjectedFault, Par, RegionError,
-    Team, DEFAULT_SPIN_US, WATCHDOG_EXIT_CODE,
-};
+pub use spin::DEFAULT_SPIN_US;
+pub use team::{run_par, Team, WATCHDOG_EXIT_CODE};

@@ -1,8 +1,6 @@
 //! OpenMP-style static block partitioning of loop ranges.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Split `0..len` into `nparts` contiguous blocks and return block `part`.
 ///
@@ -25,77 +23,8 @@ pub fn partition(len: usize, nparts: usize, part: usize) -> Range<usize> {
     start..start + base + extra
 }
 
-/// All block boundaries of a static partition at once: `nparts + 1`
-/// cursors such that part `p` is `starts[p]..starts[p + 1]`.
-pub fn partition_starts(len: usize, nparts: usize) -> Box<[usize]> {
-    assert!(nparts > 0, "partition into zero parts");
-    let mut starts = Vec::with_capacity(nparts + 1);
-    starts.push(0);
-    for p in 0..nparts {
-        starts.push(partition(len, nparts, p).end);
-    }
-    starts.into_boxed_slice()
-}
-
-/// Number of cached lengths per team. The NPB kernels partition a handful
-/// of distinct extents per benchmark (grid dimensions and their small
-/// products), so a small direct-mapped table covers the working set.
-const CACHE_SLOTS: usize = 64;
-
-/// Per-team memo of static partitions: [`crate::Par::range`] boundaries
-/// for a given `len` are computed once per team width, not once per
-/// region — divisions leave the region-dispatch hot path.
-///
-/// Insert-once with a second-chance probe: each length first tries its
-/// home slot, then the next slot, memoizing the boundary table in the
-/// first free one. A length losing both (two earlier lengths claimed
-/// both slots) falls back to computing [`partition`] directly — still
-/// correct, just uncached — and counts the miss, so a benchmark whose
-/// extent working set defeats the table is *visible* (the counter is
-/// surfaced through [`crate::Team::partition_collisions`]) instead of
-/// silently re-dividing on every region dispatch forever.
-pub(crate) struct PartitionCache {
-    nparts: usize,
-    slots: [OnceLock<(usize, Box<[usize]>)>; CACHE_SLOTS],
-    /// Lookups that missed both the home slot and its second chance.
-    collisions: AtomicU64,
-}
-
-impl PartitionCache {
-    pub(crate) fn new(nparts: usize) -> Self {
-        assert!(nparts > 0, "partition into zero parts");
-        PartitionCache {
-            nparts,
-            slots: [const { OnceLock::new() }; CACHE_SLOTS],
-            collisions: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn range(&self, len: usize, part: usize) -> Range<usize> {
-        assert!(part < self.nparts, "part {part} out of {}", self.nparts);
-        // Fibonacci multiplicative hash; the top bits index the table.
-        let home = ((len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
-        for probe in 0..2 {
-            let slot = (home + probe) % CACHE_SLOTS;
-            let (cached_len, starts) =
-                self.slots[slot].get_or_init(|| (len, partition_starts(len, self.nparts)));
-            if *cached_len == len {
-                return starts[part]..starts[part + 1];
-            }
-        }
-        self.collisions.fetch_add(1, Ordering::Relaxed);
-        partition(len, self.nparts, part)
-    }
-
-    /// Lookups that fell through both probes (uncached divisions).
-    pub(crate) fn collisions(&self) -> u64 {
-        self.collisions.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -135,7 +64,7 @@ mod tests {
 
     /// Deterministic seeded sample of (len, nparts) cases, drawn from the
     /// NPB generator so the "property" coverage reproduces bit-for-bit.
-    fn sampled_cases() -> Vec<(usize, usize)> {
+    pub(crate) fn sampled_cases() -> Vec<(usize, usize)> {
         let mut rng = npb_core::Randlc::new(npb_core::SEED_DEFAULT);
         (0..200)
             .map(|_| {
@@ -170,84 +99,5 @@ mod tests {
             let max = *sizes.iter().max().unwrap();
             assert!(max - min <= 1, "len {len}, nparts {nparts}: {sizes:?}");
         }
-    }
-
-    /// `partition_starts` tabulates exactly the per-part boundaries.
-    #[test]
-    fn starts_match_partition() {
-        for (len, nparts) in sampled_cases() {
-            let starts = partition_starts(len, nparts);
-            assert_eq!(starts.len(), nparts + 1);
-            for p in 0..nparts {
-                assert_eq!(starts[p]..starts[p + 1], partition(len, nparts, p));
-            }
-        }
-    }
-
-    /// The cache is a pure memo: every lookup — cached, repeated, or a
-    /// direct-mapped collision — agrees with `partition`.
-    #[test]
-    fn cache_agrees_with_partition() {
-        for nparts in [1usize, 2, 3, 4, 7] {
-            let cache = PartitionCache::new(nparts);
-            // Many more lengths than slots, repeated, so cold inserts,
-            // warm hits, and collisions are all exercised.
-            for _round in 0..2 {
-                for len in 0..512usize {
-                    for p in 0..nparts {
-                        assert_eq!(
-                            cache.range(len, p),
-                            partition(len, nparts, p),
-                            "len {len}, nparts {nparts}, part {p}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn cache_part_out_of_range_panics() {
-        PartitionCache::new(2).range(10, 2);
-    }
-
-    /// The collision path specifically: two lengths sharing a home slot
-    /// both get cached (the second via its second-chance neighbour), and
-    /// only a third co-hashed length falls through to the counted
-    /// uncached fallback — still agreeing with `partition`.
-    #[test]
-    fn cache_second_chance_absorbs_one_collision_and_counts_the_rest() {
-        let slot_of =
-            |len: usize| ((len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
-        // Find three distinct lengths with the same home slot (64 slots,
-        // so any few hundred lengths pigeonhole plenty of triples).
-        let mut by_slot: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-        let (mut a, mut b, mut c) = (0, 0, 0);
-        for len in 1..4096usize {
-            let v = by_slot.entry(slot_of(len)).or_default();
-            v.push(len);
-            if v.len() == 3 {
-                (a, b, c) = (v[0], v[1], v[2]);
-                break;
-            }
-        }
-        assert!(c > 0, "no co-hashed triple found");
-        // Pick a neighbour slot not co-hashed with the triple, so the
-        // second-chance slot is genuinely free for `b`.
-        assert_ne!(slot_of(a), (slot_of(a) + 1) % CACHE_SLOTS);
-        let cache = PartitionCache::new(3);
-        for _ in 0..2 {
-            for len in [a, b] {
-                for p in 0..3 {
-                    assert_eq!(cache.range(len, p), partition(len, 3, p));
-                }
-            }
-        }
-        assert_eq!(cache.collisions(), 0, "one collision is absorbed by the probe");
-        for p in 0..3 {
-            assert_eq!(cache.range(c, p), partition(c, 3, p), "fallback stays correct");
-        }
-        assert_eq!(cache.collisions(), 3, "the second collision is counted per lookup");
     }
 }

@@ -96,3 +96,25 @@ pub fn backend_from_env() -> Backend {
         Err(_) => Backend::Threads,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_env_parsing_matches_the_warn_once_contract() {
+        // Same parity as NPB_REGION_TIMEOUT_MS / NPB_SPIN_US: the two
+        // valid spellings parse (whitespace tolerated), and a malformed
+        // NPB_BACKEND is a loud error naming the bad value and stating
+        // the fallback — never a silent change of execution backend.
+        assert_eq!(parse_backend("threads"), Ok(Backend::Threads));
+        assert_eq!(parse_backend("procs"), Ok(Backend::Procs));
+        assert_eq!(parse_backend(" procs "), Ok(Backend::Procs), "whitespace is tolerated");
+        for bad in ["Procs", "proc", "mpi", "", "threads,procs", "1"] {
+            let err = parse_backend(bad).expect_err(&format!("{bad:?} must not parse"));
+            assert!(err.contains("NPB_BACKEND"), "warning must name the variable: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
+            assert!(err.contains("threads backend"), "warning must state the fallback: {err}");
+        }
+    }
+}

@@ -17,153 +17,50 @@
 //!   epoch with acquire loads. The mutex + condvar pair survives only as
 //!   the fallback park path for workers whose bounded spin budget
 //!   expires between regions.
-//! * **Barriers** are sense-reversing: arrival is one `fetch_add`; the
-//!   last rank resets the count and advances an atomic generation word,
-//!   which waiting ranks spin on before falling back to the condvar.
+//! * **Barriers** are sense-reversing (see [`crate::par`]): arrival is
+//!   one `fetch_add`; the last rank resets the count and advances an
+//!   atomic generation word, which waiting ranks spin on before falling
+//!   back to the condvar.
 //! * **Completion** is a per-rank cache-padded *done-epoch* word (read by
 //!   the watchdog without any lock) plus one shared countdown; the master
 //!   spins on the countdown before parking.
 //!
 //! The spin budget is `NPB_SPIN_US` microseconds (or
 //! [`Team::set_spin_us`]); `0` forces the pure park path, which keeps the
-//! paper's original wait/notify behavior reachable and testable. Spinning
-//! is adaptive: `spin_loop` hints with exponential backoff, degrading to
-//! `yield_now` once the backoff saturates so an oversubscribed machine
-//! (more ranks than cores) still makes progress; a single-CPU host skips
-//! the `spin_loop` phase outright and yields on every probe, because a
-//! pause can never observe progress there. Every waiter re-checks
-//! its wake condition under the park lock before sleeping, and every
-//! waker only takes that lock when a `SeqCst` parked-counter says someone
-//! is actually parked — the lock-free fast path pays no lock round-trip.
+//! paper's original wait/notify behavior reachable and testable (the
+//! adaptive spin itself is [`crate::spin`]). Every waiter re-checks its
+//! wake condition under the park lock before sleeping, and every waker
+//! only takes that lock when a `SeqCst` parked-counter says someone is
+//! actually parked — the lock-free fast path pays no lock round-trip.
+//!
+//! # One team, one width, for life
+//!
+//! A [`Team`] owns one `Inner` from [`Team::new`] to drop: its width and
+//! identity never change. A failed region heals in place (dead worker
+//! threads are respawned at the same rank); running *narrower* after
+//! failures is the suite supervisor's process-level ladder, not the
+//! runtime's.
 
 use std::cell::{Cell, UnsafeCell};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use npb_core::trace::{self, SpanKind, TraceSession};
 
+use crate::error::{BarrierPoisoned, InjectedFault, RegionError};
+use crate::par::{Barrier, Par};
 use crate::partials::CachePadded;
-use crate::partition;
-use crate::partition::PartitionCache;
-use crate::sched::{self, OrderedSplit, Sched};
-
-/// Structured outcome of a failed parallel region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegionError {
-    /// One or more workers' region bodies unwound. `tids` are the ranks
-    /// whose bodies panicked directly (siblings released from a poisoned
-    /// barrier are collateral and not listed).
-    Panicked {
-        /// Ranks whose region body panicked, in ascending order.
-        tids: Vec<usize>,
-    },
-    /// The watchdog timeout elapsed before every rank finished the
-    /// region. `stuck_ranks` never reported completion; the team has been
-    /// rebuilt and the stragglers abandoned. Only produced in the
-    /// straggler-abandoning watchdog mode
-    /// ([`Team::set_region_timeout_abandoning`], which is `unsafe`); the
-    /// safe watchdog ([`Team::set_region_timeout`]) terminates the
-    /// process instead of returning this.
-    Timeout {
-        /// Ranks that never arrived, in ascending order.
-        stuck_ranks: Vec<usize>,
-    },
-    /// The team's dispatch state was unusable: `exec` was re-entered
-    /// from inside one of this team's own region bodies, or the job slot
-    /// was left corrupt by an earlier failure.
-    Poisoned,
-    /// The in-computation SDC guard (`npb_core::guard`) detected data
-    /// corruption it could not recover from: either the detection
-    /// recurred at the same iteration `detections` times, or no intact
-    /// checkpoint remained to roll back to. Produced via
-    /// [`escalate_corruption`]; the in-process retry and supervisor
-    /// layers handle it like any other region failure.
-    Corruption {
-        /// Outer iteration the guard could not get past.
-        iteration: usize,
-        /// Detections at that iteration before the guard gave up.
-        detections: usize,
-    },
-}
-
-/// Escalate an unrecoverable SDC detection out of a benchmark's outer
-/// loop: panics with a [`RegionError::Corruption`] payload, which the
-/// driver's `catch_unwind` converts into the same structured error path
-/// that worker panics take (retry budget, then the supervisor).
-pub fn escalate_corruption(iteration: usize, detections: usize) -> ! {
-    std::panic::panic_any(RegionError::Corruption { iteration, detections })
-}
-
-impl std::fmt::Display for RegionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegionError::Panicked { tids } => {
-                write!(
-                    f,
-                    "{} worker(s) panicked inside a parallel region (ranks {tids:?})",
-                    tids.len()
-                )
-            }
-            RegionError::Timeout { stuck_ranks } => {
-                write!(f, "region watchdog timeout: ranks {stuck_ranks:?} never arrived")
-            }
-            RegionError::Poisoned => {
-                write!(f, "team dispatch state poisoned (exec re-entered from inside a region)")
-            }
-            RegionError::Corruption { iteration, detections } => {
-                write!(
-                    f,
-                    "unrecovered data corruption at iteration {iteration} \
-                     ({detections} repeated detection(s); checkpoint rollback exhausted)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegionError {}
-
-/// What a team does with itself after a failed region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePolicy {
-    /// Rebuild/respawn dead workers so the next region runs at full
-    /// width (the default).
-    Respawn,
-    /// Graceful degradation: rebuild the team at reduced width (live
-    /// ranks only, floor of one) and keep going.
-    Degrade,
-}
-
-/// Panic payload used to release siblings blocked in a poisoned barrier.
-/// Workers unwound by this marker are collateral damage, not the fault's
-/// origin, and are excluded from [`RegionError::Panicked`]'s rank list.
-pub struct BarrierPoisoned;
-
-/// Panic payload for faults injected by a [`crate::FaultPlan`].
-pub struct InjectedFault;
+use crate::sched::{self, Sched};
+use crate::spin::{region_timeout_ms_from_env, spin_us_from_env, spin_wait};
 
 /// Process exit status used by the safe watchdog ([`Team::set_region_timeout`])
 /// when a region times out. Defined in [`npb_core::exit`] (the one
 /// exit-code contract module); re-exported here because the watchdog is
 /// where the code is produced.
 pub use npb_core::exit::WATCHDOG_EXIT_CODE;
-
-/// Default spin budget in microseconds before a waiter parks on its
-/// condvar. Sized so that back-to-back regions (the NPB hot path: a
-/// kernel dispatches thousands of regions with only short serial gaps
-/// between them) keep every rank on the lock-free path, while a team
-/// idling between benchmarks parks within a scheduler quantum.
-pub const DEFAULT_SPIN_US: u64 = 100;
-
-/// Spin backoff saturation: after this many `spin_loop` hints per probe
-/// the waiter starts yielding its timeslice instead, so spinning stays
-/// sound when ranks outnumber cores (`yield_now` lets the awaited thread
-/// run; pure `spin_loop` would burn the whole quantum).
-const MAX_SPIN_BACKOFF: u32 = 64;
 
 pub(crate) const FAULT_PANIC: u8 = 1;
 pub(crate) const FAULT_DELAY: u8 = 2;
@@ -180,59 +77,17 @@ thread_local! {
     /// `Arc::as_ptr` address of the [`Inner`] this thread serves as a
     /// worker (0 on every other thread). `try_exec` uses it to detect a
     /// region body calling back into its own team — which would deadlock
-    /// on the state lock the master holds for the whole region.
+    /// on the workers lock the master holds for the whole region.
     static WORKER_OF: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Erased pointer to the current region's body.
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync));
-// SAFETY: the pointee outlives the region (the master blocks in `exec`
-// until every worker has finished running it, and leaks the closure if it
-// abandons stragglers on timeout).
+// SAFETY: the pointee outlives the region: the master blocks in
+// `try_exec` until every worker has finished running it (or the watchdog
+// terminates the process with the frame still live).
 unsafe impl Send for TaskPtr {}
-
-/// True when the host exposes exactly one logical CPU. Cached: the
-/// answer decides the spin strategy on every probe of the hot path.
-fn single_cpu() -> bool {
-    static ONE: OnceLock<bool> = OnceLock::new();
-    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
-}
-
-/// Bounded adaptive spin: probe `ready` until it yields a value or the
-/// budget expires (`None`). Backoff doubles the `spin_loop` hints per
-/// probe up to [`MAX_SPIN_BACKOFF`], then degrades to `yield_now` so an
-/// oversubscribed machine still schedules the thread being awaited. On a
-/// single-CPU host the `spin_loop` phase is skipped entirely — the
-/// awaited thread cannot run while we pause, so every hint is pure
-/// wasted latency (and under a hypervisor with pause-loop exiting, a
-/// trap) — and each probe yields the timeslice instead.
-fn spin_wait<T>(spin_us: u64, mut ready: impl FnMut() -> Option<T>) -> Option<T> {
-    if let Some(v) = ready() {
-        return Some(v);
-    }
-    if spin_us == 0 {
-        return None;
-    }
-    let deadline = Instant::now() + Duration::from_micros(spin_us);
-    let mut backoff = if single_cpu() { MAX_SPIN_BACKOFF + 1 } else { 1 };
-    loop {
-        if backoff <= MAX_SPIN_BACKOFF {
-            for _ in 0..backoff {
-                std::hint::spin_loop();
-            }
-            backoff <<= 1;
-        } else {
-            std::thread::yield_now();
-        }
-        if let Some(v) = ready() {
-            return Some(v);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-    }
-}
 
 /// What a worker's dispatch wait resolved to.
 enum Dispatch {
@@ -242,8 +97,12 @@ enum Dispatch {
     Shutdown,
 }
 
-struct Inner {
-    n: usize,
+/// Everything the master and the workers of one team share. Only the
+/// fields [`Par`] reads are visible outside this module; the dispatch
+/// words (and the `task` slot the `unsafe` code relies on) stay private.
+pub(crate) struct Inner {
+    /// Team width: fixed for the team's life.
+    pub(crate) n: usize,
     /// Region epoch: the master publishes a region by writing [`Inner::task`]
     /// and then bumping this word (`SeqCst`); workers observe the bump
     /// with acquire loads. Replaces the seed's lock-and-`notify_all`
@@ -283,23 +142,10 @@ struct Inner {
     done_cv: Condvar,
     /// Ranks whose body panicked this region (cold path only).
     panicked: Mutex<Vec<usize>>,
-    /// Barrier generation word: advanced by the last arriver of each
-    /// crossing (the sense-reversal); waiters spin on it changing.
-    barrier_gen: AtomicU64,
-    /// Arrivals in the current barrier crossing.
-    barrier_count: AtomicUsize,
-    /// Set when any worker's body unwinds; barrier waiters unwind instead
-    /// of blocking for a sibling that will never arrive.
-    barrier_poisoned: AtomicBool,
-    /// Number of barrier waiters parked on `barrier_cv`.
-    barrier_parked: AtomicUsize,
-    barrier_park: Mutex<()>,
-    barrier_cv: Condvar,
+    /// The [`Par::barrier`] words.
+    pub(crate) barrier: Barrier,
     /// Spin budget (µs) for every waiter on this team; 0 = pure park.
-    spin_us: AtomicU64,
-    /// Cached static partitions for this team's width: `Par::range`
-    /// boundaries are computed once per distinct length, not per region.
-    partitions: PartitionCache,
+    pub(crate) spin_us: AtomicU64,
     /// Loop scheduling policy ([`Sched::as_u8`]) for
     /// [`Par::for_chunks`] / [`Par::ordered_split`]; [`Par::range`] is
     /// always the static partition (reductions must stay rank-ordered).
@@ -308,19 +154,19 @@ struct Inner {
     /// invocation `seq` claims chunks from slot `seq % GUIDED_RING`.
     /// Reset (with `sched_seq`) by the master at region dispatch, while
     /// workers are provably quiescent.
-    sched_ring: Box<[CachePadded<AtomicU64>]>,
+    pub(crate) sched_ring: Box<[CachePadded<AtomicU64>]>,
     /// Per-rank scheduled-loop invocation counters. SPMD region bodies
     /// keep them mutually equal; the dispatch reset re-equalizes them
     /// after a poisoned region cut some ranks short.
-    sched_seq: Vec<CachePadded<AtomicU64>>,
+    pub(crate) sched_seq: Vec<CachePadded<AtomicU64>>,
     /// Feedback timing histories, keyed by loop site + extent.
-    sched_table: sched::SchedTable,
+    pub(crate) sched_table: sched::SchedTable,
     /// Feedback history generation: bumped by team healing and by
     /// [`Team::reset_sched_history`]. Stamps from older generations fail
     /// every read-side consistency check, so stale or torn timings can
     /// only degrade to the static split — identically on every rank —
     /// never to inconsistent boundaries.
-    sched_gen: AtomicU64,
+    pub(crate) sched_gen: AtomicU64,
     /// One-shot fault-injection slot (see [`crate::FaultPlan`]): kind and
     /// victim packed by [`pack_fault`], 0 when disarmed. Armed with a
     /// Release store so the Acquire CAS in [`Inner::take_fault`] also
@@ -350,7 +196,7 @@ unsafe impl Sync for Inner {}
 /// Lock recovering from std mutex poisoning: our own explicit `poisoned`
 /// flags carry the failure semantics, so a panicked lock holder must not
 /// wedge every later region.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -359,7 +205,7 @@ impl Inner {
     /// only changes it between regions, where the dispatch publication
     /// already orders it for every worker.
     #[inline]
-    fn sched_policy(&self) -> Sched {
+    pub(crate) fn sched_policy(&self) -> Sched {
         Sched::from_u8(self.sched.load(Ordering::Relaxed))
     }
 
@@ -392,24 +238,18 @@ impl Inner {
     /// benchmark clock — and the campaign regression gate reading it —
     /// cannot see the slowdown. The epoch check happens *before* the
     /// CAS so a warm-up crossing leaves the fault armed, not consumed.
-    fn take_delay_fault(&self, tid: usize) -> bool {
+    pub(crate) fn take_delay_fault(&self, tid: usize) -> Option<Duration> {
         let want = pack_fault(FAULT_DELAY, tid);
         if self.fault.load(Ordering::Relaxed) != want {
-            return false;
+            return None;
         }
         if npb_core::trace::timed_epoch() == self.fault_arm_epoch.load(Ordering::Relaxed) {
-            return false; // still in untimed warm-up — hold fire
+            return None; // still in untimed warm-up — hold fire
         }
-        self.fault.compare_exchange(want, 0, Ordering::Acquire, Ordering::Relaxed).is_ok()
-    }
-
-    /// Poison the barrier and release every waiter, spinning or parked.
-    fn poison_barrier(&self) {
-        self.barrier_poisoned.store(true, Ordering::SeqCst);
-        // Cold path: always take the lock so a waiter past its parked
-        // re-check cannot miss the wake.
-        let _g = lock(&self.barrier_park);
-        self.barrier_cv.notify_all();
+        self.fault
+            .compare_exchange(want, 0, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+            .then(|| Duration::from_millis(self.fault_delay_ms.load(Ordering::Relaxed)))
     }
 
     /// Signal shutdown through the worker wake path: the flag is seen by
@@ -459,11 +299,6 @@ impl Inner {
     }
 }
 
-struct TeamState {
-    inner: Arc<Inner>,
-    handles: Vec<JoinHandle<()>>,
-}
-
 /// A persistent team of worker threads.
 ///
 /// Workers are spawned once and then switched between blocked and
@@ -482,453 +317,23 @@ struct TeamState {
 /// watchdog ([`Team::set_region_timeout`], or `NPB_REGION_TIMEOUT_MS`)
 /// bounds the master's wait and names *which* ranks never arrived before
 /// terminating the process (stuck ranks cannot be killed or safely
-/// abandoned; see [`Team::set_region_timeout_abandoning`] for the
-/// `unsafe` in-process alternative). After a panicked region the team
-/// heals itself per its [`FailurePolicy`], so the next region runs
-/// normally.
+/// abandoned). After a panicked region the team heals in place — same
+/// width, same settings — so the next region runs normally.
 pub struct Team {
-    state: Mutex<TeamState>,
-    /// `Arc::as_ptr` address of the current `state.inner`, readable
-    /// without the state lock; compared against [`WORKER_OF`] to detect
-    /// reentrant `exec` without deadlocking on the state lock.
-    inner_addr: AtomicUsize,
-    /// Current width, readable without the state lock.
-    width: AtomicUsize,
+    /// Everything the master and the workers share, for the team's
+    /// whole life (see the module docs).
+    inner: Arc<Inner>,
+    /// The workers' join handles, by rank. The master holds this lock
+    /// for the whole of every region, so it also serializes regions
+    /// dispatched from different threads, and the setters that must
+    /// only take effect between regions.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Watchdog for the master's region wait, in ms; 0 = disabled.
     timeout_ms: AtomicU64,
-    /// 1 = the unsafe straggler-abandoning watchdog mode is armed.
-    abandon: AtomicU8,
-    /// 0 = Respawn, 1 = Degrade.
-    degrade: AtomicU8,
-    /// Spin budget (µs) carried across team rebuilds.
-    spin_us: AtomicU64,
-    /// Loop scheduling policy ([`Sched::as_u8`]) carried across rebuilds.
-    sched: AtomicU8,
     /// Times the feedback timing history was invalidated (team healing
     /// after a poisoned region, plus explicit
     /// [`Team::reset_sched_history`] calls — the SDC rollback hook).
     sched_resets: AtomicU64,
-}
-
-/// Per-thread context inside a parallel region (or the serial stand-in).
-///
-/// `team == None` is the pure serial path: one implicit thread, no-op
-/// barriers — the "Serial" column of the paper's tables.
-#[derive(Clone, Copy)]
-pub struct Par<'t> {
-    tid: usize,
-    n: usize,
-    team: Option<&'t Inner>,
-    /// Trace session captured once per region by the master (None when
-    /// tracing is off): barrier waits record their spin/park split on
-    /// this rank's lane through it.
-    trace: Option<&'t TraceSession>,
-}
-
-impl<'t> Par<'t> {
-    /// Serial context: rank 0 of 1, barriers are no-ops.
-    pub fn serial() -> Par<'static> {
-        Par { tid: 0, n: 1, team: None, trace: None }
-    }
-
-    /// This thread's rank within the team.
-    #[inline(always)]
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// Number of threads in the region.
-    #[inline(always)]
-    pub fn num_threads(&self) -> usize {
-        self.n
-    }
-
-    /// Static block partition of `0..len` for this rank.
-    ///
-    /// On a team this reads the per-team [`PartitionCache`], so the
-    /// boundaries for a given `len` are computed once per team width
-    /// rather than once per region.
-    #[inline]
-    pub fn range(&self, len: usize) -> Range<usize> {
-        match self.team {
-            Some(inner) => inner.partitions.range(len, self.tid),
-            None => partition(len, self.n, self.tid),
-        }
-    }
-
-    /// Static block partition of `lo..hi` for this rank.
-    #[inline]
-    pub fn range_of(&self, lo: usize, hi: usize) -> Range<usize> {
-        let r = self.range(hi - lo);
-        lo + r.start..lo + r.end
-    }
-
-    /// The loop scheduling policy in effect ([`Sched::Static`] on the
-    /// serial path).
-    #[inline]
-    pub fn sched(&self) -> Sched {
-        self.team.map_or(Sched::Static, |inner| inner.sched_policy())
-    }
-
-    /// Run `body` over contiguous chunks of `0..len` under the team's
-    /// scheduling policy. This is the scheduled counterpart of
-    /// `for i in par.range(len)` for loops whose iterations are
-    /// independent of which rank runs them: elementwise updates,
-    /// disjoint writes, and exact (integer) accumulations.
-    ///
-    /// * [`Sched::Static`] — exactly one `body` call with this rank's
-    ///   [`Par::range`]: bit-for-bit and barrier-for-barrier the seed
-    ///   model (no clock reads, no extra synchronization).
-    /// * [`Sched::Guided`] — this rank claims decaying chunks from the
-    ///   shared work counter until the loop drains.
-    /// * [`Sched::Feedback`] — one `body` call with a contiguous share
-    ///   re-split from last visit's per-rank timings (static until a
-    ///   complete, trustworthy history exists).
-    ///
-    /// Under either dynamic policy the call ends at a [`Par::barrier`]:
-    /// dynamic assignment breaks the owner-computes alignment that lets
-    /// static phases read their own slice without synchronizing, so the
-    /// rendezvous is part of the policy's cost (and is what makes claim
-    /// ring slots and timing banks reusable).
-    ///
-    /// **Not** for order-sensitive work: a floating-point reduction
-    /// grouped by claimed chunks is a different rounding — keep those on
-    /// [`Par::range`] + rank-ordered [`crate::Partials`].
-    #[track_caller]
-    pub fn for_chunks<F: FnMut(Range<usize>)>(&self, len: usize, mut body: F) {
-        let Some(inner) = self.team else {
-            body(0..len);
-            return;
-        };
-        match inner.sched_policy() {
-            Sched::Static => body(inner.partitions.range(len, self.tid)),
-            Sched::Guided => self.guided_chunks(inner, len, &mut body),
-            Sched::Feedback => {
-                let site = std::panic::Location::caller();
-                self.feedback_chunk(inner, len, site, &mut body);
-            }
-        }
-    }
-
-    /// [`Par::for_chunks`] over `lo..hi` instead of `0..len` — the
-    /// interior-point loops (`1..n-1`) of the grid benchmarks.
-    #[track_caller]
-    pub fn for_chunks_in<F: FnMut(Range<usize>)>(&self, lo: usize, hi: usize, mut body: F) {
-        self.for_chunks(hi.saturating_sub(lo), |r| body(r.start + lo..r.end + lo));
-    }
-
-    /// Guided self-scheduling: claim exponentially decaying chunks from
-    /// this invocation's ring slot until the counter drains.
-    fn guided_chunks(&self, inner: &Inner, len: usize, body: &mut dyn FnMut(Range<usize>)) {
-        assert!(len < u32::MAX as usize, "guided extent overflows the claim word");
-        // Which scheduled-loop invocation this is (per-rank counters,
-        // equal across ranks by SPMD + the dispatch reset); its low bits
-        // pick the ring slot, its generation tag invalidates leftovers.
-        let seq = inner.sched_seq[self.tid].fetch_add(1, Ordering::Relaxed);
-        let slot = &inner.sched_ring[(seq as usize) % sched::GUIDED_RING];
-        let gen = seq as u32;
-        let tr = self.trace.map(|s| (s, s.current_region()));
-        loop {
-            let t0 = tr.map(|(s, _)| s.now());
-            let mut cur = slot.load(Ordering::Acquire);
-            let claimed = loop {
-                let pos = match sched::unpack_claim(cur) {
-                    (g, p) if g == gen => p as usize,
-                    // Reset sentinel or a stale invocation: starts at 0.
-                    _ => 0,
-                };
-                if pos >= len {
-                    break None;
-                }
-                let chunk = sched::guided_chunk(len - pos, self.n);
-                let next = sched::pack_claim(gen, (pos + chunk) as u32);
-                match slot.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => break Some(pos..pos + chunk),
-                    Err(now) => cur = now,
-                }
-            };
-            if let (Some((s, region)), Some(t0)) = (tr, t0) {
-                // SAFETY: this thread is rank `tid`, sole writer of its
-                // own lane.
-                unsafe { s.record(self.tid, region, SpanKind::Sched, t0, s.now()) };
-            }
-            match claimed {
-                Some(r) => body(r),
-                None => break,
-            }
-        }
-        self.barrier();
-    }
-
-    /// Feedback partitioning: one contiguous share per rank, re-split
-    /// from last visit's recorded per-rank compute times.
-    fn feedback_chunk(
-        &self,
-        inner: &Inner,
-        len: usize,
-        site: &'static std::panic::Location<'static>,
-        body: &mut dyn FnMut(Range<usize>),
-    ) {
-        // Keep the invocation counter moving so a mid-region policy mix
-        // of guided and feedback loops stays slot-consistent.
-        inner.sched_seq[self.tid].fetch_add(1, Ordering::Relaxed);
-        let entry = (len <= sched::FEEDBACK_MAX_LEN && self.n <= sched::FEEDBACK_MAX_RANKS)
-            .then(|| inner.sched_table.lookup_or_insert(sched::site_key(site, len)))
-            .flatten();
-        let tr = self.trace.map(|s| (s, s.current_region()));
-        let t_sched = tr.map(|(s, _)| s.now());
-        let gen = inner.sched_gen.load(Ordering::Relaxed) as u32;
-        let (range, rec) = match entry {
-            None => (inner.partitions.range(len, self.tid), None),
-            Some(e) => {
-                let k = e.visit(self.tid, gen);
-                let range = match e.boundaries(gen, k, len, self.n) {
-                    Some(b) => {
-                        if self.tid == 0 {
-                            if let Some((s, region)) = tr {
-                                s.note_sched(region, site.file(), site.line(), len, &b);
-                            }
-                        }
-                        b[self.tid]..b[self.tid + 1]
-                    }
-                    // Incomplete / stale / noisy history: static split.
-                    None => inner.partitions.range(len, self.tid),
-                };
-                (range, Some((e, k)))
-            }
-        };
-        if let (Some((s, region)), Some(t0)) = (tr, t_sched) {
-            // SAFETY: rank-owned lane.
-            unsafe { s.record(self.tid, region, SpanKind::Sched, t0, s.now()) };
-        }
-        match rec {
-            None => body(range),
-            Some((e, k)) => {
-                let t0 = Instant::now();
-                let assigned = range.len();
-                body(range);
-                let dt = t0.elapsed().as_nanos() as u64;
-                e.record(self.tid, gen, k, dt, assigned);
-            }
-        }
-        self.barrier();
-    }
-
-    /// A contiguous *ordered* share of `lo..hi`, re-splittable by the
-    /// [`Sched::Feedback`] policy — for loops that need rank `r`'s block
-    /// to precede rank `r+1`'s (LU's pipelined wavefront sweeps), where
-    /// guided chunk claiming would scramble the pipeline, but any
-    /// contiguous ordered re-split is as bitwise-correct as the static
-    /// one. Static and guided policies yield exactly [`Par::range_of`].
-    ///
-    /// Pair with [`Par::ordered_finish`], reporting the *busy*
-    /// nanoseconds (compute only, excluding pipeline waits — charging
-    /// waits to the history would steer the re-split the wrong way).
-    #[track_caller]
-    pub fn ordered_split(&self, lo: usize, hi: usize) -> OrderedSplit<'t> {
-        let len = hi - lo;
-        let Some(inner) = self.team else {
-            return OrderedSplit { range: lo..hi, rec: None };
-        };
-        let offset = |r: Range<usize>| lo + r.start..lo + r.end;
-        if inner.sched_policy() != Sched::Feedback
-            || len > sched::FEEDBACK_MAX_LEN
-            || self.n > sched::FEEDBACK_MAX_RANKS
-        {
-            return OrderedSplit {
-                range: offset(inner.partitions.range(len, self.tid)),
-                rec: None,
-            };
-        }
-        let site = std::panic::Location::caller();
-        let Some(entry) = inner.sched_table.lookup_or_insert(sched::site_key(site, len)) else {
-            return OrderedSplit {
-                range: offset(inner.partitions.range(len, self.tid)),
-                rec: None,
-            };
-        };
-        let tr = self.trace.map(|s| (s, s.current_region()));
-        let t_sched = tr.map(|(s, _)| s.now());
-        let gen = inner.sched_gen.load(Ordering::Relaxed) as u32;
-        let k = entry.visit(self.tid, gen);
-        let range = match entry.boundaries(gen, k, len, self.n) {
-            Some(b) => {
-                if self.tid == 0 {
-                    if let Some((s, region)) = tr {
-                        s.note_sched(region, site.file(), site.line(), len, &b);
-                    }
-                }
-                offset(b[self.tid]..b[self.tid + 1])
-            }
-            None => offset(inner.partitions.range(len, self.tid)),
-        };
-        if let (Some((s, region)), Some(t0)) = (tr, t_sched) {
-            // SAFETY: rank-owned lane.
-            unsafe { s.record(self.tid, region, SpanKind::Sched, t0, s.now()) };
-        }
-        OrderedSplit { range, rec: Some((entry, gen, k)) }
-    }
-
-    /// Close an [`Par::ordered_split`]: record this rank's share and
-    /// busy time into the feedback history and rendezvous (so the next
-    /// visit reads complete banks). A no-op — no barrier, no stores —
-    /// when the split was static, so the seed's synchronization
-    /// structure is untouched at `--sched static`.
-    pub fn ordered_finish(&self, split: OrderedSplit<'_>, busy_ns: u64) {
-        if let Some((entry, gen, k)) = split.rec {
-            entry.record(self.tid, gen, k, busy_ns, split.range.len());
-            self.barrier();
-        }
-    }
-
-    /// Block until every thread of the region has arrived.
-    ///
-    /// Sense-reversing barrier: arrival is a single `fetch_add`, the last
-    /// rank advances the generation word, and waiters spin on it within
-    /// the team's budget before parking on the condvar; a no-op on the
-    /// serial path. Panic-safe: if any sibling's region body unwinds, the
-    /// barrier is poisoned and every waiter — spinning or parked —
-    /// unwinds (with a [`BarrierPoisoned`] payload) instead of blocking
-    /// forever on a rank that will never arrive.
-    pub fn barrier(&self) {
-        let Some(inner) = self.team else { return };
-        if inner.take_delay_fault(self.tid) {
-            std::thread::sleep(Duration::from_millis(inner.fault_delay_ms.load(Ordering::Relaxed)));
-        }
-        if inner.barrier_poisoned.load(Ordering::Acquire) {
-            std::panic::panic_any(BarrierPoisoned);
-        }
-        // Read my generation BEFORE arriving: once the count is bumped,
-        // the last rank may advance the generation at any moment.
-        let gen = inner.barrier_gen.load(Ordering::Acquire);
-        if inner.barrier_count.fetch_add(1, Ordering::AcqRel) + 1 == inner.n {
-            // Last arriver: reset for the next crossing, then release.
-            // The count reset is ordered before the generation bump, and
-            // no rank can re-arrive until the bump releases it, so the
-            // reset can never race a next-crossing arrival.
-            inner.barrier_count.store(0, Ordering::Relaxed);
-            inner.barrier_gen.store(gen.wrapping_add(1), Ordering::SeqCst);
-            if inner.barrier_parked.load(Ordering::SeqCst) != 0 {
-                let _g = lock(&inner.barrier_park);
-                inner.barrier_cv.notify_all();
-            }
-            return;
-        }
-        // Waiter: the generation advancing means release; poison without
-        // a generation advance means a sibling died mid-region.
-        let released = |gen_now: u64, poisoned: bool| -> Option<bool> {
-            if gen_now != gen {
-                return Some(true);
-            }
-            if poisoned {
-                return Some(false);
-            }
-            None
-        };
-        let probe = || {
-            released(
-                inner.barrier_gen.load(Ordering::Acquire),
-                inner.barrier_poisoned.load(Ordering::Acquire),
-            )
-        };
-        // When tracing, split the wait into its spin and park parts so
-        // the profile distinguishes burned-CPU waiting from parked
-        // waiting (the paper's `wait()` cost). `self.trace` is None when
-        // tracing is off, so the disabled path reads no clock.
-        let tr = self.trace.map(|s| (s, s.current_region(), s.now()));
-        let ok = match spin_wait(inner.spin_us.load(Ordering::Relaxed), probe) {
-            Some(ok) => {
-                if let Some((s, region, t0)) = tr {
-                    // SAFETY: this thread is rank `tid` of the region,
-                    // sole writer of its own lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierSpin, t0, s.now()) };
-                }
-                ok
-            }
-            None => {
-                let park_t0 = tr.map(|(s, region, t0)| {
-                    let now = s.now();
-                    // SAFETY: as above — rank-owned lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierSpin, t0, now) };
-                    now
-                });
-                // Park path; same SeqCst publish/re-check handshake as
-                // dispatch (see Inner::wait_for_dispatch).
-                let mut g = lock(&inner.barrier_park);
-                inner.barrier_parked.fetch_add(1, Ordering::SeqCst);
-                let ok = loop {
-                    if let Some(ok) = released(
-                        inner.barrier_gen.load(Ordering::SeqCst),
-                        inner.barrier_poisoned.load(Ordering::SeqCst),
-                    ) {
-                        break ok;
-                    }
-                    g = inner.barrier_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                };
-                inner.barrier_parked.fetch_sub(1, Ordering::Relaxed);
-                drop(g);
-                if let (Some((s, region, _)), Some(t0)) = (tr, park_t0) {
-                    // SAFETY: as above — rank-owned lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierPark, t0, s.now()) };
-                }
-                ok
-            }
-        };
-        if !ok {
-            std::panic::panic_any(BarrierPoisoned);
-        }
-    }
-
-    /// True if this rank is the region's rank 0 ("master section").
-    #[inline(always)]
-    pub fn is_root(&self) -> bool {
-        self.tid == 0
-    }
-}
-
-fn spawn_team(
-    n: usize,
-    spin_us: u64,
-    sched_policy: Sched,
-    trace: Option<Arc<TraceSession>>,
-) -> TeamState {
-    let inner = Arc::new(Inner {
-        n,
-        region_epoch: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        task: UnsafeCell::new(None),
-        remaining: AtomicUsize::new(0),
-        done_epochs: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-        parked_workers: AtomicUsize::new(0),
-        master_parked: AtomicUsize::new(0),
-        park: Mutex::new(()),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        panicked: Mutex::new(Vec::new()),
-        barrier_gen: AtomicU64::new(0),
-        barrier_count: AtomicUsize::new(0),
-        barrier_poisoned: AtomicBool::new(false),
-        barrier_parked: AtomicUsize::new(0),
-        barrier_park: Mutex::new(()),
-        barrier_cv: Condvar::new(),
-        spin_us: AtomicU64::new(spin_us),
-        partitions: PartitionCache::new(n),
-        sched: AtomicU8::new(sched_policy.as_u8()),
-        sched_ring: (0..sched::GUIDED_RING)
-            .map(|_| CachePadded::new(AtomicU64::new(sched::GUIDED_RESET)))
-            .collect(),
-        sched_seq: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-        sched_table: sched::SchedTable::new(),
-        // Generation 0 is "never valid" (zero-initialized stamps would
-        // match it); histories start at 1.
-        sched_gen: AtomicU64::new(1),
-        fault: AtomicU64::new(0),
-        fault_delay_ms: AtomicU64::new(0),
-        fault_arm_epoch: AtomicU64::new(0),
-        trace: Mutex::new(trace),
-    });
-    let handles = (0..n).map(|tid| spawn_worker(&inner, tid, 0)).collect();
-    TeamState { inner, handles }
 }
 
 fn spawn_worker(inner: &Arc<Inner>, tid: usize, epoch: u64) -> JoinHandle<()> {
@@ -944,84 +349,58 @@ fn spawn_worker(inner: &Arc<Inner>, tid: usize, epoch: u64) -> JoinHandle<()> {
         .expect("failed to spawn worker thread")
 }
 
-/// Parse the `NPB_REGION_TIMEOUT_MS` environment value: a non-negative
-/// integer count of milliseconds (0 = watchdog disabled).
-///
-/// A malformed value (`"5s"`, `"-1"`, ...) used to be silently swallowed,
-/// leaving the watchdog disabled with no signal that the requested safety
-/// net was never armed; it is now an explicit error so [`Team::new`] can
-/// warn.
-fn parse_region_timeout_ms(raw: &str) -> Result<u64, String> {
-    raw.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_REGION_TIMEOUT_MS={raw:?}: expected a non-negative \
-             integer count of milliseconds (e.g. 5000, not \"5s\"); the region watchdog \
-             stays DISABLED"
-        )
-    })
-}
-
-/// Parse the `NPB_SPIN_US` environment value: a non-negative integer
-/// count of microseconds (0 = pure park path, the paper's wait/notify
-/// behavior). A malformed value is an explicit error so [`Team::new`]
-/// can warn instead of silently changing the synchronization mode.
-fn parse_spin_us(raw: &str) -> Result<u64, String> {
-    raw.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_SPIN_US={raw:?}: expected a non-negative integer \
-             count of microseconds (0 = pure park path); the spin budget stays at the \
-             default {DEFAULT_SPIN_US} µs"
-        )
-    })
-}
-
 impl Team {
     /// Spawn a team of `n` persistent workers (`n >= 1`).
     ///
     /// If `NPB_REGION_TIMEOUT_MS` is set to a positive integer, the
     /// (safe, process-terminating) watchdog starts enabled at that value.
     /// If `NPB_SPIN_US` is set, it overrides the default spin budget
-    /// ([`DEFAULT_SPIN_US`] µs; `0` = pure park path). A malformed value
-    /// of either leaves the default in place and warns once on stderr
-    /// naming the bad value.
+    /// ([`crate::DEFAULT_SPIN_US`] µs; `0` = pure park path). A malformed
+    /// value of either leaves the default in place and warns once on
+    /// stderr naming the bad value.
     pub fn new(n: usize) -> Team {
         assert!(n >= 1, "a team needs at least one worker");
-        let timeout_ms = match std::env::var("NPB_REGION_TIMEOUT_MS") {
-            Ok(raw) => parse_region_timeout_ms(&raw).unwrap_or_else(|warning| {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| eprintln!("{warning}"));
-                0
-            }),
-            Err(_) => 0,
-        };
-        let spin_us = match std::env::var("NPB_SPIN_US") {
-            Ok(raw) => parse_spin_us(&raw).unwrap_or_else(|warning| {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| eprintln!("{warning}"));
-                DEFAULT_SPIN_US
-            }),
-            Err(_) => DEFAULT_SPIN_US,
-        };
-        let sched_policy = sched::sched_from_env();
-        let state = spawn_team(n, spin_us, sched_policy, None);
-        let inner_addr = Arc::as_ptr(&state.inner) as usize;
+        let inner = Arc::new(Inner {
+            n,
+            region_epoch: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            task: UnsafeCell::new(None),
+            remaining: AtomicUsize::new(0),
+            done_epochs: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            parked_workers: AtomicUsize::new(0),
+            master_parked: AtomicUsize::new(0),
+            park: Mutex::new(()),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            panicked: Mutex::new(Vec::new()),
+            barrier: Barrier::new(),
+            spin_us: AtomicU64::new(spin_us_from_env()),
+            sched: AtomicU8::new(sched::sched_from_env().as_u8()),
+            sched_ring: (0..sched::GUIDED_RING)
+                .map(|_| CachePadded::new(AtomicU64::new(sched::GUIDED_RESET)))
+                .collect(),
+            sched_seq: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            sched_table: sched::SchedTable::new(),
+            // Generation 0 is "never valid" (zero-initialized stamps would
+            // match it); histories start at 1.
+            sched_gen: AtomicU64::new(1),
+            fault: AtomicU64::new(0),
+            fault_delay_ms: AtomicU64::new(0),
+            fault_arm_epoch: AtomicU64::new(0),
+            trace: Mutex::new(None),
+        });
+        let workers = (0..n).map(|tid| spawn_worker(&inner, tid, 0)).collect();
         Team {
-            state: Mutex::new(state),
-            inner_addr: AtomicUsize::new(inner_addr),
-            width: AtomicUsize::new(n),
-            timeout_ms: AtomicU64::new(timeout_ms),
-            abandon: AtomicU8::new(0),
-            degrade: AtomicU8::new(0),
-            spin_us: AtomicU64::new(spin_us),
-            sched: AtomicU8::new(sched_policy.as_u8()),
+            inner,
+            workers: Mutex::new(workers),
+            timeout_ms: AtomicU64::new(region_timeout_ms_from_env()),
             sched_resets: AtomicU64::new(0),
         }
     }
 
-    /// Number of workers (the current width; may shrink after a failure
-    /// under [`FailurePolicy::Degrade`]).
+    /// Number of workers: fixed at [`Team::new`] for the team's life.
     pub fn size(&self) -> usize {
-        self.width.load(Ordering::Relaxed)
+        self.inner.n
     }
 
     /// Set the spin budget, in microseconds, that every waiter on this
@@ -1031,15 +410,15 @@ impl Team {
     /// `0` disables spinning entirely — the pure park path, which is the
     /// paper's Java `wait()`/`notify()` model and the behavior of this
     /// runtime before the hybrid fast path existed. The setting survives
-    /// team healing and rebuilds.
+    /// team healing.
     pub fn set_spin_us(&self, us: u64) {
-        self.spin_us.store(us, Ordering::Relaxed);
-        lock(&self.state).inner.spin_us.store(us, Ordering::Relaxed);
+        let _between_regions = lock(&self.workers);
+        self.inner.spin_us.store(us, Ordering::Relaxed);
     }
 
     /// The team's current spin budget in microseconds.
     pub fn spin_us(&self) -> u64 {
-        self.spin_us.load(Ordering::Relaxed)
+        self.inner.spin_us.load(Ordering::Relaxed)
     }
 
     /// Set the loop scheduling policy applied by [`Par::for_chunks`] and
@@ -1047,15 +426,15 @@ impl Team {
     /// [`Sched::Static`], the paper's model, bit-for-bit). Reductions
     /// and every [`Par::range`] loop stay on the static partition
     /// regardless, which is what keeps verification bitwise. The setting
-    /// survives team healing and rebuilds.
+    /// survives team healing.
     pub fn set_sched(&self, policy: Sched) {
-        self.sched.store(policy.as_u8(), Ordering::Relaxed);
-        lock(&self.state).inner.sched.store(policy.as_u8(), Ordering::Relaxed);
+        let _between_regions = lock(&self.workers);
+        self.inner.sched.store(policy.as_u8(), Ordering::Relaxed);
     }
 
     /// The team's current loop scheduling policy.
     pub fn sched(&self) -> Sched {
-        Sched::from_u8(self.sched.load(Ordering::Relaxed))
+        self.inner.sched_policy()
     }
 
     /// Invalidate every persisted feedback timing history by bumping the
@@ -1068,7 +447,14 @@ impl Team {
     /// the team heals after a poisoned region (where per-rank visit
     /// counts may have diverged).
     pub fn reset_sched_history(&self) {
-        lock(&self.state).inner.sched_gen.fetch_add(1, Ordering::Relaxed);
+        let _between_regions = lock(&self.workers);
+        self.bump_sched_gen();
+    }
+
+    /// Advance the feedback history generation (caller holds the
+    /// `workers` lock, so no region is mid-visit) and count the reset.
+    fn bump_sched_gen(&self) {
+        self.inner.sched_gen.fetch_add(1, Ordering::Relaxed);
         self.sched_resets.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1077,20 +463,14 @@ impl Team {
         self.sched_resets.load(Ordering::Relaxed)
     }
 
-    /// Static-partition cache lookups that fell through both probe
-    /// slots (uncached divisions); see `PartitionCache`. Resets when
-    /// the team rebuilds.
-    pub fn partition_collisions(&self) -> u64 {
-        lock(&self.state).inner.partitions.collisions()
-    }
-
     /// Attach (or detach, with `None`) an `npb-trace` session: while set
     /// *and* the global `trace::enabled()` switch is on, workers record
     /// dispatch waits, region bodies and barrier spin/park splits on
-    /// their per-rank lanes. The handle survives team healing and
-    /// rebuilds. Costs nothing per region when tracing is disabled.
+    /// their per-rank lanes. The handle survives team healing. Costs
+    /// nothing per region when tracing is disabled.
     pub fn set_trace(&self, session: Option<Arc<TraceSession>>) {
-        *lock(&lock(&self.state).inner.trace) = session;
+        let _between_regions = lock(&self.workers);
+        *lock(&self.inner.trace) = session;
     }
 
     /// Set (or disable, with `None`) the watchdog on the master's wait
@@ -1107,33 +487,6 @@ impl Team {
     pub fn set_region_timeout(&self, timeout: Option<Duration>) {
         let ms = timeout.map_or(0, |d| d.as_millis().max(1) as u64);
         self.timeout_ms.store(ms, Ordering::Relaxed);
-        self.abandon.store(0, Ordering::Relaxed);
-    }
-
-    /// Like [`Team::set_region_timeout`], but on timeout the stragglers
-    /// are *abandoned in-process*: `try_exec` leaks the region closure,
-    /// rebuilds the team per its [`FailurePolicy`], and returns
-    /// [`RegionError::Timeout`] naming the stuck ranks, so the caller
-    /// can keep going without the process dying.
-    ///
-    /// # Safety
-    ///
-    /// An abandoned rank is not killed — if it is merely slow (rather
-    /// than permanently wedged) it resumes after `try_exec` has
-    /// returned and keeps executing the region body. The caller must
-    /// guarantee that **everything borrowed by every region run while
-    /// this mode is armed outlives the abandoned stragglers** (in
-    /// practice: `'static` or intentionally leaked data), otherwise a
-    /// resumed straggler is a use-after-free.
-    pub unsafe fn set_region_timeout_abandoning(&self, timeout: Option<Duration>) {
-        let ms = timeout.map_or(0, |d| d.as_millis().max(1) as u64);
-        self.timeout_ms.store(ms, Ordering::Relaxed);
-        self.abandon.store(1, Ordering::Relaxed);
-    }
-
-    /// Choose what happens to the team after a failed region.
-    pub fn set_failure_policy(&self, policy: FailurePolicy) {
-        self.degrade.store(matches!(policy, FailurePolicy::Degrade) as u8, Ordering::Relaxed);
     }
 
     /// Arm a one-shot injected fault (panic or barrier delay) on this
@@ -1141,8 +494,8 @@ impl Team {
     /// seed. NaN plans are armed process-globally via
     /// [`crate::FaultPlan::arm`], not here.
     pub fn arm_fault(&self, plan: &crate::FaultPlan) {
-        let st = lock(&self.state);
-        let inner = &st.inner;
+        let _between_regions = lock(&self.workers);
+        let inner = &self.inner;
         let kind = match plan.kind {
             crate::FaultKind::Panic => FAULT_PANIC,
             crate::FaultKind::Delay => FAULT_DELAY,
@@ -1180,9 +533,8 @@ impl Team {
     /// Run `f` on every worker as one parallel region, reporting failure
     /// as a structured [`RegionError`] instead of panicking.
     ///
-    /// After an error the team has already healed itself (respawned to
-    /// full width, or shrunk under [`FailurePolicy::Degrade`]) and can
-    /// run further regions.
+    /// After an error the team has already healed itself in place (same
+    /// width, dead worker threads respawned) and can run further regions.
     ///
     /// Distinct threads may share a `&Team`; their regions serialize on
     /// an internal lock. Calling back into `exec`/`try_exec` from
@@ -1192,22 +544,20 @@ impl Team {
     where
         F: Fn(Par<'_>) + Sync,
     {
+        let inner: &Inner = &self.inner;
         // Reentrancy guard: a region body runs on one of this team's own
-        // worker threads, and the master holds the state lock for the
+        // worker threads, and the master holds the workers lock for the
         // whole region — calling back in would deadlock, so report it
         // by thread identity instead. Other threads fall through and
         // legitimately serialize on the lock.
-        if WORKER_OF.with(|w| w.get()) == self.inner_addr.load(Ordering::Relaxed) {
+        if WORKER_OF.with(|w| w.get()) == inner as *const Inner as usize {
             return Err(RegionError::Poisoned);
         }
-        let mut st = lock(&self.state);
-        let inner = Arc::clone(&st.inner);
-        let n = inner.n;
+        let mut workers = lock(&self.workers);
 
         // No worker is active between regions, so the barrier and the
         // panic ledger reset race-free.
-        inner.barrier_count.store(0, Ordering::Relaxed);
-        inner.barrier_poisoned.store(false, Ordering::Relaxed);
+        inner.barrier.reset();
         lock(&inner.panicked).clear();
         // Same quiescent window: rewind the guided claim ring and the
         // per-rank invocation counters, so every rank enters this region
@@ -1222,27 +572,23 @@ impl Team {
         // `Par` borrows this clone for barrier spans.
         let trace_session = if trace::enabled() { lock(&inner.trace).clone() } else { None };
 
-        // SAFETY: `Inner` is kept alive past this unbounded borrow by the
-        // Arc each worker thread holds.
-        let inner_ref: &'static Inner = unsafe { &*Arc::as_ptr(&inner) };
         let wrapper: Box<dyn Fn(usize) + Sync + '_> = Box::new(move |tid| {
-            if inner_ref.take_fault(FAULT_PANIC, tid) {
+            if inner.take_fault(FAULT_PANIC, tid) {
                 std::panic::panic_any(InjectedFault);
             }
-            if inner_ref.take_fault(FAULT_HANG, tid) {
+            if inner.take_fault(FAULT_HANG, tid) {
                 // Wedge this rank forever: the hang fault exists to
-                // exercise the watchdog, which terminates the process
-                // (or, in abandoning mode, strands this thread).
+                // exercise the watchdog, which terminates the process.
                 loop {
                     std::thread::park();
                 }
             }
-            f(Par { tid, n, team: Some(inner_ref), trace: trace_session.as_deref() });
+            f(Par::on_team(tid, inner, trace_session.as_deref()));
         });
         let obj: &(dyn Fn(usize) + Sync) = &*wrapper;
         // SAFETY: we erase the lifetime of `obj`; the master does not
-        // release the box until no worker can still dereference it (and
-        // leaks it when abandoning stragglers on timeout).
+        // release the box until no worker can still dereference it (the
+        // watchdog exits the process rather than return early).
         let obj: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(obj) };
 
         if inner.remaining.load(Ordering::Acquire) != 0 {
@@ -1258,7 +604,7 @@ impl Team {
         unsafe {
             *inner.task.get() = Some(TaskPtr(obj as *const _));
         }
-        inner.remaining.store(n, Ordering::Relaxed);
+        inner.remaining.store(inner.n, Ordering::Relaxed);
         let epoch = inner.region_epoch.load(Ordering::Relaxed).wrapping_add(1);
         inner.region_epoch.store(epoch, Ordering::SeqCst);
         if inner.parked_workers.load(Ordering::SeqCst) != 0 {
@@ -1288,69 +634,14 @@ impl Team {
         if !done {
             let mut g = lock(&inner.park);
             inner.master_parked.store(1, Ordering::SeqCst);
-            loop {
-                if inner.remaining.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
+            while inner.remaining.load(Ordering::SeqCst) != 0 {
                 match deadline {
                     None => g = inner.done_cv.wait(g).unwrap_or_else(|e| e.into_inner()),
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
-                            inner.master_parked.store(0, Ordering::Relaxed);
                             drop(g);
-                            let stuck: Vec<usize> = (0..n)
-                                .filter(|&t| inner.done_epochs[t].load(Ordering::Acquire) != epoch)
-                                .collect();
-                            if self.abandon.load(Ordering::Relaxed) == 0 {
-                                // Safe watchdog: we cannot kill a stuck
-                                // rank and we must not return while it
-                                // may still run the region body (which
-                                // borrows from our caller's frames) — so
-                                // terminate the process. No frame is
-                                // ever popped, so a merely-slow
-                                // straggler never touches freed memory.
-                                eprintln!(
-                                    "npb region watchdog: timeout after {timeout_ms} ms; \
-                                     ranks {stuck:?} never arrived; terminating"
-                                );
-                                // Last chance to get the profile out:
-                                // flush a truncated trace dump so the
-                                // hang is diagnosable post-mortem.
-                                trace::emergency_dump();
-                                std::process::exit(WATCHDOG_EXIT_CODE);
-                            }
-                            // Unsafe abandoning mode (the caller promised
-                            // the region's borrows outlive the
-                            // stragglers; see
-                            // set_region_timeout_abandoning). Tell
-                            // idle/late workers of the old team to exit,
-                            // and release any of them blocked in the
-                            // barrier.
-                            inner.signal_shutdown();
-                            inner.poison_barrier();
-                            // A straggler may still hold the task
-                            // pointer: the closure must never be freed.
-                            std::mem::forget(wrapper);
-                            let width = if self.degrade.load(Ordering::Relaxed) != 0 {
-                                (n - stuck.len()).max(1)
-                            } else {
-                                n
-                            };
-                            // Abandon the old team wholesale (dropping
-                            // the handles detaches the threads) and
-                            // start fresh, carrying the trace handle.
-                            let trace = lock(&inner.trace).clone();
-                            *st = spawn_team(
-                                width,
-                                self.spin_us.load(Ordering::Relaxed),
-                                self.sched(),
-                                trace,
-                            );
-                            self.inner_addr
-                                .store(Arc::as_ptr(&st.inner) as usize, Ordering::Relaxed);
-                            self.width.store(width, Ordering::Relaxed);
-                            return Err(RegionError::Timeout { stuck_ranks: stuck });
+                            self.watchdog_exit(timeout_ms, epoch);
                         }
                         let (g2, _) = inner
                             .done_cv
@@ -1375,40 +666,43 @@ impl Team {
             return Ok(());
         }
         panicked.sort_unstable();
-        self.heal(&mut st, panicked.len());
+        self.heal(&mut workers);
         Err(RegionError::Panicked { tids: panicked })
     }
 
+    /// The watchdog fired: name the ranks that have not finished region
+    /// `epoch` and terminate the process. We cannot kill a stuck rank
+    /// and we must not return while it may still run the region body
+    /// (which borrows from `try_exec`'s caller's frames). Exiting pops
+    /// no frame, so a merely-slow straggler never touches freed memory.
+    fn watchdog_exit(&self, timeout_ms: u64, epoch: u64) -> ! {
+        let stuck: Vec<usize> = (0..self.inner.n)
+            .filter(|&t| self.inner.done_epochs[t].load(Ordering::Acquire) != epoch)
+            .collect();
+        eprintln!(
+            "npb region watchdog: timeout after {timeout_ms} ms; \
+             ranks {stuck:?} never arrived; terminating"
+        );
+        // Last chance to get the profile out: flush a truncated trace
+        // dump so the hang is diagnosable post-mortem.
+        trace::emergency_dump();
+        std::process::exit(WATCHDOG_EXIT_CODE);
+    }
+
     /// Restore the team after a panicked (fully drained) region.
-    fn heal(&self, st: &mut TeamState, lost: usize) {
+    fn heal(&self, workers: &mut [JoinHandle<()>]) {
         // A poisoned region may have left per-rank feedback visit counts
         // unequal; bump the history generation so every rank rebases to
         // a consistent (static-fallback) state instead of reading torn
-        // timings. (The degrade path below rebuilds the table outright.)
-        st.inner.sched_gen.fetch_add(1, Ordering::Relaxed);
-        self.sched_resets.fetch_add(1, Ordering::Relaxed);
-        let spin_us = self.spin_us.load(Ordering::Relaxed);
-        if self.degrade.load(Ordering::Relaxed) != 0 && st.inner.n > 1 {
-            // Degrade: rebuild at reduced width. All workers are idle
-            // (the region drained), so a clean shutdown-join works.
-            let width = (st.inner.n - lost).max(1);
-            st.inner.signal_shutdown();
-            for h in st.handles.drain(..) {
-                let _ = h.join();
-            }
-            let trace = lock(&st.inner.trace).clone();
-            *st = spawn_team(width, spin_us, self.sched(), trace);
-            self.inner_addr.store(Arc::as_ptr(&st.inner) as usize, Ordering::Relaxed);
-            self.width.store(width, Ordering::Relaxed);
-            return;
-        }
-        // Respawn: workers catch body panics and survive, so threads die
-        // only in exotic cases (e.g. a panic payload that panics on
-        // drop); respawn any that did so the team keeps full width.
-        let epoch = st.inner.region_epoch.load(Ordering::Relaxed);
-        for tid in 0..st.inner.n {
-            if st.handles[tid].is_finished() {
-                st.handles[tid] = spawn_worker(&st.inner, tid, epoch);
+        // timings.
+        self.bump_sched_gen();
+        // Workers catch body panics and survive, so threads die only in
+        // exotic cases (e.g. a panic payload that panics on drop);
+        // respawn any that did so the team keeps its width.
+        let epoch = self.inner.region_epoch.load(Ordering::Relaxed);
+        for (tid, worker) in workers.iter_mut().enumerate() {
+            if worker.is_finished() {
+                *worker = spawn_worker(&self.inner, tid, epoch);
             }
         }
     }
@@ -1429,12 +723,12 @@ impl Team {
 
 impl Drop for Team {
     fn drop(&mut self) {
-        let st = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
         // Shutdown rides the worker wake path: spinning workers see the
         // flag without any lock, so dropping an idle team skips the
         // dispatch-lock round-trip entirely.
-        st.inner.signal_shutdown();
-        for h in st.handles.drain(..) {
+        self.inner.signal_shutdown();
+        let workers = self.workers.get_mut().unwrap_or_else(|e| e.into_inner());
+        for h in workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -1490,7 +784,7 @@ fn worker_loop(inner: &Inner, tid: usize, initial_epoch: u64) {
         if res.is_err() {
             // Poison the barrier so siblings in it — spinning or parked —
             // unwind instead of waiting forever for this rank.
-            inner.poison_barrier();
+            inner.barrier.poison();
         }
         if primary_panic {
             lock(&inner.panicked).push(tid);
@@ -1525,35 +819,25 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{Partials, SharedMut};
+    use crate::{run_par, Partials, SharedMut};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Tests that install the process-global trace session take this
     /// lock so the harness's parallel test threads cannot interleave
     /// install/uninstall (and cross-record into each other's sessions).
-    static TRACE_TESTS: Mutex<()> = Mutex::new(());
+    pub(crate) static TRACE_TESTS: Mutex<()> = Mutex::new(());
 
     /// Run the closure under both synchronization modes: the pure park
     /// path (`spin_us = 0`, the paper's wait/notify model) and a spin
     /// budget large enough that the fast path handles everything.
-    fn for_both_modes(n: usize, f: impl Fn(&Team)) {
+    pub(crate) fn for_both_modes(n: usize, f: impl Fn(&Team)) {
         for spin_us in [0u64, 200_000] {
             let team = Team::new(n);
             team.set_spin_us(spin_us);
             f(&team);
         }
-    }
-
-    #[test]
-    fn serial_context() {
-        let p = Par::serial();
-        assert_eq!(p.tid(), 0);
-        assert_eq!(p.num_threads(), 1);
-        assert_eq!(p.range(10), 0..10);
-        p.barrier(); // no-op
-        assert!(p.is_root());
     }
 
     #[test]
@@ -1577,33 +861,6 @@ mod tests {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
                 assert_eq!(counter.load(Ordering::Relaxed), (i + 1) * 3);
-            }
-        });
-    }
-
-    #[test]
-    fn barrier_separates_phases() {
-        for_both_modes(4, |team| {
-            let n = 64;
-            let mut a = vec![0usize; n];
-            let mut b = vec![0usize; n];
-            let sa = unsafe { SharedMut::new(&mut a) };
-            let sb = unsafe { SharedMut::new(&mut b) };
-            team.exec(|p| {
-                for i in p.range(n) {
-                    sa.set::<true>(i, i + 1);
-                }
-                p.barrier();
-                // Reverse-reads the other threads' writes; only correct if
-                // the barrier is a real barrier.
-                for i in p.range(n) {
-                    sb.set::<true>(i, sa.get::<true>(n - 1 - i));
-                }
-            });
-            drop(sa);
-            drop(sb);
-            for i in 0..n {
-                assert_eq!(b[i], n - i);
             }
         });
     }
@@ -1677,23 +934,30 @@ mod tests {
         });
     }
 
+    /// A team's width and settings are fixed for life: a panicked region
+    /// heals in place, it never rebuilds or shrinks the team.
     #[test]
-    fn panic_mid_barrier_releases_spinning_and_parked_waiters() {
-        // One rank dies before the barrier while its siblings wait in it:
-        // under both modes the waiters must unwind via poisoning, not
-        // spin or park forever.
+    fn panicked_region_leaves_width_and_settings_unchanged() {
         for_both_modes(4, |team| {
+            team.set_sched(Sched::Guided);
+            let spin_us = team.spin_us();
             let err = team
                 .try_exec(|p| {
-                    if p.tid() == 0 {
-                        panic!("die before the barrier");
+                    if p.tid() == 3 {
+                        panic!("die");
                     }
-                    p.barrier();
                 })
                 .unwrap_err();
-            assert_eq!(err, RegionError::Panicked { tids: vec![0] });
-            // Healed: a clean region with a real barrier still works.
-            team.exec(|p| p.barrier());
+            assert_eq!(err, RegionError::Panicked { tids: vec![3] });
+            assert_eq!(team.size(), 4);
+            assert_eq!(team.spin_us(), spin_us);
+            assert_eq!(team.sched(), Sched::Guided);
+            let hits = AtomicUsize::new(0);
+            team.exec(|p| {
+                assert_eq!(p.num_threads(), 4);
+                hits.fetch_add(1 << (8 * p.tid()), Ordering::Relaxed);
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 0x01010101, "every rank ran");
         });
     }
 
@@ -1749,63 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn degrade_policy_shrinks_after_panic() {
-        let team = Team::new(4);
-        team.set_failure_policy(FailurePolicy::Degrade);
-        let err = team
-            .try_exec(|p| {
-                if p.tid() == 3 {
-                    panic!("die");
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, RegionError::Panicked { tids: vec![3] });
-        assert_eq!(team.size(), 3);
-        let hits = AtomicUsize::new(0);
-        team.exec(|p| {
-            assert_eq!(p.num_threads(), 3);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn watchdog_reports_stuck_ranks_and_team_recovers() {
-        // The stuck region body only touches leaked ('static) state, as
-        // the abandoning mode's safety contract requires. Exercised under
-        // both modes: the master must fire the watchdog whether it is
-        // spinning or parked.
-        for_both_modes(3, |team| {
-            // SAFETY: the region below borrows only the leaked `gate`.
-            unsafe { team.set_region_timeout_abandoning(Some(Duration::from_millis(100))) };
-            let gate: &'static (Mutex<bool>, Condvar) =
-                Box::leak(Box::new((Mutex::new(false), Condvar::new())));
-            let err = team
-                .try_exec(|p| {
-                    if p.tid() == 1 {
-                        let mut open = lock(&gate.0);
-                        while !*open {
-                            open = gate.1.wait(open).unwrap();
-                        }
-                    }
-                })
-                .unwrap_err();
-            assert_eq!(err, RegionError::Timeout { stuck_ranks: vec![1] });
-            // Full width restored by the rebuild.
-            assert_eq!(team.size(), 3);
-            let hits = AtomicUsize::new(0);
-            team.exec(|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 3);
-            // Release the abandoned straggler so the process exits
-            // cleanly.
-            *lock(&gate.0) = true;
-            gate.1.notify_all();
-        });
-    }
-
-    #[test]
     fn run_par_serial_and_team_agree() {
         let n = 128;
         let compute = |team: Option<&Team>| {
@@ -1833,17 +1040,6 @@ mod tests {
             42.0
         });
         assert_eq!(s, 42.0);
-    }
-
-    #[test]
-    fn many_barriers_do_not_wedge() {
-        for_both_modes(4, |team| {
-            team.exec(|p| {
-                for _ in 0..1000 {
-                    p.barrier();
-                }
-            });
-        });
     }
 
     #[test]
@@ -1884,52 +1080,6 @@ mod tests {
         });
         assert_eq!(team.spin_us(), 0, "healing must not reset the spin budget");
         team.exec(|p| p.barrier());
-    }
-
-    #[test]
-    fn region_timeout_env_parsing_accepts_integers_only() {
-        assert_eq!(parse_region_timeout_ms("5000"), Ok(5000));
-        assert_eq!(parse_region_timeout_ms(" 250 "), Ok(250), "whitespace is tolerated");
-        assert_eq!(parse_region_timeout_ms("0"), Ok(0), "0 = explicitly disabled");
-
-        // Malformed values must be loud errors naming the bad value —
-        // they used to be silently swallowed, leaving the watchdog
-        // disabled with no signal.
-        for bad in ["5s", "-1", "", "5000ms", "0x10", "1.5"] {
-            let err = parse_region_timeout_ms(bad)
-                .expect_err(&format!("{bad:?} must not parse as a timeout"));
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("DISABLED"), "warning must state the consequence: {err}");
-        }
-    }
-
-    #[test]
-    fn spin_env_parsing_accepts_integers_only() {
-        assert_eq!(parse_spin_us("100"), Ok(100));
-        assert_eq!(parse_spin_us(" 0 "), Ok(0), "0 = pure park path");
-        for bad in ["100us", "-5", "", "1.5"] {
-            let err = parse_spin_us(bad).expect_err(&format!("{bad:?} must not parse"));
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("default"), "warning must state the fallback: {err}");
-        }
-    }
-
-    #[test]
-    fn backend_env_parsing_matches_the_warn_once_contract() {
-        // Same parity as NPB_REGION_TIMEOUT_MS / NPB_SPIN_US: the two
-        // valid spellings parse (whitespace tolerated), and a malformed
-        // NPB_BACKEND is a loud error naming the bad value and stating
-        // the fallback — never a silent change of execution backend.
-        use crate::procs::{parse_backend, Backend};
-        assert_eq!(parse_backend("threads"), Ok(Backend::Threads));
-        assert_eq!(parse_backend("procs"), Ok(Backend::Procs));
-        assert_eq!(parse_backend(" procs "), Ok(Backend::Procs), "whitespace is tolerated");
-        for bad in ["Procs", "proc", "mpi", "", "threads,procs", "1"] {
-            let err = parse_backend(bad).expect_err(&format!("{bad:?} must not parse"));
-            assert!(err.contains("NPB_BACKEND"), "warning must name the variable: {err}");
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("threads backend"), "warning must state the fallback: {err}");
-        }
     }
 
     #[test]
@@ -2002,193 +1152,5 @@ mod tests {
         team.exec(|p| p.barrier());
         trace::uninstall();
         assert!(session.spans().is_empty(), "no set_trace, no worker spans");
-    }
-
-    #[test]
-    fn spin_wait_honours_a_zero_budget() {
-        // spin_us = 0 must probe exactly once and never busy-wait.
-        let mut calls = 0;
-        let r: Option<()> = spin_wait(0, || {
-            calls += 1;
-            None
-        });
-        assert!(r.is_none());
-        assert_eq!(calls, 1);
-    }
-
-    /// Every scheduling policy must hand out each index exactly once per
-    /// visit — the disjoint-writes contract `for_chunks` loops rely on.
-    #[test]
-    fn for_chunks_covers_every_index_exactly_once_under_every_policy() {
-        for policy in [Sched::Static, Sched::Guided, Sched::Feedback] {
-            let team = Team::new(4);
-            team.set_sched(policy);
-            assert_eq!(team.sched(), policy);
-            let len = 10_000;
-            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let visits = 5;
-            for _ in 0..visits {
-                team.exec(|p| {
-                    p.for_chunks(len, |r| {
-                        for i in r {
-                            hits[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                });
-            }
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), visits, "index {i} under {policy:?}");
-            }
-        }
-    }
-
-    /// `ordered_split` must always tile `lo..hi` contiguously in rank
-    /// order — under feedback too, even as re-splits move boundaries.
-    #[test]
-    fn ordered_split_yields_contiguous_ordered_shares() {
-        for policy in [Sched::Static, Sched::Guided, Sched::Feedback] {
-            let team = Team::new(4);
-            team.set_sched(policy);
-            let (lo, hi) = (3usize, 4099usize);
-            for visit in 0..5 {
-                let shares: Mutex<Vec<(usize, Range<usize>)>> = Mutex::new(Vec::new());
-                team.exec(|p| {
-                    let s = p.ordered_split(lo, hi);
-                    lock(&shares).push((p.tid(), s.range()));
-                    // Report imbalanced busy times so feedback visits
-                    // after the first actually re-split.
-                    p.ordered_finish(s, 1_000_000 * (1 + p.tid() as u64));
-                });
-                let mut shares = shares.into_inner().unwrap();
-                shares.sort_by_key(|(tid, _)| *tid);
-                let mut cursor = lo;
-                for (tid, r) in &shares {
-                    assert_eq!(r.start, cursor, "rank {tid} visit {visit} under {policy:?}");
-                    assert!(r.end >= r.start);
-                    cursor = r.end;
-                }
-                assert_eq!(cursor, hi, "visit {visit} under {policy:?}");
-            }
-        }
-    }
-
-    /// Feedback re-splits drift toward the reported throughputs, and an
-    /// explicit history reset snaps back to the static split.
-    #[test]
-    fn feedback_resplits_and_reset_restores_static() {
-        let team = Team::new(2);
-        team.set_sched(Sched::Feedback);
-        let len = 4096usize;
-        let static_share = partition(len, 2, 0);
-        let share0 = || {
-            let r: Mutex<Range<usize>> = Mutex::new(0..0);
-            team.exec(|p| {
-                let s = p.ordered_split(0, len);
-                if p.is_root() {
-                    *lock(&r) = s.range();
-                }
-                // Rank 1 claims to be 4x slower than rank 0.
-                p.ordered_finish(s, 2_000_000 * (1 + 3 * p.tid() as u64));
-            });
-            r.into_inner().unwrap()
-        };
-        assert_eq!(share0(), static_share, "first visit has no history");
-        for _ in 0..8 {
-            share0();
-        }
-        assert!(
-            share0().len() > static_share.len(),
-            "the rank reporting 4x throughput must grow its share"
-        );
-        let resets = team.sched_resets();
-        team.reset_sched_history();
-        assert_eq!(team.sched_resets(), resets + 1);
-        assert_eq!(share0(), static_share, "reset discards persisted timings");
-    }
-
-    /// A panic inside a guided chunk poisons the region (siblings unwind
-    /// from the trailing barrier), the team heals, the feedback history
-    /// generation moves, and the next region covers the loop cleanly.
-    #[test]
-    fn guided_chunk_panic_poisons_then_heals() {
-        let team = Team::new(4);
-        team.set_sched(Sched::Guided);
-        let resets = team.sched_resets();
-        // Whichever rank claims the leading chunk panics inside it; the
-        // others unwind from the trailing barrier instead of deadlocking.
-        let victim = AtomicUsize::new(usize::MAX);
-        let res = team.try_exec(|p| {
-            p.for_chunks(10_000, |r| {
-                if r.start == 0 {
-                    victim.store(p.tid(), Ordering::SeqCst);
-                    panic!("injected chunk failure");
-                }
-            });
-        });
-        match res {
-            Err(RegionError::Panicked { tids }) => {
-                assert_eq!(tids, vec![victim.load(Ordering::SeqCst)])
-            }
-            other => panic!("expected a panicked region, got {other:?}"),
-        }
-        assert!(team.sched_resets() > resets, "healing must invalidate timing history");
-        let len = 1000;
-        let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        team.exec(|p| {
-            p.for_chunks(len, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "healed team covers");
-    }
-
-    /// The serial path runs scheduled loops inline, whole-range, under
-    /// any policy name.
-    #[test]
-    fn serial_par_runs_scheduled_loops_inline() {
-        let par = Par::serial();
-        assert_eq!(par.sched(), Sched::Static);
-        let mut seen = Vec::new();
-        par.for_chunks(7, |r| seen.push(r));
-        assert_eq!(seen, vec![0..7]);
-        let s = par.ordered_split(2, 9);
-        assert_eq!(s.range(), 2..9);
-        par.ordered_finish(s, 123);
-    }
-
-    /// Scheduled loops record `sched` spans and the chosen-boundary dump
-    /// lands in the profile once a feedback re-split is applied.
-    #[test]
-    fn sched_spans_and_boundary_notes_reach_the_trace() {
-        let _g = lock(&TRACE_TESTS);
-        let session = TraceSession::new(2);
-        trace::install(Arc::clone(&session));
-        let team = Team::new(2);
-        team.set_trace(Some(Arc::clone(&session)));
-        team.set_sched(Sched::Feedback);
-        for _ in 0..4 {
-            let _scope = trace::scope("sched_region");
-            team.exec(|p| {
-                p.for_chunks(4096, |r| {
-                    // Heavy enough to clear the noise floor on rank 1.
-                    let spin = 50_000 * (1 + p.tid() as u64);
-                    for _ in 0..spin {
-                        std::hint::black_box(r.start);
-                    }
-                });
-            });
-        }
-        team.set_trace(None);
-        trace::uninstall();
-        let spans = session.spans();
-        assert!(
-            spans.iter().any(|(_, s)| s.kind == SpanKind::Sched),
-            "feedback decisions must be attributed as sched spans"
-        );
-        let profile = session.render_json_profile(false);
-        assert!(profile.contains("\"sched\":["), "profile carries the sched array: {profile}");
-        assert!(profile.contains("\"sched_secs\":"), "{profile}");
     }
 }

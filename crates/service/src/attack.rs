@@ -64,7 +64,8 @@ impl Histogram {
     }
 
     /// Upper bound of the bucket holding the p-th percentile sample
-    /// (p in [0,100]).
+    /// (p in [0,100]), clamped to the largest sample recorded: a bucket
+    /// edge above every observation is not a latency anyone saw.
     pub fn percentile_us(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -74,7 +75,7 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= rank {
-                return 1u64 << (i + 1);
+                return (1u64 << (i + 1)).min(self.max_us);
             }
         }
         self.max_us
@@ -434,8 +435,9 @@ mod tests {
         assert!(h.mean_us() > 0);
         // p50 lands in the 64..128 bucket (the six 100µs samples).
         assert_eq!(h.percentile_us(50.0), 128);
-        // p99 reaches the 4096..8192 bucket (the 5000µs tail).
-        assert_eq!(h.percentile_us(99.0), 8192);
+        // p99 reaches the 4096..8192 bucket (the 5000µs tail), whose
+        // upper edge is clamped to the largest sample actually seen.
+        assert_eq!(h.percentile_us(99.0), 5000);
         assert_eq!(h.max_us, 5000);
         let mut other = Histogram::default();
         other.record(1_000_000);

@@ -35,10 +35,7 @@
 //!   connection closes instead of buffering without bound;
 //! * a **connection budget** (`max_conns`) sheds excess connections
 //!   with `rejected:overloaded` instead of spawning threads without
-//!   bound;
-//! * a **circuit breaker** (`breaker_threshold`) quarantines a spec
-//!   after N consecutive failed executions: resubmits get
-//!   `rejected:quarantined` instead of burning a worker slot again.
+//!   bound.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -107,10 +104,6 @@ pub struct ServerConfig {
     /// Maximum concurrently-served connections (0 = unlimited); excess
     /// connections get one `rejected:overloaded` line and are closed.
     pub max_conns: usize,
-    /// Circuit breaker: after this many *consecutive* failed executions
-    /// of the same spec, resubmits get `rejected:quarantined` until the
-    /// daemon restarts (0 = disabled). A verified result resets it.
-    pub breaker_threshold: usize,
     /// Deterministic I/O fault injection armed on the journal path
     /// (hostile-host drills).
     pub io_inject: Option<IoFaultPlan>,
@@ -141,9 +134,6 @@ struct QueueState {
     /// Journal writes are failing: reject new work, finish owed work,
     /// exit cleanly. Implies `draining`.
     sealed: bool,
-    /// Consecutive failed executions per canonical key (circuit
-    /// breaker); a verified result clears the entry.
-    breaker: HashMap<String, usize>,
 }
 
 struct Daemon {
@@ -244,20 +234,6 @@ impl Daemon {
             if let Some(job) = st.in_flight.get(&key).map(Arc::clone) {
                 st.counters.deduped += 1;
                 (accepted(&id, true), job)
-            } else if self.cfg.breaker_threshold > 0
-                && st.breaker.get(&key).is_some_and(|&n| n >= self.cfg.breaker_threshold)
-            {
-                // 2½. Circuit breaker: this spec keeps failing; stop
-                // burning worker slots on it.
-                let fails = st.breaker[&key];
-                st.counters.rejected += 1;
-                return (
-                    rejected(
-                        "quarantined",
-                        &format!("{fails} consecutive failed execution(s); breaker open"),
-                    ),
-                    None,
-                );
             } else {
                 // 3. Admission.
                 let cost = class_cost(spec.class);
@@ -336,21 +312,6 @@ impl Daemon {
             st.in_service_cost -= job.cost;
             st.in_flight.remove(&job.key);
             st.counters.executed += 1;
-            if self.cfg.breaker_threshold > 0 {
-                if result.verified() {
-                    st.breaker.remove(&job.key);
-                } else {
-                    let n = st.breaker.entry(job.key.clone()).or_insert(0);
-                    *n += 1;
-                    if *n == self.cfg.breaker_threshold {
-                        eprintln!(
-                            "npbd: breaker open for job {} after {n} consecutive failed \
-                             execution(s): resubmits rejected until restart",
-                            job.id
-                        );
-                    }
-                }
-            }
         }
         job.finish(result);
         self.idle.notify_all();
@@ -616,7 +577,6 @@ pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
             seq: 0,
             counters: Counters::default(),
             sealed: false,
-            breaker: HashMap::new(),
         }),
         work_ready: Condvar::new(),
         idle: Condvar::new(),

@@ -215,6 +215,13 @@ echo "== campaign regression gate (statistical) =="
 # attributed to a trace region (see scripts/campaign_gate.sh).
 scripts/campaign_gate.sh
 
+echo "== benchmark smoke (public API pinned by benchmark/) =="
+# benchmark/ is a workspace of its own that drives only public functions
+# (Team, Par, Sched, run_par, the kernels' run/phase functions, run_cell,
+# npbd): building it and running one class S pass fails the gate when a
+# change breaks that surface.
+bash benchmark/smoke.sh
+
 echo "== spin-vs-park equivalence (explicit park path) =="
 # Pin the paper's pure wait/notify path via the environment so it never
 # bit-rots: the full consistency suite must pass with spinning disabled,

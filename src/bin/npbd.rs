@@ -5,8 +5,8 @@
 //!      [--npb-bin PATH] [--workers N] [--queue-cost UNITS]
 //!      [--deadline-ms MS] [--backoff-ms MS]
 //!      [--read-deadline-ms MS] [--max-line-bytes N] [--max-conns N]
-//!      [--breaker-threshold N] [--mem-limit-mb MB] [--cpu-limit-s S]
-//!      [--fd-limit N] [--io-inject KIND[:SEED]]
+//!      [--mem-limit-mb MB] [--cpu-limit-s S] [--fd-limit N]
+//!      [--io-inject KIND[:SEED]]
 //! ```
 //!
 //! The daemon owns a bounded job queue (costed in class units: S=1,
@@ -30,12 +30,11 @@
 //! Hostile-host hardening: `--read-deadline-ms` evicts clients that
 //! trickle a request (slowloris), `--max-line-bytes` caps request-line
 //! memory, `--max-conns` sheds connection floods with
-//! `rejected:overloaded`, `--breaker-threshold` quarantines specs that
-//! keep failing, `--mem-limit-mb`/`--cpu-limit-s`/`--fd-limit` set the
-//! default `setrlimit` caps every job's children apply to themselves,
-//! and `--io-inject` arms deterministic journal fault injection for
-//! drills — a failing journal seals the daemon (reject new work,
-//! finish owed work, exit 0) instead of panicking.
+//! `rejected:overloaded`, `--mem-limit-mb`/`--cpu-limit-s`/`--fd-limit`
+//! set the default `setrlimit` caps every job's children apply to
+//! themselves, and `--io-inject` arms deterministic journal fault
+//! injection for drills — a failing journal seals the daemon (reject
+//! new work, finish owed work, exit 0) instead of panicking.
 //!
 //! Protocol quickstart (one JSON object per line):
 //!
@@ -58,8 +57,8 @@ fn usage() -> ! {
          \x20           [--npb-bin PATH] [--workers N] [--queue-cost UNITS]\n\
          \x20           [--deadline-ms MS] [--backoff-ms MS]\n\
          \x20           [--read-deadline-ms MS] [--max-line-bytes N] [--max-conns N]\n\
-         \x20           [--breaker-threshold N] [--mem-limit-mb MB] [--cpu-limit-s S]\n\
-         \x20           [--fd-limit N] [--io-inject {}[:SEED]]",
+         \x20           [--mem-limit-mb MB] [--cpu-limit-s S] [--fd-limit N]\n\
+         \x20           [--io-inject {}[:SEED]]",
         npb_core::iofault::IoFaultKind::KINDS
     );
     std::process::exit(npb_core::USAGE_EXIT_CODE);
@@ -78,7 +77,6 @@ fn main() {
     let mut read_deadline_ms: Option<u64> = None;
     let mut max_line_bytes = 64 * 1024usize;
     let mut max_conns = 0usize;
-    let mut breaker_threshold = 0usize;
     let mut limits = npb_core::ResourceLimits::default();
     let mut io_inject: Option<npb_core::IoFaultPlan> = None;
 
@@ -102,9 +100,6 @@ fn main() {
             }
             "--max-line-bytes" => max_line_bytes = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--max-conns" => max_conns = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--breaker-threshold" => {
-                breaker_threshold = val(&mut it).parse().unwrap_or_else(|_| usage())
-            }
             "--mem-limit-mb" => {
                 limits.mem_limit_mb = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
             }
@@ -161,7 +156,6 @@ fn main() {
         read_deadline: read_deadline_ms.map(std::time::Duration::from_millis),
         max_line_bytes,
         max_conns,
-        breaker_threshold,
         io_inject,
     };
     eprintln!(

@@ -30,8 +30,8 @@ pub use npb_core::trace::{self, TraceFormat, TraceSession};
 pub use npb_core::{BenchReport, Class, GuardConfig, GuardStats, RegionProfile, Style, Verified};
 pub use npb_runtime::{
     backend_from_env, parse_backend, parse_sched, sched_from_env, Backend, BarrierPoisoned,
-    FailurePolicy, FaultKind, FaultPlan, InjectedFault, Par, Partials, RegionError, Sched,
-    SharedMut, Team, WATCHDOG_EXIT_CODE,
+    FaultKind, FaultPlan, InjectedFault, Par, Partials, RegionError, Sched, SharedMut, Team,
+    WATCHDOG_EXIT_CODE,
 };
 
 pub use npb_core::{expand_flag_args, BENCHMARKS};

@@ -124,78 +124,3 @@ fn rng_jump_matches_stepping() {
         assert_eq!(a.seed.to_bits(), b.seed.to_bits(), "jump({n})");
     }
 }
-
-/// Seeded random start/stop sequences against the region-timer
-/// registry: open regions always nest like scopes, `stop` is only ever
-/// accepted for the innermost open region, and totals/counts/depth
-/// follow the successful operations exactly.
-#[test]
-fn region_registry_nesting_invariants_hold_under_random_sequences() {
-    use npb_core::timer::{RegionRegistry, RegionTimerError};
-    let mut rng = rng();
-    for case in 0..24 {
-        let mut reg = RegionRegistry::new();
-        let nregions = draw(&mut rng, 1, 9);
-        let ids: Vec<usize> = (0..nregions).map(|i| reg.register(&format!("region_{i}"))).collect();
-        // Re-registering a name must be idempotent.
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(reg.register(&format!("region_{i}")), id, "case {case}");
-            assert_eq!(reg.lookup(&format!("region_{i}")), Some(id), "case {case}");
-        }
-
-        // Shadow model: the stack of open ids and per-id closed counts.
-        let mut open: Vec<usize> = Vec::new();
-        let mut closed = vec![0u64; nregions];
-        for step in 0..200 {
-            let id = ids[draw(&mut rng, 0, nregions)];
-            if draw(&mut rng, 0, 2) == 0 {
-                let res = reg.start(id);
-                if open.contains(&id) {
-                    assert_eq!(
-                        res,
-                        Err(RegionTimerError::AlreadyRunning),
-                        "case {case} step {step}: double start of {id}"
-                    );
-                } else {
-                    assert_eq!(res, Ok(()), "case {case} step {step}");
-                    open.push(id);
-                }
-            } else {
-                let res = reg.stop(id);
-                if open.last() == Some(&id) {
-                    let secs = res.unwrap_or_else(|e| {
-                        panic!("case {case} step {step}: innermost stop failed: {e}")
-                    });
-                    assert!(secs >= 0.0);
-                    open.pop();
-                    closed[id] += 1;
-                } else if open.contains(&id) {
-                    assert_eq!(
-                        res,
-                        Err(RegionTimerError::NotInnermost),
-                        "case {case} step {step}: non-innermost stop of {id}"
-                    );
-                } else {
-                    assert_eq!(
-                        res,
-                        Err(RegionTimerError::NotRunning),
-                        "case {case} step {step}: stop of closed {id}"
-                    );
-                }
-            }
-            assert_eq!(reg.depth(), open.len(), "case {case} step {step}");
-        }
-        // Failed operations must not have perturbed the accounting.
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(reg.count(id), closed[i], "case {case}: count of region_{i}");
-            if closed[i] == 0 {
-                assert_eq!(reg.total(id), 0.0, "case {case}: unclosed region_{i} has no time");
-            } else {
-                assert!(reg.total(id) >= 0.0, "case {case}");
-            }
-        }
-        // Ids outside the registry always error, never panic.
-        assert_eq!(reg.start(nregions), Err(RegionTimerError::UnknownRegion), "case {case}");
-        assert_eq!(reg.stop(nregions), Err(RegionTimerError::UnknownRegion), "case {case}");
-    }
-}
