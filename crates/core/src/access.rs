@@ -83,10 +83,12 @@ pub fn st<T: Copy, const SAFE: bool>(a: &mut [T], i: usize, v: T) {
 /// Java rounding model could not emit), split in safe style.
 ///
 /// The fused form is only used when the build target actually has an FMA
-/// unit (`target-feature=fma`, e.g. via `-C target-cpu=native` — this
-/// repository's `.cargo/config.toml` enables it); without it
-/// `f64::mul_add` lowers to a libm call that is drastically *slower*,
-/// which would invert the comparison the style axis exists to make.
+/// unit (`target-feature=fma`, e.g. via `-C target-cpu=native`); without
+/// it `f64::mul_add` lowers to a libm call that is drastically *slower*,
+/// which would invert the comparison the style axis exists to make. This
+/// repository sets no target features — there is no `.cargo/config.toml`
+/// and the release build is baseline x86-64 — so as shipped both styles
+/// compute `a * b + c` and differ only in bounds checking.
 #[inline(always)]
 pub fn fmadd<const SAFE: bool>(a: f64, b: f64, c: f64) -> f64 {
     if !SAFE && cfg!(target_feature = "fma") {

@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
-use crate::random::RandlcInt;
+use crate::random::Randlc;
 
 /// Probability that any single durable operation trips an armed fault.
 /// Low enough that a few records land first (the interesting recovery
@@ -172,7 +172,7 @@ pub enum WriteFault {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: IoFaultPlan,
-    rng: RandlcInt,
+    rng: Randlc,
     ops: u64,
     /// Sticky kinds (enospc, fsync-fail) stay tripped once tripped.
     stuck: bool,
@@ -181,11 +181,13 @@ pub struct FaultInjector {
 impl FaultInjector {
     pub fn new(plan: IoFaultPlan, surface: &str) -> FaultInjector {
         // Mix the seed with the surface name and force the state odd:
-        // the 48-bit LCG has full period only on odd state, and seed 0
-        // would pin the stream at zero.
+        // the 46-bit LCG has full period only on odd state, and seed 0
+        // would pin the stream at zero. The mix already spreads small
+        // seeds over the whole range, so unlike `Randlc::from_seed` this
+        // stream was never warmed — and must stay so to replay.
         let state =
             (plan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ fnv1a64(surface.as_bytes())) | 1;
-        FaultInjector { plan, rng: RandlcInt::new(state), ops: 0, stuck: false }
+        FaultInjector { plan, rng: Randlc::from_state(state), ops: 0, stuck: false }
     }
 
     pub fn kind(&self) -> IoFaultKind {
@@ -453,6 +455,24 @@ mod tests {
         // enospc is sticky: everything after the first trip fails.
         let first = trips("journal").iter().position(|&t| t).expect("trips eventually");
         assert!(trips("journal")[first..].iter().all(|&t| t), "a full disk stays full");
+    }
+
+    /// Which of the first 64 durable ops trip, per (seed, surface): a
+    /// recorded `--io-inject` plan must keep failing the same writes.
+    #[test]
+    fn trip_sequences_are_pinned() {
+        for (seed, surface, want) in [
+            (0u64, "manifest", 0x0a10_3401_b49a_480bu64),
+            (1, "journal", 0x0811_0406_51a0_1010),
+            (3, "checkpoint", 0x5810_190b_8904_41d0),
+            (42, "trace", 0x8402_2113_6880_1046),
+        ] {
+            let mut inj = FaultInjector::new(IoFaultPlan { kind: IoFaultKind::Eio, seed }, surface);
+            let got = (0..64).fold(0u64, |mask, op| {
+                mask | (u64::from(matches!(inj.on_write(64), WriteFault::Fail(_))) << op)
+            });
+            assert_eq!(got, want, "{seed}:{surface} trips {got:#018x}");
+        }
     }
 
     #[test]

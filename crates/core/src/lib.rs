@@ -8,9 +8,10 @@
 //! This crate contains everything the kernels have in common:
 //!
 //! * [`Class`] — the NPB problem classes (S, W, A, B, C),
-//! * [`random`] — the NPB 48-bit linear-congruential pseudo-random number
-//!   generator (`randlc` / `vranlc` / `ipow46`), in both the classic
-//!   double-precision formulation and a fast integer formulation,
+//! * [`random`] — the NPB linear-congruential pseudo-random number
+//!   generator (`randlc` / `vranlc` / `ipow46` / [`Randlc`]): one exact
+//!   integer implementation of `x <- a*x mod 2^46`, with the reference's
+//!   double-precision split-multiply kept as its test oracle,
 //! * [`timer`] — a closure stopwatch and per-region summary statistics,
 //! * [`verify`] — verification outcome types and the NPB relative-error
 //!   comparison,
@@ -47,7 +48,7 @@ pub use guard::{
     IterationGuard, SdcGuard,
 };
 pub use iofault::{FaultFile, FaultInjector, FaultWriter, IoDegraded, IoFaultKind, IoFaultPlan};
-pub use random::{ipow46, randlc, vranlc, Randlc, RandlcInt, A_DEFAULT, SEED_DEFAULT};
+pub use random::{ipow46, randlc, vranlc, Randlc, A_DEFAULT, SEED_DEFAULT};
 pub use report::{BenchReport, RegionProfile};
 pub use rlimit::ResourceLimits;
 pub use timer::RegionStats;

@@ -1,227 +1,148 @@
 //! The NPB pseudo-random number generator.
 //!
-//! All NPB benchmarks draw their input data from the same 48-bit linear
+//! All NPB benchmarks draw their input data from the same linear
 //! congruential generator
 //!
 //! ```text
 //! x_{k+1} = a * x_k  mod 2^46,        a = 5^13 = 1220703125
 //! ```
 //!
-//! returning uniform deviates `x_k * 2^-46` in `(0, 1)`. The reference
-//! Fortran implements the modular product in double precision by splitting
-//! both operands into 23-bit halves ([`randlc`]); reproducing that exact
-//! sequence is what makes our FT checksums, CG eigenvalue estimates, EP
-//! tallies and IS keys comparable with the published verification values.
+//! returning uniform deviates `x_k * 2^-46` in `(0, 1)`. The NPB
+//! specification defines this *sequence*; how the 46-bit modular product
+//! is computed is left to the implementation. The 1991 Fortran reference
+//! had no 64-bit integers and split both operands into 23-bit halves so
+//! every intermediate stayed exact in a double. Here the recurrence runs
+//! on `u64` state — a wrapping multiply and a 46-bit mask, since the low
+//! 46 bits of a product depend only on the low 46 bits of its factors —
+//! and the deviate `x as f64 * 2^-46` is exact because `x < 2^53`.
 //!
-//! Two formulations are provided:
-//!
-//! * [`randlc`] / [`vranlc`] / [`Randlc`] — the classic double-precision
-//!   split-multiply, a line-for-line port of the NPB `randdp` module;
-//! * [`RandlcInt`] — the same recurrence on `u64` state (exact modular
-//!   arithmetic via a 128-bit product). The test suite proves the two
-//!   produce bit-identical deviates over long runs.
+//! That integer step is the only generator compiled into the library:
+//! [`randlc`] / [`vranlc`] / [`ipow46`] keep the reference's `f64`
+//! signatures as thin shells over it, and [`Randlc`] carries the state for
+//! callers that draw more than once. The split-multiply survives as the
+//! test oracle at the bottom of this file, which proves the two forms
+//! agree bit for bit on state and deviate — that is what keeps our FT
+//! checksums, CG eigenvalue estimates, EP tallies and IS keys comparable
+//! with the published verification values.
 
 /// Default multiplier `a = 5^13`.
 pub const A_DEFAULT: f64 = 1_220_703_125.0;
 /// Default seed used by most benchmarks.
 pub const SEED_DEFAULT: f64 = 314_159_265.0;
 
-const R23: f64 = 0.5f64
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5
-    * 0.5;
-const T23: f64 = 2.0f64
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0
-    * 2.0;
-const R46: f64 = R23 * R23;
-const T46: f64 = T23 * T23;
+const MASK46: u64 = (1 << 46) - 1;
+/// `2^-46`, the scale from state to deviate.
+const R46: f64 = 1.0 / (1u64 << 46) as f64;
 
-/// Advance `x := a*x mod 2^46` and return the uniform deviate `x * 2^-46`.
-///
-/// This is the double-precision split-multiply exactly as in the NPB
-/// `randdp.f` reference: both `a` and `x` are broken into 23-bit halves so
-/// every intermediate product is exactly representable in an f64.
-#[inline]
-pub fn randlc(x: &mut f64, a: f64) -> f64 {
-    // Break a and x into two parts such that a = 2^23 * a1 + a2,
-    // x = 2^23 * x1 + x2.
-    let t1 = R23 * a;
-    let a1 = t1.trunc();
-    let a2 = a - T23 * a1;
-
-    let t1 = R23 * *x;
-    let x1 = t1.trunc();
-    let x2 = *x - T23 * x1;
-
-    // z = a1*x2 + a2*x1 (mod 2^23), then
-    // x = 2^23*z + a2*x2 (mod 2^46).
-    let t1 = a1 * x2 + a2 * x1;
-    let t2 = (R23 * t1).trunc();
-    let z = t1 - T23 * t2;
-    let t3 = T23 * z + a2 * x2;
-    let t4 = (R46 * t3).trunc();
-    *x = t3 - T46 * t4;
-
-    R46 * *x
+/// `a * x mod 2^46`.
+#[inline(always)]
+fn step(x: u64, a: u64) -> u64 {
+    x.wrapping_mul(a) & MASK46
 }
 
-/// Fill `y` with `y.len()` consecutive deviates of the sequence, advancing
-/// `x`. Port of NPB `vranlc`.
-#[inline]
-pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
-    // Identical arithmetic to randlc, with the a-split hoisted out of the
-    // loop — this is exactly the structure of the Fortran vranlc.
-    let t1 = R23 * a;
-    let a1 = t1.trunc();
-    let a2 = a - T23 * a1;
-
-    let mut xs = *x;
-    for out in y.iter_mut() {
-        let t1 = R23 * xs;
-        let x1 = t1.trunc();
-        let x2 = xs - T23 * x1;
-        let t1 = a1 * x2 + a2 * x1;
-        let t2 = (R23 * t1).trunc();
-        let z = t1 - T23 * t2;
-        let t3 = T23 * z + a2 * x2;
-        let t4 = (R46 * t3).trunc();
-        xs = t3 - T46 * t4;
-        *out = R46 * xs;
-    }
-    *x = xs;
-}
-
-/// Compute `a^exponent mod 2^46` by binary exponentiation on the generator
-/// itself. Port of the `ipow46` routine EP and FT use to jump the seed to
-/// an arbitrary offset in the stream.
-pub fn ipow46(a: f64, exponent: u64) -> f64 {
-    if exponent == 0 {
-        return 1.0;
-    }
-    let mut q = a;
-    let mut r = 1.0f64;
-    let mut n = exponent;
-    while n > 1 {
-        if n % 2 == 0 {
-            let qq = q;
-            randlc(&mut q, qq); // q := q^2 mod 2^46
-            n /= 2;
-        } else {
-            randlc(&mut r, q); // r := r*q mod 2^46
-            n -= 1;
+/// `a^n mod 2^46` by binary exponentiation.
+fn pow46(a: u64, mut n: u64) -> u64 {
+    let (mut q, mut r) = (a & MASK46, 1);
+    while n > 0 {
+        if n & 1 == 1 {
+            r = step(r, q);
         }
+        q = step(q, q);
+        n >>= 1;
     }
-    randlc(&mut r, q);
     r
 }
 
-/// Stateful wrapper over [`randlc`] carrying the current seed.
-#[derive(Debug, Clone, Copy)]
+/// The integer state held in an `f64` seed or multiplier. The generator is
+/// defined only for integral `0 <= v < 2^46`; anything else is a caller
+/// bug, caught in debug builds and masked into range in release.
+#[inline(always)]
+fn state_of(v: f64) -> u64 {
+    debug_assert!(
+        v >= 0.0 && v < (1u64 << 46) as f64 && v.fract() == 0.0,
+        "NPB generator state must be an integer in [0, 2^46), got {v}"
+    );
+    // Through i64: one cvttsd2si, where `as u64` adds a saturation branch.
+    (v as i64 as u64) & MASK46
+}
+
+/// Advance `x := a*x mod 2^46` and return the uniform deviate `x * 2^-46`.
+/// `x` and `a` must be integers in `[0, 2^46)`.
+#[inline]
+pub fn randlc(x: &mut f64, a: f64) -> f64 {
+    let mut g = Randlc { state: state_of(*x), a: state_of(a) };
+    let v = g.next_f64();
+    *x = g.state as f64;
+    v
+}
+
+/// Fill `y` with `y.len()` consecutive deviates of the sequence, advancing
+/// `x`. NPB's `vranlc`.
+#[inline]
+pub fn vranlc(x: &mut f64, a: f64, y: &mut [f64]) {
+    let mut g = Randlc { state: state_of(*x), a: state_of(a) };
+    g.fill(y);
+    *x = g.state as f64;
+}
+
+/// `a^exponent mod 2^46`: the multiplier that jumps a seed `exponent`
+/// steps along the stream. NPB's `ipow46`.
+pub fn ipow46(a: f64, exponent: u64) -> f64 {
+    pow46(state_of(a), exponent) as f64
+}
+
+/// The generator with its state: one position in the sequence of one
+/// multiplier. `Copy`, so forking a sub-stream is an assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Randlc {
-    /// Current state `x` (an integer value stored in an f64, `0 <= x < 2^46`).
-    pub seed: f64,
-    /// Multiplier `a`.
-    pub a: f64,
+    /// Current `x`, `< 2^46`.
+    state: u64,
+    /// Multiplier `a`, `< 2^46`.
+    a: u64,
 }
 
 impl Randlc {
-    /// New generator with the given seed and the default multiplier.
+    /// Generator at `seed` (an integer in `[0, 2^46)`) with the default
+    /// multiplier — how every NPB benchmark starts its stream.
     pub fn new(seed: f64) -> Self {
-        Randlc { seed, a: A_DEFAULT }
+        Randlc::from_state(state_of(seed))
     }
 
-    /// New generator with explicit seed and multiplier.
-    pub fn with_multiplier(seed: f64, a: f64) -> Self {
-        Randlc { seed, a }
+    /// Generator at integer state `state` (reduced mod `2^46`) with the
+    /// default multiplier.
+    pub fn from_state(state: u64) -> Self {
+        Randlc { state: state & MASK46, a: A_DEFAULT as u64 }
+    }
+
+    /// A reproducible stream for an arbitrary user-facing `seed` — the
+    /// constructor behind `--inject kind:seed` and retry jitter. The state
+    /// is forced odd (the LCG mod `2^46` has full period only on odd
+    /// state, and seed 0 would pin it at zero) and warmed twice, because
+    /// small seeds give tiny states whose first deviates are all near 0.
+    pub fn from_seed(seed: u64) -> Self {
+        let mut g = Randlc::from_state(seed.wrapping_mul(2) + 1);
+        g.jump(2);
+        g
     }
 
     /// Next uniform deviate in `(0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        randlc(&mut self.seed, self.a)
+        self.state = step(self.state, self.a);
+        self.state as f64 * R46
     }
 
     /// Fill a slice with consecutive deviates.
     #[inline]
     pub fn fill(&mut self, y: &mut [f64]) {
-        vranlc(&mut self.seed, self.a, y);
+        for out in y.iter_mut() {
+            *out = self.next_f64();
+        }
     }
 
     /// Jump the generator forward by `n` steps in O(log n).
     pub fn jump(&mut self, n: u64) {
-        let mult = ipow46(self.a, n);
-        let mut s = self.seed;
-        randlc(&mut s, mult);
-        self.seed = s;
-    }
-}
-
-/// Exact-integer formulation of the same generator: `u64` state reduced
-/// modulo `2^46` through a 128-bit product.
-///
-/// Used as an independent cross-check of the double-precision port (see
-/// the equivalence tests and the proptest suite) and available to callers
-/// that prefer integer state.
-#[derive(Debug, Clone, Copy)]
-pub struct RandlcInt {
-    /// Current state, `< 2^46`.
-    pub state: u64,
-    /// Multiplier, `< 2^46`.
-    pub a: u64,
-}
-
-const MASK46: u64 = (1 << 46) - 1;
-
-impl RandlcInt {
-    /// New integer generator with the default multiplier.
-    pub fn new(seed: u64) -> Self {
-        RandlcInt { state: seed & MASK46, a: A_DEFAULT as u64 }
-    }
-
-    /// Advance the state and return the deviate `state * 2^-46`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        self.state = ((self.state as u128 * self.a as u128) & MASK46 as u128) as u64;
-        self.state as f64 * R46
+        self.state = step(self.state, pow46(self.a, n));
     }
 }
 
@@ -229,58 +150,187 @@ impl RandlcInt {
 mod tests {
     use super::*;
 
+    /// The reference oracle: NPB `randdp.f`'s double-precision
+    /// split-multiply, line for line. Both `a` and `x` are broken into
+    /// 23-bit halves so every intermediate product is exactly
+    /// representable in an f64. It defines the published sequence, so the
+    /// integer step must match it on state and deviate, bit for bit.
+    fn randlc_split(x: &mut f64, a: f64) -> f64 {
+        const R23: f64 = 1.0 / (1u64 << 23) as f64;
+        const T23: f64 = (1u64 << 23) as f64;
+        const T46: f64 = T23 * T23;
+
+        // a = 2^23 * a1 + a2, x = 2^23 * x1 + x2.
+        let a1 = (R23 * a).trunc();
+        let a2 = a - T23 * a1;
+        let x1 = (R23 * *x).trunc();
+        let x2 = *x - T23 * x1;
+
+        // z = a1*x2 + a2*x1 (mod 2^23), then
+        // x = 2^23*z + a2*x2 (mod 2^46).
+        let t1 = a1 * x2 + a2 * x1;
+        let t2 = (R23 * t1).trunc();
+        let z = t1 - T23 * t2;
+        let t3 = T23 * z + a2 * x2;
+        let t4 = (R46 * t3).trunc();
+        *x = t3 - T46 * t4;
+
+        R46 * *x
+    }
+
+    /// One step of both forms from the same `(x, a)`: state and deviate
+    /// must agree to the bit. Returns the new state.
+    fn assert_step_agrees(x: f64, a: f64) -> f64 {
+        let (mut xi, mut xo) = (x, x);
+        let vi = randlc(&mut xi, a);
+        let vo = randlc_split(&mut xo, a);
+        assert_eq!(xi.to_bits(), xo.to_bits(), "state after x={x} a={a}");
+        assert_eq!(vi.to_bits(), vo.to_bits(), "deviate after x={x} a={a}");
+        xi
+    }
+
     #[test]
     fn first_deviates_match_known_prefix() {
         // x1 = 5^13 * 314159265 mod 2^46 computed independently with
-        // integer arithmetic.
+        // 128-bit arithmetic.
         let mut x = SEED_DEFAULT;
         let v = randlc(&mut x, A_DEFAULT);
         let expect = (1_220_703_125u128 * 314_159_265u128 % (1u128 << 46)) as u64;
         assert_eq!(x as u64, expect);
-        assert!((v - expect as f64 / (1u64 << 46) as f64).abs() < 1e-18);
+        assert_eq!(v, expect as f64 / (1u64 << 46) as f64);
     }
 
     #[test]
-    fn float_and_int_generators_agree_bitwise() {
-        let mut f = Randlc::new(SEED_DEFAULT);
-        let mut i = RandlcInt::new(SEED_DEFAULT as u64);
-        for _ in 0..100_000 {
-            let a = f.next_f64();
-            let b = i.next_f64();
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(f.seed as u64, i.state);
+    fn oracle_agrees_over_a_million_consecutive_steps() {
+        let mut x = SEED_DEFAULT;
+        let mut g = Randlc::new(SEED_DEFAULT);
+        for _ in 0..1_000_000 {
+            x = assert_step_agrees(x, A_DEFAULT);
+            g.next_f64();
+            assert_eq!(g.state as f64, x);
         }
     }
 
     #[test]
-    fn vranlc_matches_randlc() {
-        let mut x1 = SEED_DEFAULT;
-        let mut x2 = SEED_DEFAULT;
-        let mut buf = vec![0.0; 1000];
-        vranlc(&mut x2, A_DEFAULT, &mut buf);
-        for v in &buf {
-            let r = randlc(&mut x1, A_DEFAULT);
-            assert_eq!(r.to_bits(), v.to_bits());
+    fn oracle_agrees_on_edge_states_and_every_jump_multiplier() {
+        let t23 = (1u64 << 23) as f64;
+        let t46 = (1u64 << 46) as f64;
+        let states = [1.0, t23 - 1.0, t23, t23 + 1.0, t46 - 1.0];
+        // The multipliers the kernels actually step with: the stream
+        // itself, EP's batch jump, MG's row and plane jumps for classes
+        // S/W/A (nx = 32, 128, 256), FT's plane jump 2*nx*ny for S/W/A.
+        let mut mults = vec![A_DEFAULT, ipow46(A_DEFAULT, 1 << 17)];
+        for nx in [32u64, 128, 256] {
+            mults.push(ipow46(A_DEFAULT, nx));
+            mults.push(ipow46(A_DEFAULT, nx * nx));
         }
-        assert_eq!(x1.to_bits(), x2.to_bits());
-    }
-
-    #[test]
-    fn jump_equals_stepping() {
-        for n in [0u64, 1, 2, 3, 17, 100, 12345] {
-            let mut a = Randlc::new(SEED_DEFAULT);
-            a.jump(n);
-            let mut b = Randlc::new(SEED_DEFAULT);
-            for _ in 0..n {
-                b.next_f64();
+        for (nx, ny) in [(64u64, 64u64), (128, 128), (256, 256)] {
+            mults.push(ipow46(A_DEFAULT, 2 * nx * ny));
+        }
+        for &a in &mults {
+            for &x in &states {
+                // A few steps on, so the edge state's successors count too.
+                let mut x = x;
+                for _ in 0..4 {
+                    x = assert_step_agrees(x, a);
+                }
             }
-            assert_eq!(a.seed.to_bits(), b.seed.to_bits(), "jump({n})");
+            // A multiplier is itself a state when ipow46 squares it.
+            assert_step_agrees(a, a);
         }
+    }
+
+    #[test]
+    fn vranlc_agrees_with_the_oracle_at_every_length() {
+        for len in [0usize, 1, 3, 4, 5, 1 << 17] {
+            let mut x = SEED_DEFAULT;
+            let mut y = vec![0.0; len];
+            vranlc(&mut x, A_DEFAULT, &mut y);
+            let mut xo = SEED_DEFAULT;
+            for (i, v) in y.iter().enumerate() {
+                let vo = randlc_split(&mut xo, A_DEFAULT);
+                assert_eq!(v.to_bits(), vo.to_bits(), "len {len}, deviate {i}");
+            }
+            assert_eq!(x.to_bits(), xo.to_bits(), "len {len}, final state");
+        }
+    }
+
+    #[test]
+    fn jump_equals_stepping_and_ipow46() {
+        let mut stepped = Randlc::new(SEED_DEFAULT);
+        let mut at = 0u64;
+        for n in [0u64, 1, 2, 3, 17, 100, 12_345, 65_536, 100_000] {
+            while at < n {
+                stepped.next_f64();
+                at += 1;
+            }
+            let mut jumped = Randlc::new(SEED_DEFAULT);
+            jumped.jump(n);
+            assert_eq!(jumped, stepped, "jump({n})");
+        }
+        // Too far to step: against ipow46, itself checked against the
+        // oracle's squaring chain (2^40 is 40 squarings of a).
+        let n = 1u64 << 40;
+        let mut q = A_DEFAULT;
+        for _ in 0..40 {
+            let qq = q;
+            randlc_split(&mut q, qq);
+        }
+        assert_eq!(ipow46(A_DEFAULT, n).to_bits(), q.to_bits());
+        let mut jumped = Randlc::new(SEED_DEFAULT);
+        jumped.jump(n);
+        let mut x = SEED_DEFAULT;
+        randlc_split(&mut x, q);
+        assert_eq!(jumped.state as f64, x);
     }
 
     #[test]
     fn ipow46_zero_is_one() {
         assert_eq!(ipow46(A_DEFAULT, 0), 1.0);
+    }
+
+    /// `from_seed` is the stream behind `--inject kind:seed` and the retry
+    /// jitter: a recorded chaos run replays only while these deviates
+    /// stay what they are.
+    #[test]
+    fn from_seed_streams_are_pinned() {
+        let pinned: [(u64, [u64; 4]); 4] = [
+            (0, [0x3fbd6622fb2ab400, 0x3fc24116635b6200, 0x3fe17bde894d8280, 0x3fe3e9a4a0bc7480]),
+            (1, [0x3fd60c9a3c600700, 0x3fdb61a195091300, 0x3fe4739b9be88780, 0x3febbcede2355d80]),
+            (7, [0x3fe71f8196f01180, 0x3fc1d04fd25abe00, 0x3fc908282e2a9600, 0x3fd5614ad615a700]),
+            (
+                (1 << 46) + 3,
+                [0x3fe9b95e9bc55d80, 0x3feff1e72ddfeb80, 0x3fea6315c11e9180, 0x3fd6c700ca4e5f00],
+            ),
+        ];
+        for (seed, want) in pinned {
+            let mut g = Randlc::from_seed(seed);
+            // Odd, masked, warmed twice — on the oracle.
+            let mut x = ((seed.wrapping_mul(2) + 1) & MASK46) as f64;
+            randlc_split(&mut x, A_DEFAULT);
+            randlc_split(&mut x, A_DEFAULT);
+            for (k, bits) in want.into_iter().enumerate() {
+                let v = g.next_f64();
+                assert_eq!(v.to_bits(), bits, "seed {seed}, deviate {k}");
+                assert_eq!(v.to_bits(), randlc_split(&mut x, A_DEFAULT).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NPB generator state")]
+    fn fractional_seed_is_a_contract_violation() {
+        let mut x = 0.5;
+        randlc(&mut x, A_DEFAULT);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NPB generator state")]
+    fn out_of_range_multiplier_is_a_contract_violation() {
+        let mut x = 1.0;
+        vranlc(&mut x, (1u64 << 46) as f64, &mut [0.0]);
     }
 
     #[test]
@@ -302,11 +352,11 @@ mod tests {
     fn period_does_not_collapse() {
         // The low-order structure of an LCG mod 2^46 with odd multiplier
         // has period 2^44 on this seed; verify no short cycle over 1e6.
-        let mut g = RandlcInt::new(SEED_DEFAULT as u64);
-        let start = g.state;
+        let mut g = Randlc::new(SEED_DEFAULT);
+        let start = g;
         for _ in 0..1_000_000u32 {
             g.next_f64();
-            assert_ne!(g.state, start);
+            assert_ne!(g, start);
         }
     }
 }

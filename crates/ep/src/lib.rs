@@ -14,7 +14,7 @@ mod params;
 
 pub use params::{EpParams, EpRefs};
 
-use npb_core::{fmadd, ipow46, randlc, trace, vranlc, BenchReport, Class, Style, Verified};
+use npb_core::{fmadd, trace, BenchReport, Class, Randlc, Style, Verified};
 use npb_runtime::{run_par, Partials, Team};
 
 /// Log2 of the batch size (NPB's `MK`): each batch draws `2^(MK+1)`
@@ -23,7 +23,6 @@ pub const MK: u32 = 16;
 /// Number of annulus tallies (NPB's `NQ`).
 pub const NQ: usize = 10;
 
-const A: f64 = 1_220_703_125.0;
 const S: f64 = 271_828_183.0;
 
 /// Raw results of an EP run, before verification.
@@ -39,42 +38,22 @@ pub struct EpResult {
     pub gc: f64,
 }
 
-/// The seed-jump multiplier `a^(2^(MK+1)) mod 2^46` that advances a
-/// seed by one whole batch — precompute once, pass to every [`batch`].
-pub fn batch_multiplier() -> f64 {
-    ipow46(A, 2 * (1u64 << MK))
-}
-
 /// Run one batch of `2^MK` candidate pairs whose batch index is `k`
 /// (0-based), accumulating into `res`. `x` is the per-thread scratch
-/// buffer of `2^(MK+1)` doubles; `an` is [`batch_multiplier`]. Public
-/// so the `procs` backend's worker ranks can run exactly the kernel the
-/// thread ranks run — bit-identity across backends falls out of batch
-/// indices being processed in the same order with the same arithmetic.
-pub fn batch<const SAFE: bool>(k: usize, an: f64, x: &mut [f64], res: &mut EpResult) {
+/// buffer of `2^(MK+1)` doubles. Public so the `procs` backend's worker
+/// ranks can run exactly the kernel the thread ranks run — bit-identity
+/// across backends falls out of batch indices being processed in the
+/// same order with the same arithmetic.
+pub fn batch<const SAFE: bool>(k: usize, x: &mut [f64], res: &mut EpResult) {
     let nk = 1usize << MK;
     debug_assert_eq!(x.len(), 2 * nk);
 
-    // Jump the seed to the start of batch k: t1 = s * an^k mod 2^46.
-    // This is the binary "find my seed" loop of ep.f.
-    let mut t1 = S;
-    let mut t2 = an;
-    let mut kk = k;
-    loop {
-        let ik = kk / 2;
-        if 2 * ik != kk {
-            randlc(&mut t1, t2);
-        }
-        if ik == 0 {
-            break;
-        }
-        let t2c = t2;
-        randlc(&mut t2, t2c);
-        kk = ik;
-    }
-
-    // Draw the uniforms for this batch.
-    vranlc(&mut t1, A, x);
+    // Batch k owns draws [k * 2^(MK+1), (k+1) * 2^(MK+1)) of the stream
+    // seeded at S: jump there (ep.f's binary "find my seed" loop) and
+    // draw the batch's uniforms.
+    let mut rng = Randlc::new(S);
+    rng.jump((k as u64) << (MK + 1));
+    rng.fill(x);
 
     // Polar-method acceptance + tallies.
     for i in 0..nk {
@@ -99,10 +78,6 @@ fn run_impl<const SAFE: bool>(params: &EpParams, team: Option<&Team>) -> EpResul
     let nn = 1usize << (params.m - MK); // number of batches
     let nk = 1usize << MK;
 
-    // an = a^(2^(MK+1)) mod 2^46 = multiplier that advances a seed by one
-    // whole batch (2*nk draws).
-    let an = ipow46(A, (2 * nk) as u64);
-
     let nthreads = team.map_or(1, Team::size);
     let psx = Partials::new(nthreads);
     let psy = Partials::new(nthreads);
@@ -119,7 +94,7 @@ fn run_impl<const SAFE: bool>(params: &EpParams, team: Option<&Team>) -> EpResul
         let mut local = EpResult { sx: 0.0, sy: 0.0, q: [0.0; NQ], gc: 0.0 };
         let mut x = vec![0.0f64; 2 * nk];
         for k in p.range(nn) {
-            batch::<SAFE>(k, an, &mut x, &mut local);
+            batch::<SAFE>(k, &mut x, &mut local);
         }
         psx.set(p.tid(), local.sx);
         psy.set(p.tid(), local.sy);

@@ -21,8 +21,8 @@ pub use fft::{cfftz, FftTable};
 pub use params::{reference_checksums, FtParams};
 
 use npb_core::{
-    ipow46, randlc, trace, vranlc, BenchReport, Class, GuardAction, GuardConfig, GuardStats,
-    SdcGuard, Style, Verified, A_DEFAULT, SEED_DEFAULT,
+    trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, Randlc, SdcGuard, Style,
+    Verified, SEED_DEFAULT,
 };
 use npb_runtime::{escalate_corruption, run_par, RankScratch, SharedMut, Team};
 
@@ -126,33 +126,20 @@ impl FtState {
     }
 
     /// `compute_initial_conditions`: fill `u1` with the NPB random
-    /// stream, one z-plane at a time (each plane's sub-stream starts at a
-    /// jumped seed, so planes can be filled concurrently).
+    /// stream, one z-plane at a time (a chunk of planes jumps to its
+    /// first plane's offset, so chunks can be filled concurrently).
     fn compute_initial_conditions(&mut self, team: Option<&Team>) {
         let (nx, ny, nz) = (self.p.nx, self.p.ny, self.p.nz);
-        let an = ipow46(A_DEFAULT, 2 * (nx * ny) as u64);
-        // Per-plane starting seeds.
-        let mut starts = vec![0.0f64; nz];
-        let mut seed = SEED_DEFAULT;
-        for s in starts.iter_mut() {
-            *s = seed;
-            randlc(&mut seed, an);
-        }
+        // Plane k is draws [k*plane, (k+1)*plane) of the stream.
         let plane = 2 * nx * ny;
-        let starts = &starts;
-        let chunks: Vec<&mut [C64]> = self.u1.chunks_mut(nx * ny).collect();
-        // chunks_mut gives disjoint &mut plane slices; move them into the
-        // region via SharedMut over the vector of slices is overkill —
-        // instead parallelize with the team over plane indices using raw
-        // disjoint access.
-        drop(chunks);
         let u1 = unsafe { SharedMut::new(complex::as_f64_mut(&mut self.u1)) };
         run_par(team, |par| {
             let mut buf = vec![0.0f64; plane];
             par.for_chunks(nz, |ks| {
+                let mut rng = Randlc::new(SEED_DEFAULT);
+                rng.jump((ks.start * plane) as u64);
                 for k in ks {
-                    let mut x0 = starts[k];
-                    vranlc(&mut x0, A_DEFAULT, &mut buf);
+                    rng.fill(&mut buf);
                     let base = k * plane;
                     for (off, &v) in buf.iter().enumerate() {
                         u1.set::<false>(base + off, v);

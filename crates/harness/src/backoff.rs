@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use npb_core::random::{randlc, A_DEFAULT};
+use npb_core::Randlc;
 
 /// Backoff schedule for one cell's retries.
 #[derive(Debug, Clone)]
@@ -22,8 +22,8 @@ pub struct Backoff {
     base_ms: u64,
     /// Upper clamp on any single delay.
     cap_ms: u64,
-    /// NPB LCG state (odd 46-bit, warmed), advanced once per query.
-    state: f64,
+    /// The cell's jitter stream, advanced once per query.
+    rng: Randlc,
 }
 
 /// Largest single backoff sleep (clamps the exponential).
@@ -33,14 +33,8 @@ impl Backoff {
     /// Build the schedule for cell number `cell` of a sweep seeded with
     /// `seed`. Distinct cells get decorrelated jitter streams.
     pub fn new(seed: u64, cell: u64, base_ms: u64) -> Backoff {
-        // Same construction as FaultPlan::new: force the state odd so the
-        // mod-2^46 LCG runs at full period, then warm it twice so small
-        // seeds don't pin the first deviates near zero.
         let mixed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(cell);
-        let mut state = ((mixed.wrapping_mul(2) + 1) & ((1 << 46) - 1)) as f64;
-        randlc(&mut state, A_DEFAULT);
-        randlc(&mut state, A_DEFAULT);
-        Backoff { base_ms, cap_ms: BACKOFF_CAP_MS, state }
+        Backoff { base_ms, cap_ms: BACKOFF_CAP_MS, rng: Randlc::from_seed(mixed) }
     }
 
     /// Delay to sleep before retry number `retry` (1-based: the first
@@ -57,7 +51,7 @@ impl Backoff {
         }
         let exp = retry.saturating_sub(1).min(20) as u32;
         let raw = self.base_ms.saturating_mul(1u64 << exp).min(self.cap_ms);
-        let jitter = 0.75 + 0.5 * randlc(&mut self.state, A_DEFAULT);
+        let jitter = 0.75 + 0.5 * self.rng.next_f64();
         Duration::from_millis((raw as f64 * jitter) as u64)
     }
 }

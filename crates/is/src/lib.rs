@@ -17,21 +17,20 @@ mod params;
 
 pub use params::{IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 
-use npb_core::{ld, randlc, st, trace, BenchReport, Class, Style, Verified};
+use npb_core::{ld, st, trace, BenchReport, Class, Randlc, Style, Verified, SEED_DEFAULT};
 use npb_runtime::{run_par, SharedMut, Team};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
 pub fn create_seq(p: &IsParams) -> Vec<i32> {
-    let mut seed = 314_159_265.0;
-    let a = 1_220_703_125.0;
+    let mut rng = Randlc::new(SEED_DEFAULT);
     let k = (p.max_key / 4) as f64;
     (0..p.num_keys)
         .map(|_| {
-            let mut x = randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
+            let mut x = rng.next_f64();
+            x += rng.next_f64();
+            x += rng.next_f64();
+            x += rng.next_f64();
             (k * x) as i32
         })
         .collect()
@@ -329,7 +328,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use npb_core::Randlc;
 
     /// Counting-sort ranking invariants on seeded key sets: the
     /// cumulative counts are monotone, end at the key count, and the
@@ -337,7 +335,7 @@ mod proptests {
     #[test]
     fn ranking_sorts_arbitrary_keys() {
         let mk = 512usize;
-        let mut rng = Randlc::new(npb_core::SEED_DEFAULT);
+        let mut rng = Randlc::new(SEED_DEFAULT);
         for case in 0..24 {
             let len = 1 + (rng.next_f64() * 3999.0) as usize;
             let keys: Vec<i32> = (0..len).map(|_| (rng.next_f64() * mk as f64) as i32).collect();

@@ -3,7 +3,7 @@
 //! at the ten points where it is smallest, and `0` elsewhere.
 
 use crate::ops::{comm3, id1};
-use npb_core::{ipow46, randlc, vranlc, A_DEFAULT, SEED_DEFAULT};
+use npb_core::{Randlc, SEED_DEFAULT};
 use npb_runtime::SharedMut;
 
 /// Number of +1 / -1 charges.
@@ -54,24 +54,21 @@ pub fn zran3(z: &mut [f64], n: usize, nx: usize) {
     assert_eq!(n, nx + 2);
     assert_eq!(z.len(), n * n * n);
 
-    let a1 = ipow46(A_DEFAULT, nx as u64);
-    let a2 = ipow46(A_DEFAULT, (nx * nx) as u64);
-
     z.fill(0.0);
 
-    // Serial processor owns the whole grid: the reference's offset i is 0,
-    // so ai = a^0 = 1 and the first randlc leaves the seed unchanged.
-    let mut x0 = SEED_DEFAULT;
-    randlc(&mut x0, ipow46(A_DEFAULT, 0));
+    // The reference seeds each row at `a^nx` past the previous one and
+    // each plane at `a^(nx*nx)` past the previous plane so that a rank can
+    // find the start of its own sub-block. A row draws exactly `nx`
+    // deviates and a plane holds `nx` rows, so when one processor owns
+    // the whole grid those jumps land where the stream already is: the
+    // interior is one consecutive run of the sequence in (i3, i2, i1)
+    // order.
+    let mut rng = Randlc::new(SEED_DEFAULT);
     for i3 in 2..=nx + 1 {
-        let mut x1 = x0;
         for i2 in 2..=nx + 1 {
-            let mut xx = x1;
             let off = id1(n, 2, i2, i3);
-            vranlc(&mut xx, A_DEFAULT, &mut z[off..off + nx]);
-            randlc(&mut x1, a1);
+            rng.fill(&mut z[off..off + nx]);
         }
-        randlc(&mut x0, a2);
     }
 
     // Locate the ten largest and ten smallest interior values, scanning
@@ -135,6 +132,30 @@ mod tests {
         zran3(&mut z1, n, nx);
         zran3(&mut z2, n, nx);
         assert_eq!(z1, z2);
+    }
+
+    /// The reference's per-row and per-plane seed jumps (`a^nx`,
+    /// `a^(nx*nx)`) land exactly where the consecutive stream already
+    /// is — the identity `zran3` relies on to draw the field in one run.
+    #[test]
+    fn row_and_plane_seeds_are_the_consecutive_stream() {
+        use npb_core::{ipow46, randlc, vranlc, A_DEFAULT};
+        let nx = 16;
+        let (a1, a2) = (ipow46(A_DEFAULT, nx as u64), ipow46(A_DEFAULT, (nx * nx) as u64));
+        let mut stream = Randlc::new(SEED_DEFAULT);
+        let (mut row, mut want) = (vec![0.0; nx], vec![0.0; nx]);
+        let mut x0 = SEED_DEFAULT;
+        for _i3 in 0..nx {
+            let mut x1 = x0;
+            for _i2 in 0..nx {
+                let mut xx = x1;
+                vranlc(&mut xx, A_DEFAULT, &mut row);
+                stream.fill(&mut want);
+                assert_eq!(row, want);
+                randlc(&mut x1, a1);
+            }
+            randlc(&mut x0, a2);
+        }
     }
 
     #[test]

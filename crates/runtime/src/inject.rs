@@ -30,7 +30,7 @@
 //! retry (`--retries`) of the same benchmark runs clean.
 
 use npb_core::guard::ArmedBitFlip;
-use npb_core::random::randlc;
+use npb_core::Randlc;
 
 use crate::team::Team;
 
@@ -57,21 +57,14 @@ pub struct FaultPlan {
     pub kind: FaultKind,
     /// The user-facing seed the plan was built from.
     pub seed: u64,
-    /// NPB-generator state derived from `seed` (odd, so the LCG mod 2^46
-    /// runs at full period).
-    state: f64,
+    /// The plan's deviate stream, derived from `seed`.
+    rng: Randlc,
 }
 
 impl FaultPlan {
     /// Build a plan from a kind and seed.
     pub fn new(kind: FaultKind, seed: u64) -> FaultPlan {
-        let mut state = ((seed.wrapping_mul(2) + 1) & ((1 << 46) - 1)) as f64;
-        // Warm the generator: small seeds give tiny states whose first
-        // deviates are all near zero, which would pin every victim to
-        // rank 0. Two steps mix the state across the full 2^46 range.
-        randlc(&mut state, npb_core::random::A_DEFAULT);
-        randlc(&mut state, npb_core::random::A_DEFAULT);
-        FaultPlan { kind, seed, state }
+        FaultPlan { kind, seed, rng: Randlc::from_seed(seed) }
     }
 
     /// Every parseable fault kind, for usage and error messages.
@@ -104,12 +97,9 @@ impl FaultPlan {
 
     /// The `k`-th deviate of this plan's stream, in `(0, 1)`.
     fn draw(&self, k: usize) -> f64 {
-        let mut x = self.state;
-        let mut v = 0.0;
-        for _ in 0..=k {
-            v = randlc(&mut x, npb_core::random::A_DEFAULT);
-        }
-        v
+        let mut rng = self.rng;
+        rng.jump(k as u64);
+        rng.next_f64()
     }
 
     /// Deterministic victim rank for a team of `n`.

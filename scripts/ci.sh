@@ -14,6 +14,18 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test --workspace -q
 
+echo "== golden signatures (the generator's sequence, CLI surface) =="
+# The five benchmarks fed by the NPB generator must reproduce, through
+# the shipped binary, the serial class S signatures recorded when
+# randlc/vranlc were the double-precision split-multiply — and EP must
+# verify one class up, where a wrong seed jump cannot hide.
+for golden in ep:c0aed46ec67e150c is:6bbde6d3f0645b95 cg:54cf2678bada079b \
+    mg:53b9c899b857c11d ft:b830222e10844859; do
+    out="$(target/release/npb "${golden%%:*}" S --json)"
+    echo "$out" | grep -q "\"result_sig\":\"${golden##*:}\""
+done
+target/release/npb ep --class W
+
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.
 cargo run --release --bin npb -- ep --class S --threads 4 --inject panic:1 --retries 1

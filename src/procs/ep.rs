@@ -183,7 +183,6 @@ fn worker_impl<const SAFE: bool>(ctx: &WorkerCtx) -> i32 {
     let params = EpParams::for_class(ctx.class);
     let nn = 1usize << (params.m - npb_ep::MK);
     let nk = 1usize << npb_ep::MK;
-    let an = npb_ep::batch_multiplier();
     let lay = layout(ctx.nranks);
     let outer =
         ProcBarrier::new(&ctx.seg, header::OUTER_GEN, header::OUTER_COUNT, ctx.nranks as u32 + 1);
@@ -213,7 +212,7 @@ fn worker_impl<const SAFE: bool>(ctx: &WorkerCtx) -> i32 {
         ctx.round_start(w as u32);
         if (w as u32) >= done {
             for k in window(w) {
-                npb_ep::batch::<SAFE>(k, an, &mut x, &mut acc);
+                npb_ep::batch::<SAFE>(k, &mut x, &mut acc);
             }
             ck.save(&slot, w as u32 + 1, &pack(&acc));
             done = w as u32 + 1;
