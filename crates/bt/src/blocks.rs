@@ -2,12 +2,18 @@
 //! `matmul_sub`, `binvcrhs`, `binvrhs` — ports of the hand-unrolled
 //! `solve_subs.f`, with the same operation order (no pivoting; the
 //! diagonal blocks of BT's operator are safely dominant).
+//!
+//! Generic over [`Lane`]: at `f64` they work one block, at the sweeps'
+//! dispatched width one block of each of `L::N` grid lines, every lane
+//! running the scalar operation sequence. `#[inline(always)]` because an
+//! out-of-line copy would be compiled without the sweep's AVX2.
 
 pub use npb_cfd_common::jacobians::{Block, ZERO_BLOCK};
+use npb_core::lane::Lane;
 
 /// `bvec -= ablock · avec`.
-#[inline]
-pub fn matvec_sub(ablock: &Block, avec: &[f64; 5], bvec: &mut [f64; 5]) {
+#[inline(always)]
+pub fn matvec_sub<L: Lane>(ablock: &Block<L>, avec: &[L; 5], bvec: &mut [L; 5]) {
     for i in 0..5 {
         bvec[i] = bvec[i]
             - ablock[i][0] * avec[0]
@@ -19,8 +25,8 @@ pub fn matvec_sub(ablock: &Block, avec: &[f64; 5], bvec: &mut [f64; 5]) {
 }
 
 /// `cblock -= ablock · bblock`.
-#[inline]
-pub fn matmul_sub(ablock: &Block, bblock: &Block, cblock: &mut Block) {
+#[inline(always)]
+pub fn matmul_sub<L: Lane>(ablock: &Block<L>, bblock: &Block<L>, cblock: &mut Block<L>) {
     for j in 0..5 {
         for i in 0..5 {
             cblock[i][j] = cblock[i][j]
@@ -36,51 +42,51 @@ pub fn matmul_sub(ablock: &Block, bblock: &Block, cblock: &mut Block) {
 /// Gauss–Jordan invert `lhs` in place, applying the same row operations
 /// to the coupling block `c` and the right-hand side `r`:
 /// on exit `c := lhs⁻¹ c` and `r := lhs⁻¹ r`.
-#[inline]
-pub fn binvcrhs(lhs: &mut Block, c: &mut Block, r: &mut [f64; 5]) {
+#[inline(always)]
+pub fn binvcrhs<L: Lane>(lhs: &mut Block<L>, c: &mut Block<L>, r: &mut [L; 5]) {
     for p in 0..5 {
-        let pivot = 1.0 / lhs[p][p];
+        let pivot = L::splat(1.0) / lhs[p][p];
         for col in p + 1..5 {
-            lhs[p][col] *= pivot;
+            lhs[p][col] = lhs[p][col] * pivot;
         }
         for col in 0..5 {
-            c[p][col] *= pivot;
+            c[p][col] = c[p][col] * pivot;
         }
-        r[p] *= pivot;
+        r[p] = r[p] * pivot;
         for row in 0..5 {
             if row == p {
                 continue;
             }
             let coeff = lhs[row][p];
             for col in p + 1..5 {
-                lhs[row][col] -= coeff * lhs[p][col];
+                lhs[row][col] = lhs[row][col] - coeff * lhs[p][col];
             }
             for col in 0..5 {
-                c[row][col] -= coeff * c[p][col];
+                c[row][col] = c[row][col] - coeff * c[p][col];
             }
-            r[row] -= coeff * r[p];
+            r[row] = r[row] - coeff * r[p];
         }
     }
 }
 
 /// Gauss–Jordan solve `lhs · x = r` in place (`r := lhs⁻¹ r`).
-#[inline]
-pub fn binvrhs(lhs: &mut Block, r: &mut [f64; 5]) {
+#[inline(always)]
+pub fn binvrhs<L: Lane>(lhs: &mut Block<L>, r: &mut [L; 5]) {
     for p in 0..5 {
-        let pivot = 1.0 / lhs[p][p];
+        let pivot = L::splat(1.0) / lhs[p][p];
         for col in p + 1..5 {
-            lhs[p][col] *= pivot;
+            lhs[p][col] = lhs[p][col] * pivot;
         }
-        r[p] *= pivot;
+        r[p] = r[p] * pivot;
         for row in 0..5 {
             if row == p {
                 continue;
             }
             let coeff = lhs[row][p];
             for col in p + 1..5 {
-                lhs[row][col] -= coeff * lhs[p][col];
+                lhs[row][col] = lhs[row][col] - coeff * lhs[p][col];
             }
-            r[row] -= coeff * r[p];
+            r[row] = r[row] - coeff * r[p];
         }
     }
 }

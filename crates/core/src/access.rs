@@ -7,11 +7,15 @@
 //! elements through [`ld`]/[`st`]/[`fmadd`], generic over a
 //! `const SAFE: bool`:
 //!
-//! * `SAFE = true` — the **"Java" style**: every access is bounds-checked
-//!   and multiply-add stays split (`a*b + c`), exactly the overheads §3 of
-//!   the paper attributes the gap to;
-//! * `SAFE = false` — the **"Fortran" style**: unchecked access and
-//!   `f64::mul_add`.
+//! * `SAFE = true` — the **"Java" style**: every access is bounds-checked,
+//!   the overhead §3 of the paper attributes most of the gap to;
+//! * `SAFE = false` — the **"Fortran" style**: unchecked access.
+//!
+//! The paper's second difference, `madd`, is not reproduced as shipped:
+//! both styles compute `a*b + c` with two roundings (see [`fmadd`], which
+//! would fuse only in a build that sets `target-feature=fma`; none does),
+//! and the vector tier in [`crate::lane`] enables no FMA either, so the
+//! two styles agree bit for bit.
 //!
 //! # Soundness contract
 //!
@@ -28,9 +32,9 @@
 /// switch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Style {
-    /// "Fortran" style: unchecked element access, fused multiply-add.
+    /// "Fortran" style: unchecked element access.
     Opt,
-    /// "Java" style: bounds-checked access, split multiply-add.
+    /// "Java" style: bounds-checked access.
     Safe,
 }
 

@@ -24,7 +24,11 @@
 //!   named phase scopes, and JSON / folded-stack profile export,
 //! * [`access`] — the dual-style (bounds-checked "Java" vs unchecked
 //!   "Fortran") element access used to reproduce the paper's
-//!   Java-vs-Fortran axis in a single code base.
+//!   Java-vs-Fortran axis in a single code base,
+//! * [`lane`] — lane-generic `f64` arithmetic ([`lane::Lane`]: `f64`, and
+//!   four lanes to an AVX register where `avx2` is detected), so a kernel
+//!   body written once runs several independent grid lines per vector
+//!   with bit-identical results.
 
 pub mod access;
 pub mod class;
@@ -32,6 +36,7 @@ pub mod cli;
 pub mod exit;
 pub mod guard;
 pub mod iofault;
+pub mod lane;
 pub mod random;
 pub mod report;
 pub mod rlimit;

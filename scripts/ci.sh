@@ -11,20 +11,35 @@ cargo fmt --check
 echo "== tier-1: build =="
 cargo build --release
 
+echo "== codegen guard (lane tier) =="
+# Every `Lane` helper must inline into the AVX2-enabled entry
+# (`npb_core::lane`). An intrinsic that survives as a symbol means some
+# helper on the lane path was compiled out of line, without AVX2, and
+# calls each `_mm256_*` instead of issuing it.
+if nm -C target/release/npb | grep core_arch | grep -v _xgetbv; then
+    echo "out-of-line core::arch intrinsics in target/release/npb (listed above)" >&2
+    exit 1
+fi
+
 echo "== tier-1: tests =="
 cargo test --workspace -q
 
-echo "== golden signatures (the generator's sequence, CLI surface) =="
+echo "== golden signatures (generator sequence and lane tier, CLI surface) =="
 # The five benchmarks fed by the NPB generator must reproduce, through
 # the shipped binary, the serial class S signatures recorded when
 # randlc/vranlc were the double-precision split-multiply — and EP must
-# verify one class up, where a wrong seed jump cannot hide.
+# verify one class up, where a wrong seed jump cannot hide. BT must
+# reproduce the signatures recorded with scalar sweeps, whichever lane
+# width this host dispatches to — class W too, where a line has full
+# lane groups and a short last one.
 for golden in ep:c0aed46ec67e150c is:6bbde6d3f0645b95 cg:54cf2678bada079b \
-    mg:53b9c899b857c11d ft:b830222e10844859; do
+    mg:53b9c899b857c11d ft:b830222e10844859 bt:bf42440eb4417b06; do
     out="$(target/release/npb "${golden%%:*}" S --json)"
     echo "$out" | grep -q "\"result_sig\":\"${golden##*:}\""
 done
 target/release/npb ep --class W
+out="$(target/release/npb bt W --json)"
+echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
 
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.

@@ -31,19 +31,24 @@ fn report_rows_are_well_formed() {
     assert!(r.banner().contains("MG Benchmark Completed"));
 }
 
-/// Cross-commit identity: the serial class S signatures of the five
-/// benchmarks that draw their input from the NPB generator, recorded
-/// with the reference's double-precision split-multiply `randlc`. The
-/// generator must reproduce that sequence, not merely agree with itself
-/// across styles and team sizes.
+/// Cross-commit identity: the serial class S signature of every
+/// benchmark. The five fed by the NPB generator were recorded with the
+/// reference's double-precision split-multiply `randlc` — the generator
+/// must reproduce that sequence, not merely agree with itself across
+/// styles and team sizes. The three CFD codes were recorded with scalar
+/// sweeps — a lane-vectorized kernel must reproduce every bit of them,
+/// whichever lane width the host dispatches to.
 #[test]
-fn rng_fed_signatures_are_pinned() {
+fn class_s_signatures_are_pinned() {
     for (name, sig) in [
         ("EP", 0xc0aed46ec67e150c_u64),
         ("IS", 0x6bbde6d3f0645b95),
         ("CG", 0x54cf2678bada079b),
         ("MG", 0x53b9c899b857c11d),
         ("FT", 0xb830222e10844859),
+        ("BT", 0xbf42440eb4417b06),
+        ("SP", 0x7df6ccd34715cf27),
+        ("LU", 0x529c15ac30ea7787),
     ] {
         let r = run_benchmark(name, Class::S, Style::Opt, 0).unwrap();
         assert_eq!(r.result_sig, Some(sig), "{name} class S: {:016x?}", r.result_sig);
