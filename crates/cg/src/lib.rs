@@ -99,7 +99,7 @@ impl CgState {
         let p_rnorm = Partials::new(nthreads);
 
         let rowstr: &[usize] = &self.mat.rowstr;
-        let colidx: &[usize] = &self.mat.colidx;
+        let colidx: &[u32] = &self.mat.colidx;
         let a: &[f64] = &self.mat.a;
         let x: &[f64] = &self.x;
         // SAFETY: each thread writes only its own row-range of z, p, q, r
@@ -132,7 +132,7 @@ impl CgState {
                     for j in chunk {
                         let mut sum = 0.0;
                         for k in ld::<_, SAFE>(rowstr, j)..ld::<_, SAFE>(rowstr, j + 1) {
-                            let col = ld::<_, SAFE>(colidx, k);
+                            let col = ld::<_, SAFE>(colidx, k) as usize;
                             sum = fmadd::<SAFE>(ld::<_, SAFE>(a, k), pv.get::<SAFE>(col), sum);
                         }
                         q.set::<SAFE>(j, sum);
@@ -177,7 +177,7 @@ impl CgState {
                 for j in chunk {
                     let mut sum = 0.0;
                     for k in ld::<_, SAFE>(rowstr, j)..ld::<_, SAFE>(rowstr, j + 1) {
-                        let col = ld::<_, SAFE>(colidx, k);
+                        let col = ld::<_, SAFE>(colidx, k) as usize;
                         sum = fmadd::<SAFE>(ld::<_, SAFE>(a, k), z.get::<SAFE>(col), sum);
                     }
                     r.set::<SAFE>(j, sum);

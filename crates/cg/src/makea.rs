@@ -13,8 +13,10 @@ use npb_core::Randlc;
 pub struct Csr {
     /// Row start offsets, length `n + 1`.
     pub rowstr: Vec<usize>,
-    /// Column indices (0-based), length `nnz`.
-    pub colidx: Vec<usize>,
+    /// Column indices (0-based), length `nnz`. 32 bits each: with the
+    /// values they are the matrix traffic of every `A p` (12 bytes a
+    /// nonzero instead of 16), and `sparse` checks the order fits.
+    pub colidx: Vec<u32>,
     /// Values, length `nnz`.
     pub a: Vec<f64>,
     /// Matrix order.
@@ -71,6 +73,7 @@ fn vecset(v: &mut Vec<f64>, iv: &mut Vec<usize>, i: usize, val: f64) {
 /// Assemble the CSR matrix from COO triples, summing duplicates per row
 /// in first-occurrence order (port of `sparse`).
 fn sparse(n: usize, arow: &[usize], acol: &[usize], aelt: &[f64]) -> Csr {
+    assert!(n <= u32::MAX as usize, "matrix order {n} does not fit 32-bit column indices");
     let nnza = arow.len();
     // Count per row, prefix to row starts.
     let mut rowstr = vec![0usize; n + 2];
@@ -119,7 +122,7 @@ fn sparse(n: usize, arow: &[usize], acol: &[usize], aelt: &[f64]) -> Csr {
             x[i] = 0.0;
             if xi != 0.0 {
                 a.push(xi);
-                colidx.push(i);
+                colidx.push(i as u32);
             }
         }
         out_rowstr[j + 1] = a.len();
@@ -190,14 +193,14 @@ mod tests {
         assert_eq!(m.rowstr[0], 0);
         assert_eq!(*m.rowstr.last().unwrap(), m.nnz());
         assert!(m.rowstr.windows(2).all(|w| w[0] <= w[1]));
-        assert!(m.colidx.iter().all(|&c| c < m.n));
+        assert!(m.colidx.iter().all(|&c| (c as usize) < m.n));
         // No duplicate columns within a row after merging.
         for j in 0..m.n {
             let row = &m.colidx[m.rowstr[j]..m.rowstr[j + 1]];
             let mut seen = vec![false; m.n];
             for &c in row {
-                assert!(!seen[c], "duplicate column {c} in row {j}");
-                seen[c] = true;
+                assert!(!seen[c as usize], "duplicate column {c} in row {j}");
+                seen[c as usize] = true;
             }
         }
     }
@@ -211,7 +214,7 @@ mod tests {
         let mut dense = std::collections::HashMap::new();
         for j in 0..m.n {
             for k in m.rowstr[j]..m.rowstr[j + 1] {
-                dense.insert((j, m.colidx[k]), m.a[k]);
+                dense.insert((j, m.colidx[k] as usize), m.a[k]);
             }
         }
         for (&(r, c), &val) in &dense {
@@ -228,8 +231,11 @@ mod tests {
         let m = small_matrix();
         for j in 0..m.n {
             let row = m.rowstr[j]..m.rowstr[j + 1];
-            let diag =
-                row.clone().find(|&k| m.colidx[k] == j).map(|k| m.a[k]).expect("missing diagonal");
+            let diag = row
+                .clone()
+                .find(|&k| m.colidx[k] as usize == j)
+                .map(|k| m.a[k])
+                .expect("missing diagonal");
             // 0.1 - 10 = -9.9 plus outer-product contributions: the 0.25 *
             // size vecset square plus ~nonzer random v^2 * size terms, each
             // in (0, 1). The shifted diagonal stays clearly negative.
@@ -291,17 +297,17 @@ mod proptests {
             let m = makea(&mut rng, n, nonzer, 0.1, 10.0);
             assert_eq!(m.rowstr.len(), n + 1);
             assert_eq!(*m.rowstr.last().unwrap(), m.nnz());
-            assert!(m.colidx.iter().all(|&c| c < n));
+            assert!(m.colidx.iter().all(|&c| (c as usize) < n));
             // Every row has a diagonal entry (rcond - shift ensures it).
             for j in 0..n {
-                let has_diag = (m.rowstr[j]..m.rowstr[j + 1]).any(|k| m.colidx[k] == j);
+                let has_diag = (m.rowstr[j]..m.rowstr[j + 1]).any(|k| m.colidx[k] as usize == j);
                 assert!(has_diag, "n {n}, nonzer {nonzer}: row {j} lacks a diagonal");
             }
             // Symmetric sparsity pattern.
             let mut set = std::collections::HashSet::new();
             for j in 0..n {
                 for k in m.rowstr[j]..m.rowstr[j + 1] {
-                    set.insert((j, m.colidx[k]));
+                    set.insert((j, m.colidx[k] as usize));
                 }
             }
             for &(r, c) in &set {
@@ -322,14 +328,14 @@ mod proptests {
             let mut y = vec![0.0f64; n];
             for j in 0..n {
                 for k in m.rowstr[j]..m.rowstr[j + 1] {
-                    y[j] += m.a[k] * x[m.colidx[k]];
+                    y[j] += m.a[k] * x[m.colidx[k] as usize];
                 }
             }
             // Dense product.
             let mut dense = vec![vec![0.0f64; n]; n];
             for j in 0..n {
                 for k in m.rowstr[j]..m.rowstr[j + 1] {
-                    dense[j][m.colidx[k]] += m.a[k];
+                    dense[j][m.colidx[k] as usize] += m.a[k];
                 }
             }
             for j in 0..n {

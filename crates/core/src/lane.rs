@@ -13,6 +13,25 @@
 //! so no multiply-add is contracted; and no operation reads across
 //! lanes, so nothing is reassociated or reduced. Each lane executes the
 //! scalar operation sequence, bit for bit.
+//!
+//! # When a kernel belongs here, and when it does not
+//!
+//! Explicit lanes are for kernels whose independent axis is *strided*:
+//! BT's grid lines sit a plane apart in memory, so no compiler will
+//! gather four of them into a vector unless the body says so. Where the
+//! independent axis is the contiguous one — MG's grid operators, one
+//! output row from a handful of neighbour rows — the body is a plain
+//! elementwise loop over slices and the loop vectorizer does the same
+//! job with no `Lane` in sight (`npb_mg::ops`). That route is exact for
+//! the same three reasons: no build of this repository enables `fma`,
+//! LLVM does not reassociate floating point without fast-math flags, and
+//! an elementwise loop has no arithmetic across elements to reorder. It
+//! vectorizes at the build's baseline width (SSE2 on x86-64). Using
+//! [`dispatch`] as a mere multiversioning point for such loops — a
+//! [`Kernel`] that ignores `L`, so the same source is also compiled at
+//! 256 bits — was measured on MG and not shipped: layout was the gain,
+//! width a further 8–17 % on a kernel that is a quarter of one workload
+//! (EXPERIMENTS.md, "Lane tier", MG section).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 

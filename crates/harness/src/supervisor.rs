@@ -491,7 +491,7 @@ fn run_child(
     let _cleanup = RemoveOnDrop(trace_path);
 
     let started = Instant::now();
-    let mut child = match cmd.spawn() {
+    let mut child = match spawn_past_text_busy(&mut cmd) {
         Ok(c) => c,
         Err(e) => return (AttemptOutcome::SpawnFailed(e.to_string()), String::new()),
     };
@@ -547,6 +547,26 @@ fn run_child(
         classify_exit(status, ChildReport::last_in(&stdout), cfg.limits.mem_limit_mb.is_some()),
         stderr,
     )
+}
+
+/// `cmd.spawn()`, retried for up to 50 ms while `exec` answers `ETXTBSY`.
+///
+/// "Text file busy" means some process still holds the binary open for
+/// writing. That is transient in the two ways it reaches a supervisor: a
+/// binary deployed a moment ago, or — the unit tests' stubs — another
+/// thread of this process forking between the write and this `exec`, so
+/// that its not-yet-exec'd child briefly inherits the writer's descriptor.
+fn spawn_past_text_busy(cmd: &mut Command) -> std::io::Result<std::process::Child> {
+    const ETXTBSY: i32 = 26;
+    for _ in 0..10 {
+        match cmd.spawn() {
+            Err(e) if e.raw_os_error() == Some(ETXTBSY) => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            spawned => return spawned,
+        }
+    }
+    cmd.spawn()
 }
 
 #[cfg(test)]
@@ -625,6 +645,34 @@ mod tests {
             "kill-then-reap must not wait out the child"
         );
         std::fs::remove_file(&bin).ok();
+    }
+
+    /// Eight threads each write a fresh stub and exec it at once: every
+    /// fork happens while some other thread's stub is open for writing,
+    /// which is how `exec` comes to answer `ETXTBSY`. No attempt may
+    /// surface it as a spawn failure.
+    #[cfg(unix)]
+    #[test]
+    fn concurrent_write_then_spawn_never_fails_text_busy() {
+        let go = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let go = &go;
+                scope.spawn(move || {
+                    go.wait();
+                    for round in 0..25 {
+                        let bin = stub(&format!("busy-{t}-{round}"), "exit 2");
+                        let (outcome, _) =
+                            run_child(&cfg(bin.to_str().unwrap()), &cell(2), Class::S, 2, None);
+                        std::fs::remove_file(&bin).ok();
+                        assert!(
+                            !matches!(outcome, AttemptOutcome::SpawnFailed(_)),
+                            "thread {t} round {round}: {outcome:?}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[cfg(unix)]

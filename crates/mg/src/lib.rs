@@ -116,7 +116,7 @@ impl MgState {
         let sv = unsafe { SharedMut::new(&mut self.v) };
         let sr = unsafe { SharedMut::new(&mut self.r[lev]) };
         let _phase = trace::scope("resid");
-        resid::<SAFE>(&su, &sv, &sr, n, &self.a, scratch, team);
+        resid::<SAFE>(&su, Some(&sv), &sr, n, &self.a, scratch, team);
     }
 
     /// One V-cycle (`mg3P`).
@@ -158,12 +158,11 @@ impl MgState {
             {
                 let su = unsafe { SharedMut::new(&mut self.u[lev]) };
                 let sr = unsafe { SharedMut::new(&mut self.r[lev]) };
-                // In-place r = r - A u: v aliases r (see SharedMut::alias).
-                let sv = unsafe { sr.alias() };
                 let scratch = self.scratch.as_ref().expect("ensured above");
                 {
                     let _phase = trace::scope("resid");
-                    resid::<SAFE>(&su, &sv, &sr, n, &self.a, scratch, team);
+                    // In place: r = r - A u.
+                    resid::<SAFE>(&su, None, &sr, n, &self.a, scratch, team);
                 }
                 let _phase = trace::scope("psinv");
                 psinv::<SAFE>(&sr, &su, n, &self.c, scratch, team);

@@ -20,11 +20,15 @@ use std::marker::PhantomData;
 /// boundaries), **no element is written by one thread while being read or
 /// written by another**. The NPB kernels satisfy this by construction —
 /// each thread touches only the grid planes of its static partition. With
-/// that contract upheld, the accessor methods are safe to call.
+/// that contract upheld, the element accessors are safe to call. The two
+/// slice views, [`SharedMut::row`] and [`SharedMut::row_mut`], stay
+/// `unsafe`: a reference outlives the call that made it, so their callers
+/// also answer for what happens to the range while it is borrowed.
 ///
-/// Bounds are always checked in the `SAFE = true` ("Java") style and
-/// `debug_assert!`ed in the `SAFE = false` ("Fortran") style, matching
-/// [`npb_core::access`](https://docs.rs) semantics.
+/// Element bounds are always checked in the `SAFE = true` ("Java") style
+/// and `debug_assert!`ed in the `SAFE = false` ("Fortran") style, matching
+/// [`npb_core::access`](https://docs.rs) semantics; the range of a slice
+/// view is `assert!`ed in both.
 pub struct SharedMut<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -49,17 +53,42 @@ impl<'a, T> SharedMut<'a, T> {
         SharedMut { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: PhantomData }
     }
 
-    /// Duplicate the view (deliberate aliasing).
+    /// Borrow the `len` contiguous elements from `start` as a plain slice,
+    /// so a unit-stride inner loop runs over `&[T]` (known length, no
+    /// aliasing with any `&mut`) instead of per-element raw-pointer reads.
+    /// The range is `assert!`ed in both styles: once per row, not per
+    /// element.
     ///
     /// # Safety
     ///
-    /// The combined accesses through *all* aliases must still satisfy the
-    /// disjointness contract of [`SharedMut::new`]. The MG V-cycle uses
-    /// this for its in-place `resid(u, r, r)` call, where the aliased
-    /// views only ever touch the same element within one read-then-write
-    /// expression on one thread.
-    pub unsafe fn alias(&self) -> SharedMut<'a, T> {
-        SharedMut { ptr: self.ptr, len: self.len, _marker: PhantomData }
+    /// While the returned slice is live, no thread — this one included,
+    /// through [`SharedMut::set`]/[`SharedMut::add`]/[`SharedMut::row_mut`]
+    /// — writes any element of the range. Between synchronization points
+    /// that is the contract of [`SharedMut::new`]; within one thread it
+    /// means a `row_mut` of the same array must not overlap a live `row`.
+    #[inline(always)]
+    pub unsafe fn row(&self, start: usize, len: usize) -> &[T] {
+        self.check_range(start, len);
+        // SAFETY: the range is inside the slice `new` was given, and the
+        // caller guarantees nothing writes it while the borrow lives.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
+    }
+
+    /// Mutable counterpart of [`SharedMut::row`].
+    ///
+    /// # Safety
+    ///
+    /// While the returned slice is live, no other access to any element of
+    /// the range exists: no other thread reads or writes it (the contract
+    /// of [`SharedMut::new`]), and this thread holds no other `row` or
+    /// `row_mut` overlapping it and reaches it through no other accessor.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)] // the point of the type; see `new`
+    pub unsafe fn row_mut(&self, start: usize, len: usize) -> &mut [T] {
+        self.check_range(start, len);
+        // SAFETY: the range is inside the slice `new` was given, and the
+        // caller guarantees exclusive access while the borrow lives.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
 
     /// Number of elements in the view.
@@ -72,6 +101,15 @@ impl<'a, T> SharedMut<'a, T> {
     #[inline(always)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    #[inline(always)]
+    fn check_range(&self, start: usize, len: usize) {
+        assert!(
+            start <= self.len && len <= self.len - start,
+            "row {start}+{len} out of bounds (len {})",
+            self.len
+        );
     }
 
     #[inline(always)]
@@ -139,6 +177,46 @@ mod tests {
         let mut v = vec![0.0f64; 4];
         let s = unsafe { SharedMut::new(&mut v) };
         s.get::<true>(4);
+    }
+
+    #[test]
+    fn rows_are_windows_onto_the_same_elements() {
+        let mut v: Vec<f64> = (0..12).map(f64::from).collect();
+        let s = unsafe { SharedMut::new(&mut v) };
+        // SAFETY: single thread; the two ranges are disjoint.
+        let (src, dst) = unsafe { (s.row(4, 4), s.row_mut(8, 4)) };
+        assert_eq!(src, [4.0, 5.0, 6.0, 7.0]);
+        dst.copy_from_slice(src);
+        assert_eq!(s.get::<true>(11), 7.0);
+        // SAFETY: no view is live any more.
+        assert!(unsafe { s.row(12, 0) }.is_empty(), "an empty row at the end is in range");
+    }
+
+    // The range check of `row`/`row_mut` is an `assert!` whatever the style
+    // of the element accesses made through the slice afterwards, so these
+    // hold in release builds too.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_panics_past_the_end() {
+        let mut v = vec![0.0f64; 8];
+        let s = unsafe { SharedMut::new(&mut v) };
+        let _ = unsafe { s.row(6, 3) };
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_mut_panics_past_the_end() {
+        let mut v = vec![0.0f64; 8];
+        let s = unsafe { SharedMut::new(&mut v) };
+        let _ = unsafe { s.row_mut(9, 0) };
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_length_cannot_wrap_the_check() {
+        let mut v = vec![0.0f64; 8];
+        let s = unsafe { SharedMut::new(&mut v) };
+        let _ = unsafe { s.row(1, usize::MAX) };
     }
 
     #[test]

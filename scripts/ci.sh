@@ -40,6 +40,18 @@ done
 target/release/npb ep --class W
 out="$(target/release/npb bt W --json)"
 echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
+# MG one class up and one width out, recorded with the per-point operators:
+# class W rows are a vector body plus a tail at every level, and two ranks
+# differ from serial in the last bit by design (rank-ordered norm partials).
+out="$(target/release/npb mg W --json)"
+echo "$out" | grep -q '"result_sig":"538914f57119183d"'
+out="$(target/release/npb mg W --threads 2 --json)"
+echo "$out" | grep -q '"result_sig":"538914f5711918c4"'
+
+echo "== row kernels vs per-point oracle, as the release build vectorizes them =="
+# The tier-1 run above is a debug build, where no loop is vectorized; the
+# bit-for-bit claim is about the optimized code, so run it there too.
+cargo test --release -p npb-mg -p npb-runtime -q
 
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.

@@ -295,7 +295,7 @@ fn conj_grad_rank<const SAFE: bool>(
         for j in rows.clone() {
             let mut sum = 0.0;
             for k in mat.rowstr[j]..mat.rowstr[j + 1] {
-                sum = fmadd::<SAFE>(mat.a[k], pv[mat.colidx[k]], sum);
+                sum = fmadd::<SAFE>(mat.a[k], pv[mat.colidx[k] as usize], sum);
             }
             q[j] = sum;
         }
@@ -336,7 +336,7 @@ fn conj_grad_rank<const SAFE: bool>(
     for j in rows.clone() {
         let mut sum = 0.0;
         for k in mat.rowstr[j]..mat.rowstr[j + 1] {
-            sum = fmadd::<SAFE>(mat.a[k], z[mat.colidx[k]], sum);
+            sum = fmadd::<SAFE>(mat.a[k], z[mat.colidx[k] as usize], sum);
         }
         r[j] = sum;
     }

@@ -54,3 +54,17 @@ fn class_s_signatures_are_pinned() {
         assert_eq!(r.result_sig, Some(sig), "{name} class S: {:016x?}", r.result_sig);
     }
 }
+
+/// MG one width out: on two ranks the V-cycle's grids are bit-identical
+/// to serial and only the final norm's rank-ordered partial sums differ —
+/// in the last bit (`…c11f` against serial's `…c11d`), by design. Pinned
+/// so a change to the operators' plane split or row kernels cannot hide
+/// behind the serial signature.
+#[test]
+fn mg_class_s_two_rank_signature_is_pinned() {
+    for style in [Style::Opt, Style::Safe] {
+        let r = run_benchmark("MG", Class::S, style, 2).unwrap();
+        assert_eq!(r.verified, Verified::Success, "{style:?}");
+        assert_eq!(r.result_sig, Some(0x53b9c899b857c11f), "{style:?}: {:016x?}", r.result_sig);
+    }
+}
