@@ -4,7 +4,9 @@
 //! settles on after finding shape-preserving arrays 2–3× slower. The
 //! conserved variables `u(5, nx, ny, nz)` are stored component-fastest
 //! (the Fortran layout) and the seven auxiliary point quantities are
-//! separate scalar grids.
+//! separate scalar grids. `compute_rhs` additionally keeps a
+//! component-major copy of `u` ([`Fields::uc`]) so its stencils run over
+//! unit-stride rows.
 
 /// All grids a BT/SP run owns.
 #[derive(Debug, Clone)]
@@ -35,6 +37,17 @@ pub struct Fields {
     pub square: Vec<f64>,
     /// Speed of sound (used by SP only; BT leaves it zero).
     pub speed: Vec<f64>,
+    /// Component-major copy of `u`, `uc[m * npoints + idx(i, j, k)]`:
+    /// rewritten from `u` by every `compute_rhs` (phase 1) and read only
+    /// by it. `u` stays the state of record — the sweeps, the norms, the
+    /// SDC guard and `add` never look here.
+    pub uc: Vec<f64>,
+    /// `compute_rhs`'s accumulator lines, five of length `nx` per
+    /// k-plane (`5 * nx * nz`, line `m` of plane `k` at
+    /// `(5 * k + m) * nx`), so the region allocates nothing. Whichever
+    /// rank the partition hands plane `k` owns that plane's five lines
+    /// for the row it is producing; they carry nothing between rows.
+    pub lines: Vec<f64>,
 }
 
 impl Fields {
@@ -55,6 +68,8 @@ impl Fields {
             qs: vec![0.0; n],
             square: vec![0.0; n],
             speed: vec![0.0; n],
+            uc: vec![0.0; 5 * n],
+            lines: vec![0.0; 5 * nx * nz],
         }
     }
 

@@ -20,9 +20,11 @@
 //! BT's grid lines sit a plane apart in memory, so no compiler will
 //! gather four of them into a vector unless the body says so. Where the
 //! independent axis is the contiguous one — MG's grid operators, one
-//! output row from a handful of neighbour rows — the body is a plain
-//! elementwise loop over slices and the loop vectorizer does the same
-//! job with no `Lane` in sight (`npb_mg::ops`). That route is exact for
+//! output row from a handful of neighbour rows; the CFD right-hand side
+//! of BT and SP, one row of flux and dissipation terms from the rows
+//! beside, above and below it — the body is a plain elementwise loop
+//! over slices and the loop vectorizer does the same job with no `Lane`
+//! in sight (`npb_mg::ops`, `npb_cfd_common::rhs`). That route is exact for
 //! the same three reasons: no build of this repository enables `fma`,
 //! LLVM does not reassociate floating point without fast-math flags, and
 //! an elementwise loop has no arithmetic across elements to reorder. It
@@ -31,7 +33,12 @@
 //! [`Kernel`] that ignores `L`, so the same source is also compiled at
 //! 256 bits — was measured on MG and not shipped: layout was the gain,
 //! width a further 8–17 % on a kernel that is a quarter of one workload
-//! (EXPERIMENTS.md, "Lane tier", MG section).
+//! (EXPERIMENTS.md, "Lane tier", MG section). The CFD right-hand side
+//! was the second customer to size it and declined it too: compiled
+//! whole at 256 bits its rows run 3 % slower at BT.W's and SP.W's
+//! extents (22- and 34-point rows, a dozen load streams a kernel) and
+//! 2–9 % faster at BT.A's — nothing that clears the parent's spread
+//! (same file, CFD section).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 

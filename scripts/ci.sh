@@ -31,15 +31,22 @@ echo "== golden signatures (generator sequence and lane tier, CLI surface) =="
 # verify one class up, where a wrong seed jump cannot hide. BT must
 # reproduce the signatures recorded with scalar sweeps, whichever lane
 # width this host dispatches to — class W too, where a line has full
-# lane groups and a short last one.
+# lane groups and a short last one. BT and SP must reproduce the ones
+# recorded with the per-point right-hand side: class W rows are a vector
+# body plus a tail, and two ranks split the planes of both of its phases.
 for golden in ep:c0aed46ec67e150c is:6bbde6d3f0645b95 cg:54cf2678bada079b \
-    mg:53b9c899b857c11d ft:b830222e10844859 bt:bf42440eb4417b06; do
+    mg:53b9c899b857c11d ft:b830222e10844859 bt:bf42440eb4417b06 \
+    sp:7df6ccd34715cf27; do
     out="$(target/release/npb "${golden%%:*}" S --json)"
     echo "$out" | grep -q "\"result_sig\":\"${golden##*:}\""
 done
 target/release/npb ep --class W
 out="$(target/release/npb bt W --json)"
 echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
+out="$(target/release/npb bt W --threads 2 --json)"
+echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
+out="$(target/release/npb sp W --json)"
+echo "$out" | grep -q '"result_sig":"e1fcdbc51df117a1"'
 # MG one class up and one width out, recorded with the per-point operators:
 # class W rows are a vector body plus a tail at every level, and two ranks
 # differ from serial in the last bit by design (rank-ordered norm partials).
@@ -51,7 +58,7 @@ echo "$out" | grep -q '"result_sig":"538914f5711918c4"'
 echo "== row kernels vs per-point oracle, as the release build vectorizes them =="
 # The tier-1 run above is a debug build, where no loop is vectorized; the
 # bit-for-bit claim is about the optimized code, so run it there too.
-cargo test --release -p npb-mg -p npb-runtime -q
+cargo test --release -p npb-mg -p npb-runtime -p npb-cfd-common -q
 
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.
