@@ -8,6 +8,8 @@
 //! This crate contains everything the kernels have in common:
 //!
 //! * [`Class`] — the NPB problem classes (S, W, A, B, C),
+//! * [`child`] — the event-driven wait every supervised child process is
+//!   watched with (pidfd + `poll`, the deadline as the timeout),
 //! * [`random`] — the NPB linear-congruential pseudo-random number
 //!   generator (`randlc` / `vranlc` / `ipow46` / [`Randlc`]): one exact
 //!   integer implementation of `x <- a*x mod 2^46`, with the reference's
@@ -31,6 +33,7 @@
 //!   with bit-identical results.
 
 pub mod access;
+pub mod child;
 pub mod class;
 pub mod cli;
 pub mod exit;

@@ -11,7 +11,9 @@
 //!
 //! Per cell the supervisor owns:
 //!
-//! * a wall-clock **deadline** with kill-then-reap escalation;
+//! * a wall-clock **deadline** with kill-then-reap escalation — the
+//!   child is waited on, not sampled: one `poll` over its pidfd and
+//!   pipes with the deadline as the timeout (`npb_core::child`);
 //! * **retries** with deterministic exponential [`Backoff`] (randlc
 //!   jitter — a sweep replays exactly from its seed);
 //! * the **failure taxonomy** ([`AttemptOutcome`]) mapping child exits,
@@ -22,19 +24,16 @@
 //! * the **run manifest**: every attempt and terminal outcome is
 //!   journaled, so `--resume` continues a killed sweep.
 
-use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use npb_core::child::{wait_child, Waited};
 use npb_core::{Class, ResourceLimits};
 
 use crate::backoff::Backoff;
 use crate::manifest::{Cell, CellOutcome, CellStatus, Manifest, ResumeState};
 use crate::outcome::{classify_exit, AttemptOutcome, ChildReport, Disposition};
-
-/// How often the deadline loop polls a running child.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Supervisor configuration for one sweep.
 #[derive(Debug, Clone)]
@@ -421,8 +420,12 @@ fn relay_stderr(cell: &Cell, outcome: &AttemptOutcome, stderr: &str) {
 
 /// Spawn one child for `cell` at class `class` (the requested class, or
 /// a lower rung of the resource-degradation ladder) and width `rung`,
-/// and watch it to completion or deadline. Returns the classified
-/// outcome plus the child's stderr.
+/// and block in [`wait_child`] until it exits or `cfg.deadline` passes:
+/// no sampling interval is added to its wall time or to the kill, and
+/// its pipes are read while it runs, so no amount of output can wedge it.
+/// Returns the classified outcome plus the stderr read by the time the
+/// child was reaped — EOF is never waited for, so an orphan on the pipes
+/// cannot hold the supervisor past the child's exit.
 fn run_child(
     cfg: &SuiteConfig,
     cell: &Cell,
@@ -496,57 +499,26 @@ fn run_child(
         Err(e) => return (AttemptOutcome::SpawnFailed(e.to_string()), String::new()),
     };
 
-    // Deadline loop. The child's combined output (banner + one JSON
-    // line + stderr diagnostics) is far below the pipe buffer, so the
-    // pipes cannot fill while we poll; both are drained after exit.
-    let mut killed_after = None;
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break Ok(status),
-            Ok(None) => {}
-            Err(e) => break Err(e),
-        }
-        if let Some(deadline) = cfg.deadline {
-            if started.elapsed() >= deadline {
-                // Kill-then-reap escalation: SIGKILL cannot be caught,
-                // and the subsequent wait() reaps the zombie so a long
-                // sweep cannot leak process-table entries.
-                killed_after = Some(started.elapsed());
-                child.kill().ok();
-                break child.wait();
-            }
-        }
-        std::thread::sleep(POLL_INTERVAL);
+    let w = match wait(&mut child, cfg.deadline) {
+        Ok(w) => w,
+        Err(e) => return (AttemptOutcome::SpawnFailed(format!("wait failed: {e}")), String::new()),
     };
-
-    if let Some(after) = killed_after {
-        // Do NOT drain the pipes here: a killed child may have left a
-        // grandchild holding the write ends (anything it spawned), and
-        // reading would block until *that* exits — the exact hang class
-        // the deadline exists to bound. Dropping the read ends instead
-        // delivers SIGPIPE to any straggling writer.
-        drop(child.stdout.take());
-        drop(child.stderr.take());
-        return (AttemptOutcome::DeadlineKilled { after }, String::new());
+    let stderr = String::from_utf8_lossy(&w.stderr).into_owned();
+    if w.killed {
+        return (AttemptOutcome::DeadlineKilled { after: started.elapsed() }, stderr);
     }
+    let stdout = String::from_utf8_lossy(&w.stdout);
+    let mem_capped = cfg.limits.mem_limit_mb.is_some();
+    (classify_exit(w.status, ChildReport::last_in(&stdout), mem_capped), stderr)
+}
 
-    let mut stdout = String::new();
-    let mut stderr = String::new();
-    if let Some(mut pipe) = child.stdout.take() {
-        pipe.read_to_string(&mut stdout).ok();
+/// [`wait_child`] — or, when a unit test asks, its no-pidfd fallback.
+fn wait(child: &mut Child, deadline: Option<Duration>) -> std::io::Result<Waited> {
+    #[cfg(test)]
+    if tests::SAMPLED.get() {
+        return npb_core::child::wait_child_on(child, deadline, None);
     }
-    if let Some(mut pipe) = child.stderr.take() {
-        pipe.read_to_string(&mut stderr).ok();
-    }
-
-    let status = match status {
-        Ok(s) => s,
-        Err(e) => return (AttemptOutcome::SpawnFailed(format!("wait failed: {e}")), stderr),
-    };
-    (
-        classify_exit(status, ChildReport::last_in(&stdout), cfg.limits.mem_limit_mb.is_some()),
-        stderr,
-    )
+    wait_child(child, deadline)
 }
 
 /// `cmd.spawn()`, retried for up to 50 ms while `exec` answers `ETXTBSY`.
@@ -556,7 +528,7 @@ fn run_child(
 /// binary deployed a moment ago, or — the unit tests' stubs — another
 /// thread of this process forking between the write and this `exec`, so
 /// that its not-yet-exec'd child briefly inherits the writer's descriptor.
-fn spawn_past_text_busy(cmd: &mut Command) -> std::io::Result<std::process::Child> {
+fn spawn_past_text_busy(cmd: &mut Command) -> std::io::Result<Child> {
     const ETXTBSY: i32 = 26;
     for _ in 0..10 {
         match cmd.spawn() {
@@ -625,6 +597,106 @@ mod tests {
         std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
         std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
         path
+    }
+
+    thread_local! {
+        /// Makes this thread's `run_child` calls use the sampling fallback.
+        pub(super) static SAMPLED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Run `body` on the event-driven wait, then again on the sampling
+    /// loop a kernel without `pidfd_open` gets: one body, so one set of
+    /// behaviours; `sampled` tells it which bound on speed applies.
+    fn on_both_waits(body: impl Fn(bool)) {
+        for sampled in [false, true] {
+            SAMPLED.set(sampled);
+            body(sampled);
+        }
+        SAMPLED.set(false);
+    }
+
+    const VERIFIED: &str = "{\\\"name\\\":\\\"EP\\\",\\\"class\\\":\\\"S\\\",\\\"style\\\":\\\"opt\\\",\\\"threads\\\":2,\\\"size\\\":[1,0,0],\\\"niter\\\":1,\\\"time_secs\\\":0.1,\\\"mops\\\":1,\\\"verified\\\":\\\"success\\\",\\\"attempts\\\":1}";
+
+    #[cfg(unix)]
+    #[test]
+    fn a_chatty_child_is_drained_not_deadlocked() {
+        // 200 000 bytes of stderr (a backtrace, a watchdog dump) are three
+        // pipe buffers: a supervisor that reads only after the exit leaves
+        // the child blocked in `write` until the deadline kills it.
+        let bin = stub(
+            "chatty",
+            &format!("head -c 200000 /dev/zero | tr '\\0' x >&2; echo \"{VERIFIED}\""),
+        );
+        let mut c = cfg(bin.to_str().unwrap());
+        c.deadline = Some(Duration::from_secs(3));
+        on_both_waits(|_| {
+            let started = Instant::now();
+            let (outcome, stderr) = run_child(&c, &cell(2), Class::S, 2, None);
+            assert!(matches!(outcome, AttemptOutcome::Verified(_)), "got {outcome:?}");
+            assert_eq!(stderr.len(), 200_000);
+            assert!(started.elapsed() < Duration::from_secs(2), "took {:?}", started.elapsed());
+        });
+        std::fs::remove_file(&bin).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_orphan_on_the_pipes_cannot_hold_run_child() {
+        // The shape of a SIGKILLed procs-backend `npb`: the child is gone,
+        // its rank workers inherited stderr and idle on. Waiting for EOF
+        // would wait for them, past a deadline that only bounds the child.
+        let bin = stub("orphan", "echo dying >&2; sleep 4 & exit 1");
+        let mut c = cfg(bin.to_str().unwrap());
+        c.deadline = Some(Duration::from_secs(1));
+        on_both_waits(|_| {
+            let started = Instant::now();
+            let (outcome, stderr) = run_child(&c, &cell(2), Class::S, 2, None);
+            assert!(matches!(outcome, AttemptOutcome::RegionFailed), "got {outcome:?}");
+            assert_eq!(stderr, "dying\n", "what was already written is kept");
+            assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+        });
+        std::fs::remove_file(&bin).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_short_child_returns_under_the_old_quantum() {
+        // Sampled every 10 ms, no child could be seen to finish in under
+        // 10 ms; waited on, a 1 ms child costs its own 1-2 ms. The minimum
+        // of 20 is load-proof: one quiet run in twenty is enough.
+        let bin = stub("short", "exit 2");
+        let c = cfg(bin.to_str().unwrap());
+        on_both_waits(|sampled| {
+            let min = (0..20)
+                .map(|_| {
+                    let started = Instant::now();
+                    let (outcome, _) = run_child(&c, &cell(2), Class::S, 2, None);
+                    assert!(matches!(outcome, AttemptOutcome::UsageError), "got {outcome:?}");
+                    started.elapsed()
+                })
+                .min()
+                .unwrap();
+            let bound = Duration::from_millis(if sampled { 20 } else { 8 });
+            assert!(min < bound, "fastest of 20 one-line children took {min:?}");
+        });
+        std::fs::remove_file(&bin).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn deadline_kill_lands_within_50_ms_of_the_deadline() {
+        let bin = stub("late", "sleep 60");
+        let mut c = cfg(bin.to_str().unwrap());
+        c.deadline = Some(Duration::from_millis(150));
+        on_both_waits(|_| {
+            let (outcome, _) = run_child(&c, &cell(2), Class::S, 2, None);
+            let AttemptOutcome::DeadlineKilled { after } = outcome else {
+                panic!("expected a deadline kill, got {outcome:?}");
+            };
+            assert!(after >= Duration::from_millis(150), "killed early, after {after:?}");
+            assert!(after < Duration::from_millis(200), "killed late, after {after:?}");
+        });
+        std::fs::remove_file(&bin).ok();
     }
 
     #[cfg(unix)]
@@ -746,10 +818,9 @@ mod tests {
         // class S — the OOM shape: the requested problem blows the cap,
         // the degraded one fits. The memory cap must be armed for the
         // SIGKILL to read as oom-killed.
-        let record = "{\\\"name\\\":\\\"EP\\\",\\\"class\\\":\\\"S\\\",\\\"style\\\":\\\"opt\\\",\\\"threads\\\":2,\\\"size\\\":[1,0,0],\\\"niter\\\":1,\\\"time_secs\\\":0.1,\\\"mops\\\":1,\\\"verified\\\":\\\"success\\\",\\\"attempts\\\":1}";
         let bin = stub(
             "oomclass",
-            &format!("case \"$*\" in *'--class S'*) echo \"{record}\";; *) kill -9 $$;; esac"),
+            &format!("case \"$*\" in *'--class S'*) echo \"{VERIFIED}\";; *) kill -9 $$;; esac"),
         );
         let mut c = cfg(bin.to_str().unwrap());
         c.limits.mem_limit_mb = Some(1 << 20); // armed (huge; the stub fakes the kill)

@@ -1,12 +1,15 @@
 //! Rank supervision: the parent's view of its worker processes, with
 //! the deadline-kill / kill-then-reap idioms the suite supervisor
-//! established — `try_wait` polling for liveness, `kill()` escalation,
-//! and a bounded reap so the parent can never hang on a zombie.
+//! established — `try_wait` for liveness while a run is in flight,
+//! `kill()` escalation, and a bounded reap on the supervisor's own
+//! blocking [`wait_child`], so the parent can never hang on a zombie.
 
 use std::io;
 use std::os::unix::process::ExitStatusExt;
 use std::process::{Child, ExitStatus};
 use std::time::{Duration, Instant};
+
+use npb_core::child::wait_child;
 
 /// How a worker rank ended, as the taxonomy string the report's
 /// `rank_dispositions` carries: `done`, `exit:N`, `signal:N`, or
@@ -90,30 +93,19 @@ impl RankSet {
     /// the barrier but wedged on the way out cannot hang the parent.
     pub fn reap_all(&mut self, deadline: Duration) -> io::Result<()> {
         let t0 = Instant::now();
-        loop {
-            let mut live = 0;
-            for p in &mut self.procs {
-                let Some(child) = p.child.as_mut() else { continue };
-                match child.try_wait()? {
-                    Some(status) => {
-                        p.disposition = Some(match status.code() {
-                            Some(0) => "done".to_string(),
-                            _ => describe_exit(status),
-                        });
-                        p.child = None;
-                    }
-                    None => live += 1,
-                }
-            }
-            if live == 0 {
-                return Ok(());
-            }
-            if t0.elapsed() >= deadline {
-                self.kill_all();
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        for p in &mut self.procs {
+            let Some(child) = p.child.as_mut() else { continue };
+            // Blocks until this rank exits; what is left of the deadline
+            // is shared, so the whole reap is bounded by it.
+            let w = wait_child(child, Some(deadline.saturating_sub(t0.elapsed())))?;
+            p.disposition = Some(match w.status.code() {
+                _ if w.killed => "killed".to_string(),
+                Some(0) => "done".to_string(),
+                _ => describe_exit(w.status),
+            });
+            p.child = None;
         }
+        Ok(())
     }
 
     /// The per-rank disposition strings, in rank order (`spawned` for a

@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 use npb_harness::Json;
 
@@ -32,17 +33,21 @@ impl Client {
     }
 
     /// Retry `connect` until the daemon's socket answers (it binds
-    /// asynchronously at startup) or the attempt budget runs out.
+    /// asynchronously at startup, within a few ms) or the budget of
+    /// `attempts` × 50 ms runs out; the pause doubles from 1 ms to 50.
     pub fn connect_retry(addr: &Addr, attempts: usize) -> std::io::Result<Client> {
-        let mut last = None;
-        for _ in 0..attempts {
+        let step = Duration::from_millis(50);
+        let give_up = Instant::now() + step * attempts as u32;
+        let mut pause = Duration::from_millis(1);
+        loop {
             match Client::connect(addr) {
                 Ok(c) => return Ok(c),
-                Err(e) => last = Some(e),
+                Err(e) if Instant::now() >= give_up => return Err(e),
+                Err(_) => {}
             }
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(step);
         }
-        Err(last.unwrap_or_else(|| std::io::Error::other("no attempts")))
     }
 
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {

@@ -51,6 +51,7 @@ use npb_core::IoDegraded;
 
 use crate::admission::{admit, class_cost};
 use crate::cache::{InFlightJob, JobResult, ResultCache};
+use crate::client::Client;
 use crate::exec::{run_job, ExecConfig};
 use crate::journal::{recover, JobJournal};
 use crate::proto::{accepted, rejected, JobSpec, Request};
@@ -143,7 +144,7 @@ struct Daemon {
     state: Mutex<QueueState>,
     /// Workers park here waiting for queued jobs (or stop).
     work_ready: Condvar,
-    /// The drain waiter parks here until `in_service_cost == 0`.
+    /// `serve` parks here until `draining && in_service_cost == 0`.
     idle: Condvar,
 }
 
@@ -338,6 +339,54 @@ impl Daemon {
         )
     }
 
+    /// The `npbd-accept` thread: block in `accept`; connections get their
+    /// own threads, so a slow or hung client never stalls accept — bounded
+    /// by the connection budget, so a flood sheds with a structured
+    /// rejection instead of unbounded thread spawn. Returns at the first
+    /// connection after `stop` (`serve` makes one to say so).
+    fn accept_loop(self: &Arc<Self>, listener: &Listener) {
+        let active_conns = Arc::new(AtomicUsize::new(0));
+        loop {
+            let conn = match listener.accept() {
+                Ok(conn) => conn,
+                Err(e) => {
+                    eprintln!("npbd: accept failed, draining: {e}");
+                    return self.begin_drain();
+                }
+            };
+            if self.state.lock().unwrap().stop {
+                return;
+            }
+            let budget = self.cfg.max_conns;
+            if budget > 0 && active_conns.load(Ordering::SeqCst) >= budget {
+                self.state.lock().unwrap().counters.rejected += 1;
+                // One structured line, then close: the client knows
+                // it was shed, not ignored.
+                if let Ok((_, mut w)) = conn.split(None) {
+                    let line = rejected(
+                        "overloaded",
+                        &format!("{budget} active connection(s) at the --max-conns budget"),
+                    );
+                    let _ = w.write_all(line.as_bytes());
+                    let _ = w.write_all(b"\n");
+                    let _ = w.flush();
+                }
+                continue;
+            }
+            let (d, active) = (Arc::clone(self), Arc::clone(&active_conns));
+            let served = conn.split(self.cfg.read_deadline).and_then(|(reader, writer)| {
+                active.fetch_add(1, Ordering::SeqCst);
+                std::thread::Builder::new().name("npbd-conn".into()).spawn(move || {
+                    d.handle_connection(reader, writer);
+                    active.fetch_sub(1, Ordering::SeqCst);
+                })
+            });
+            if let Err(e) = served {
+                eprintln!("npbd: dropped a connection: {e}");
+            }
+        }
+    }
+
     /// Serve one connection: request lines in, reply lines out, until
     /// EOF. Any I/O error just ends the connection — the daemon and the
     /// jobs it owns are unaffected (fault containment includes clients
@@ -471,33 +520,18 @@ impl Listener {
                 // A dead daemon leaves its socket file behind; rebinding
                 // over it is the expected restart path.
                 let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l))
+                Ok(Listener::Unix(UnixListener::bind(path)?))
             }
-            Addr::Tcp(hostport) => {
-                let l = TcpListener::bind(hostport)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
+            Addr::Tcp(hostport) => Ok(Listener::Tcp(TcpListener::bind(hostport)?)),
         }
     }
 
-    /// Non-blocking accept; `None` when no connection is pending.
-    fn try_accept(&self) -> std::io::Result<Option<Conn>> {
-        let conn = match self {
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Some(Conn::Unix(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(e),
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Some(Conn::Tcp(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(e),
-            },
-        };
-        Ok(conn)
+    /// Block until a connection arrives.
+    fn accept(&self) -> std::io::Result<Conn> {
+        match self {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+        }
     }
 }
 
@@ -516,13 +550,11 @@ impl Conn {
     ) -> std::io::Result<(Box<dyn BufRead + Send>, Box<dyn Write + Send>)> {
         match self {
             Conn::Unix(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(read_deadline)?;
                 let r = s.try_clone()?;
                 Ok((Box::new(BufReader::new(r)), Box::new(s)))
             }
             Conn::Tcp(s) => {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(read_deadline)?;
                 let r = s.try_clone()?;
                 Ok((Box::new(BufReader::new(r)), Box::new(s)))
@@ -611,54 +643,20 @@ pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
         );
     }
 
-    // Accept loop: non-blocking poll so a drain with no traffic still
-    // makes progress. Connections get their own threads — bounded by
-    // the connection budget, so a connection flood sheds with a
-    // structured rejection instead of unbounded thread spawn; a slow
-    // or hung client never stalls accept.
-    let active_conns = Arc::new(AtomicUsize::new(0));
-    loop {
-        match listener.try_accept()? {
-            Some(conn) => {
-                let budget = daemon.cfg.max_conns;
-                if budget > 0 && active_conns.load(Ordering::SeqCst) >= budget {
-                    daemon.state.lock().unwrap().counters.rejected += 1;
-                    // One structured line, then close: the client knows
-                    // it was shed, not ignored.
-                    if let Ok((_, mut w)) = conn.split(None) {
-                        let line = rejected(
-                            "overloaded",
-                            &format!("{budget} active connection(s) at the --max-conns budget"),
-                        );
-                        let _ = w.write_all(line.as_bytes());
-                        let _ = w.write_all(b"\n");
-                        let _ = w.flush();
-                    }
-                    continue;
-                }
-                let d = Arc::clone(&daemon);
-                let (reader, writer) = conn.split(d.cfg.read_deadline)?;
-                active_conns.fetch_add(1, Ordering::SeqCst);
-                let active = Arc::clone(&active_conns);
-                std::thread::Builder::new().name("npbd-conn".into()).spawn(move || {
-                    d.handle_connection(reader, writer);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                })?;
-            }
-            None => {
-                let st = daemon.state.lock().unwrap();
-                if st.draining && st.in_service_cost == 0 {
-                    break;
-                }
-                drop(st);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    // Drained: every accepted job is terminal and journaled. Stop the
-    // workers, give in-flight replies a beat to flush, seal the journal.
+    let acceptor = {
+        let d = Arc::clone(&daemon);
+        std::thread::Builder::new()
+            .name("npbd-accept".into())
+            .spawn(move || d.accept_loop(&listener))?
+    };
+
+    // Park until drained: every accepted job is terminal and journaled.
+    // Stop the workers, give in-flight replies a beat to flush, stop the
+    // accept thread, seal the journal.
     let executed = {
-        let mut st = daemon.state.lock().unwrap();
+        let st = daemon.state.lock().unwrap();
+        let mut st =
+            daemon.idle.wait_while(st, |st| !(st.draining && st.in_service_cost == 0)).unwrap();
         st.stop = true;
         daemon.work_ready.notify_all();
         st.counters.executed
@@ -667,6 +665,10 @@ pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
         let _ = h.join();
     }
     std::thread::sleep(Duration::from_millis(100));
+    // The accept thread sees `stop` at its next connection: make it.
+    if Client::connect(&daemon.cfg.addr).is_ok() {
+        let _ = acceptor.join();
+    }
     // The drain itself is complete; a shutdown record that cannot land
     // (sealed journal) costs a resume replay of nothing — every
     // terminal record either landed or already sealed the daemon — so
@@ -687,4 +689,91 @@ pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
         }
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-process daemon on a fresh Unix socket. No job ever runs:
+    /// these tests are about the accept and drain paths.
+    fn start(name: &str) -> (Addr, std::thread::JoinHandle<std::io::Result<()>>) {
+        let base = std::env::temp_dir().join(format!("npbd-unit-{}-{name}", std::process::id()));
+        let addr = Addr::Unix(base.with_extension("sock"));
+        let cfg = ServerConfig {
+            addr: addr.clone(),
+            journal_path: base.with_extension("journal.jsonl"),
+            exec: ExecConfig {
+                npb_bin: PathBuf::from("/nonexistent/npb"),
+                default_deadline_ms: 1000,
+                backoff_base_ms: 0,
+                limits: Default::default(),
+            },
+            capacity: 8,
+            workers: 2,
+            resume: false,
+            read_deadline: None,
+            max_line_bytes: 4096,
+            max_conns: 0,
+            io_inject: None,
+        };
+        (addr, std::thread::spawn(move || serve(cfg, false)))
+    }
+
+    /// Connect the way `benchmark/`'s `Daemon::start` does: retry every
+    /// 0.5 ms until the socket is bound.
+    fn connect(addr: &Addr) -> Client {
+        let give_up = Instant::now() + Duration::from_secs(20);
+        loop {
+            match Client::connect(addr) {
+                Ok(c) => return c,
+                Err(e) => assert!(Instant::now() < give_up, "npbd never bound: {e}"),
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+    }
+
+    /// Seven daemon lives, start to drained; from each, the wait for the
+    /// first `stats` reply and for `serve` to return after `drain`'s.
+    /// The tests bound medians: a busy host may stretch one life, not four.
+    fn seven_lives(name: &str) -> (Vec<Duration>, Vec<Duration>) {
+        let lives = (0..7).map(|i| {
+            let (addr, daemon) = start(&format!("{name}-{i}"));
+            let mut c = connect(&addr);
+            let connected = Instant::now();
+            let reply = c.request("{\"op\":\"stats\"}").unwrap();
+            let answered = connected.elapsed();
+            assert_eq!(reply.get_str("status"), Some("stats"));
+            let reply = c.request("{\"op\":\"drain\"}").unwrap();
+            let draining = Instant::now();
+            assert_eq!(reply.get_str("status"), Some("draining"));
+            daemon.join().unwrap().unwrap();
+            let drained = draining.elapsed();
+            if let Addr::Unix(socket) = &addr {
+                let _ = std::fs::remove_file(socket.with_extension("journal.jsonl"));
+            }
+            (answered, drained)
+        });
+        let (mut answered, mut drained): (Vec<_>, Vec<_>) = lives.unzip();
+        answered.sort();
+        drained.sort();
+        (answered, drained)
+    }
+
+    #[test]
+    fn a_fresh_daemon_answers_stats_without_an_accept_tick() {
+        // A listener polled every 10 ms misses a client that connects the
+        // moment the socket is bound, and answers it a whole tick later.
+        let (answered, _) = seven_lives("fresh");
+        assert!(answered[3] < Duration::from_millis(5), "connect -> stats reply: {answered:?}");
+    }
+
+    #[test]
+    fn an_idle_daemon_drains_at_once() {
+        // Nothing in service: `serve` wakes on the drain's own signal and
+        // is gone after the 100 ms it gives replies to flush, not after
+        // that and what was left of an accept tick (5 ms in the mean).
+        let (_, drained) = seven_lives("idle");
+        assert!(drained[3] < Duration::from_millis(103), "drain -> serve returned: {drained:?}");
+    }
 }

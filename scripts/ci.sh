@@ -75,6 +75,12 @@ cargo run --release --bin npb-suite -- ep --class S --threads 2 \
     --manifest "$manifest"
 grep -q '"outcome":"deadline-killed"' "$manifest"
 grep -q '"event":"cell".*"outcome":"verified"' "$manifest"
+# The supervisor waits on a child, it does not sample it: the IS.S and
+# MG.S children take 3-4 ms of wall, so one of the two attempt records
+# must carry a one-digit `elapsed_ms` (the record's last field). Seen
+# only at a 10 ms sample, no attempt could read under 10.
+target/release/npb-suite is,mg --class S --threads 0 --manifest "$manifest" >/dev/null
+grep -Eq '"event":"attempt".*"elapsed_ms":[0-9]\}' "$manifest"
 
 echo "== sdc smoke (in-computation guard) =="
 # An exponent bit flip lands in the adversarial tail of CG's outer
