@@ -39,6 +39,23 @@
 //! extents (22- and 34-point rows, a dozen load streams a kernel) and
 //! 2–9 % faster at BT.A's — nothing that clears the parent's spread
 //! (same file, CFD section).
+//!
+//! The third case sits between the two: an independent axis that is
+//! strided in the array but cheap to make contiguous. A butterfly of FT's
+//! transform wants the same element of many pencils at once, and along
+//! dims 2 and 3 adjacent pencils stand side by side in memory, so
+//! `npb_ft` copies sixteen adjacent pencils into a scratch whose inner
+//! axis is the pencil index, transforms them there with explicit lanes,
+//! and copies them back (`ft.f`'s `fftblock`). Explicit lanes rather than
+//! the loop vectorizer: the `f64` instantiation of the same body — plain
+//! loops over sixteen adjacent doubles, four to eight output runs of one
+//! scratch buffer a pass — reads 8.6–9.3 Gflop/s in cache at the baseline
+//! width against 20–22 (n ≤ 64) and 13–15 (n = 128, 256) at `F64x4`. The
+//! copy is the price — about 40 % of the transform's time at class W,
+//! more at A, running near memory bandwidth — and is what a kernel should
+//! size first: it pays when the work between the copies is several
+//! passes deep (FT: `log2 n` stages), not for a single sweep
+//! (EXPERIMENTS.md, "Lane tier", FT section).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 

@@ -40,7 +40,7 @@ fn main() {
 
     // March in time: FFT -> multiply every mode -> inverse FFT (the FT
     // benchmark's evolve loop, with our own alpha).
-    fft3d_inplace::<false>(1, &p, &table, &mut u, &scratch, None);
+    fft3d_inplace(1, &p, &table, &mut u, &scratch, None);
     let factors: Vec<f64> = (0..n)
         .map(|id| {
             let fold = |x: usize, nn: usize| (((x + nn / 2) % nn) as i64 - (nn / 2) as i64) as f64;
@@ -59,7 +59,7 @@ fn main() {
         }
         // Peek at the physical field.
         let mut snapshot = u.clone();
-        fft3d_inplace::<false>(-1, &p, &table, &mut snapshot, &scratch, None);
+        fft3d_inplace(-1, &p, &table, &mut snapshot, &scratch, None);
         let amp = snapshot[0].re / n as f64; // u(0,0,0) = amplitude of the cosine
         let analytic = decay.powi(t as i32);
         let rel = ((amp - analytic) / analytic).abs();

@@ -55,10 +55,18 @@ echo "$out" | grep -q '"result_sig":"538914f57119183d"'
 out="$(target/release/npb mg W --threads 2 --json)"
 echo "$out" | grep -q '"result_sig":"538914f5711918c4"'
 
-echo "== row kernels vs per-point oracle, as the release build vectorizes them =="
+# FT one class up and one width out, recorded with the per-pencil
+# transform: class W is non-cubic (128 x 128 x 32), and FT has no
+# cross-rank reduction, so two ranks must reproduce the serial bits.
+out="$(target/release/npb ft W --json)"
+echo "$out" | grep -q '"result_sig":"f3f4c1c52f452c45"'
+out="$(target/release/npb ft W --threads 2 --json)"
+echo "$out" | grep -q '"result_sig":"f3f4c1c52f452c45"'
+
+echo "== row and block kernels vs their oracles, as the release build vectorizes them =="
 # The tier-1 run above is a debug build, where no loop is vectorized; the
 # bit-for-bit claim is about the optimized code, so run it there too.
-cargo test --release -p npb-mg -p npb-runtime -p npb-cfd-common -q
+cargo test --release -p npb-mg -p npb-runtime -p npb-cfd-common -p npb-ft -q
 
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.
