@@ -14,56 +14,12 @@
 
 use crate::blocks::{binvcrhs, binvrhs, matmul_sub, matvec_sub, Block};
 use npb_cfd_common::jacobians::{jac_x, jac_y, jac_z};
+use npb_cfd_common::lines::{Axes, Group};
 use npb_cfd_common::{Consts, Fields};
 use npb_core::lane::{self, Kernel, Lane};
 use npb_core::ld;
 use npb_runtime::{run_par, SharedMut, Team};
 use std::ops::Range;
-
-/// How a sweep direction lays its lines over the grid, in points: a line
-/// has `n` points `along` apart, a plane has `lines` lines `line` apart
-/// (the first and last are boundary and not solved), and the grid has
-/// `planes` planes `plane` apart.
-#[derive(Clone, Copy)]
-struct Axes {
-    n: usize,
-    lines: usize,
-    planes: usize,
-    along: usize,
-    line: usize,
-    plane: usize,
-}
-
-impl Axes {
-    /// `DIR` 0 sweeps x (lines over j, planes over k), 1 sweeps y (lines
-    /// over i, planes over k), 2 sweeps z (lines over i, planes over j).
-    fn new<const DIR: usize>(nx: usize, ny: usize, nz: usize) -> Axes {
-        match DIR {
-            0 => Axes { n: nx, lines: ny, planes: nz, along: 1, line: nx, plane: nx * ny },
-            1 => Axes { n: ny, lines: nx, planes: nz, along: nx, line: 1, plane: nx * ny },
-            _ => Axes { n: nz, lines: nx, planes: ny, along: nx * ny, line: 1, plane: nx },
-        }
-    }
-}
-
-/// Up to `L::N` adjacent lines of one plane, one to a lane. A short last
-/// group has `live < L::N`: its spare lanes repeat the last live line, so
-/// they compute on real data, and are not stored.
-#[derive(Clone, Copy)]
-struct Group {
-    /// Point index of the first line's first point.
-    first: usize,
-    live: usize,
-    ax: Axes,
-}
-
-impl Group {
-    /// Point index of point `i` of lane `l`'s line.
-    #[inline(always)]
-    fn at(self, i: usize, l: usize) -> usize {
-        self.first + l.min(self.live - 1) * self.ax.line + i * self.ax.along
-    }
-}
 
 /// One thread's share of a direction-`DIR` sweep: every interior line of
 /// the planes `planes`.
@@ -190,11 +146,7 @@ impl<const SAFE: bool, const DIR: usize> Kernel for SweepPlanes<'_, SAFE, DIR> {
 
         for p in self.planes.clone() {
             for l0 in (1..ax.lines - 1).step_by(L::N) {
-                let g = Group {
-                    first: p * ax.plane + l0 * ax.line,
-                    live: L::N.min(ax.lines - 1 - l0),
-                    ax,
-                };
+                let g = Group::new(ax, p, l0, L::N);
                 for i in 0..n {
                     let comp = |m: usize| L::from_fn(|l| self.rhs.get::<SAFE>(5 * g.at(i, l) + m));
                     r[i] = [comp(0), comp(1), comp(2), comp(3), comp(4)];
@@ -232,7 +184,7 @@ impl<const SAFE: bool, const DIR: usize> Kernel for SweepPlanes<'_, SAFE, DIR> {
                 }
 
                 for i in 0..n {
-                    for l in 0..g.live {
+                    for l in 0..g.live() {
                         for m in 0..5 {
                             self.rhs.set::<SAFE>(5 * g.at(i, l) + m, r[i][m].lane(l));
                         }

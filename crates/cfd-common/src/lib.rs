@@ -7,12 +7,14 @@
 //! solves for BT, diagonalized scalar-pentadiagonal solves for SP).
 //! Everything before the factorization — constants, exact solution,
 //! initialization, forcing, the explicit right-hand side, the `u += rhs`
-//! update, and the verification norms — lives here.
+//! update, and the verification norms — lives here, with the line
+//! geometry ([`lines`]) both factorizations sweep.
 
 pub mod consts;
 pub mod exact;
 pub mod fields;
 pub mod jacobians;
+pub mod lines;
 pub mod norms;
 pub mod rhs;
 

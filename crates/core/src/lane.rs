@@ -2,9 +2,9 @@
 //! vector width the CPU has.
 //!
 //! A [`Lane`] is `N` independent `f64` values that move through a kernel
-//! side by side — for BT's sweeps, `N` adjacent grid lines of a plane. A
-//! body written over `L: Lane` and handed to [`dispatch`] runs as
-//! `F64x4` (one AVX register a value) where `avx2` is detected and as
+//! side by side — for BT's and SP's sweeps, `N` adjacent grid lines of a
+//! plane. A body written over `L: Lane` and handed to [`dispatch`] runs
+//! as `F64x4` (one AVX register a value) where `avx2` is detected and as
 //! plain `f64` (`N = 1`) everywhere else; there is no other switch.
 //!
 //! Results cannot depend on which one ran: the only lane operations are
@@ -18,7 +18,12 @@
 //!
 //! Explicit lanes are for kernels whose independent axis is *strided*:
 //! BT's grid lines sit a plane apart in memory, so no compiler will
-//! gather four of them into a vector unless the body says so. Where the
+//! gather four of them into a vector unless the body says so. SP's
+//! scalar-pentadiagonal sweeps are the second customer of that shape,
+//! over the same line geometry (`npb_cfd_common::lines`): four lines'
+//! five `rhs` components are gathered once into a lane-major scratch,
+//! eliminated there, and stored once, with the pointwise eigenvector
+//! transforms done during that gather and store. Where the
 //! independent axis is the contiguous one — MG's grid operators, one
 //! output row from a handful of neighbour rows; the CFD right-hand side
 //! of BT and SP, one row of flux and dissipation terms from the rows

@@ -5,13 +5,21 @@
 //! diagonalized per direction, so each ADI sweep reduces to independent
 //! *scalar pentadiagonal* line solves (three operators: the convective
 //! eigenvalue and the two acoustic eigenvalues), bracketed by the
-//! block-diagonal eigenvector transforms of [`inv`].
+//! block-diagonal eigenvector transforms `txinvr`, `ninvr`, `pinvr` and
+//! `tzetar`.
 //!
 //! One of the paper's three "simulated CFD applications"; the x/y sweeps
 //! parallelize over the outermost grid plane and the z sweep over the
 //! middle one, exactly like the OpenMP prototype the Java port copied.
+//! The transforms are pointwise and live inside the sweeps ([`solve`]):
+//! `txinvr` is applied as the x sweep gathers a point, the other three
+//! as the x, y and z sweeps store one. A step is therefore five parallel
+//! regions — `compute_rhs`, x, y, z, `add` — where `sp.f` has nine loop
+//! nests, and `txinvr` is timed under `x_solve`, not `rhs`.
 
-pub mod inv;
+mod inv;
+#[cfg(test)]
+mod oracle;
 mod params;
 pub mod solve;
 
@@ -57,28 +65,24 @@ impl SpState {
         SpState { p, consts, fields }
     }
 
-    /// One ADI time step. Each solve scope includes its paired
-    /// inversion, matching how `sp.f`'s timers group the phases.
+    /// One ADI time step: five regions. Each sweep scope includes the
+    /// transforms fused into it, so `txinvr` is timed under `x_solve`.
     pub fn adi<const SAFE: bool>(&mut self, team: Option<&Team>) {
         {
             let _phase = trace::scope("rhs");
             compute_rhs::<SAFE, true>(&mut self.fields, &self.consts, team);
-            inv::txinvr::<SAFE>(&mut self.fields, &self.consts, team);
         }
         {
             let _phase = trace::scope("x_solve");
             solve::x_solve::<SAFE>(&mut self.fields, &self.consts, team);
-            inv::ninvr::<SAFE>(&mut self.fields, &self.consts, team);
         }
         {
             let _phase = trace::scope("y_solve");
             solve::y_solve::<SAFE>(&mut self.fields, &self.consts, team);
-            inv::pinvr::<SAFE>(&mut self.fields, &self.consts, team);
         }
         {
             let _phase = trace::scope("z_solve");
             solve::z_solve::<SAFE>(&mut self.fields, &self.consts, team);
-            inv::tzetar::<SAFE>(&mut self.fields, &self.consts, team);
         }
         let _phase = trace::scope("add");
         add::<SAFE>(&mut self.fields, team);

@@ -45,7 +45,13 @@ out="$(target/release/npb bt W --json)"
 echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
 out="$(target/release/npb bt W --threads 2 --json)"
 echo "$out" | grep -q '"result_sig":"5e10193d54224eb5"'
+# SP one class up, recorded with the scalar per-line sweeps and the
+# transforms as passes of their own: a class W plane's 34 interior lines
+# are eight full lane groups and a short one of two, and SP has no
+# cross-rank reduction, so two ranks must reproduce the serial bits.
 out="$(target/release/npb sp W --json)"
+echo "$out" | grep -q '"result_sig":"e1fcdbc51df117a1"'
+out="$(target/release/npb sp W --threads 2 --json)"
 echo "$out" | grep -q '"result_sig":"e1fcdbc51df117a1"'
 # MG one class up and one width out, recorded with the per-point operators:
 # class W rows are a vector body plus a tail at every level, and two ranks
@@ -63,10 +69,11 @@ echo "$out" | grep -q '"result_sig":"f3f4c1c52f452c45"'
 out="$(target/release/npb ft W --threads 2 --json)"
 echo "$out" | grep -q '"result_sig":"f3f4c1c52f452c45"'
 
-echo "== row and block kernels vs their oracles, as the release build vectorizes them =="
+echo "== row, block and line kernels vs their oracles, as the release build vectorizes them =="
 # The tier-1 run above is a debug build, where no loop is vectorized; the
 # bit-for-bit claim is about the optimized code, so run it there too.
-cargo test --release -p npb-mg -p npb-runtime -p npb-cfd-common -p npb-ft -q
+cargo test --release -p npb-mg -p npb-runtime -p npb-cfd-common -p npb-ft \
+    -p npb-bt -p npb-sp -q
 
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.
