@@ -1,7 +1,5 @@
 //! Shared helpers for the table harness binaries.
 
-pub mod microbench;
-
 use npb_core::{BenchReport, Class, Style};
 use npb_runtime::Team;
 
@@ -100,4 +98,21 @@ pub fn cell(
         eprintln!("WARNING: {name} {class} {} t{threads} failed verification", style.label());
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fmt_row_pads_the_label_and_tags_every_cell() {
+        let row = fmt_row("EP", &[(ttag(0), 1.5), (ttag(2), 0.75)]);
+        assert_eq!(row, format!("{:<34} serial=1.5000    t2=0.7500   ", "EP"));
+    }
+
+    #[test]
+    fn with_team_zero_runs_serial_and_n_builds_an_n_wide_team() {
+        assert_eq!(with_team(0, |t| t.map(Team::size)), None);
+        assert_eq!(with_team(2, |t| t.map(Team::size)), Some(2));
+    }
 }

@@ -24,7 +24,7 @@
 //! derived from the array extents). The full test suite runs in the dev
 //! profile where `debug_assert!` re-checks every unchecked access, so any
 //! index-arithmetic defect is caught as a panic in `cargo test` rather
-//! than UB in `cargo bench`. This is the standard HPC-Rust compromise; the
+//! than UB in a release build. This is the standard HPC-Rust compromise; the
 //! unchecked path is confined to the two functions below.
 
 /// Execution style selector used at the public API level (the const

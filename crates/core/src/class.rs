@@ -42,11 +42,10 @@ impl Class {
         }
     }
 
-    /// Cost units for one run of this class: the shared capacity model
-    /// of the `npbd` admission controller and the campaign engine's
-    /// global cost budget. The ratios follow the NPB class ladder (each
-    /// class is roughly an order of magnitude more work than the one
-    /// below); the absolute scale is "an S run costs 1".
+    /// Cost units for one run of this class: the capacity model of the
+    /// `npbd` admission controller. The ratios follow the NPB class
+    /// ladder (each class is roughly an order of magnitude more work than
+    /// the one below); the absolute scale is "an S run costs 1".
     pub fn cost(self) -> u64 {
         match self {
             Class::S => 1,

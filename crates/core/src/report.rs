@@ -38,10 +38,9 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A stable fingerprint of the measuring host, one axis of the campaign
-/// store's sample identity: performance history is only comparable
-/// within one host, so the analyzer partitions baselines by this string.
-/// Shape: `hostname/Ncpu/os` — hostname for "which machine", the CPU
+/// A stable fingerprint of the measuring host, recorded beside every
+/// `benchmark/` run: performance numbers are only comparable within one
+/// host. Shape: `hostname/Ncpu/os` — hostname for "which machine", the CPU
 /// count because a re-provisioned container with a different width is a
 /// different performance regime even under the same name, and the OS
 /// because timer and scheduler behavior differ across kernels.
@@ -295,6 +294,16 @@ mod tests {
             result_sig: None,
             rank_dispositions: Vec::new(),
         }
+    }
+
+    #[test]
+    fn host_fingerprint_is_stable_and_names_cpus_and_os() {
+        let fp = host_fingerprint();
+        assert_eq!(fp, host_fingerprint(), "one host, one fingerprint");
+        let parts: Vec<&str> = fp.rsplitn(3, '/').collect();
+        assert_eq!(parts[0], std::env::consts::OS);
+        let cpus = parts[1].strip_suffix("cpu").and_then(|n| n.parse::<usize>().ok());
+        assert!(cpus.is_some_and(|n| n >= 1) && !parts[2].is_empty(), "{fp}");
     }
 
     #[test]

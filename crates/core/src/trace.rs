@@ -826,8 +826,7 @@ pub fn current() -> Option<Arc<TraceSession>> {
 /// bumps it, tracing session or not). Fault injectors snapshot this at
 /// arm time to hold their fire through untimed warm-up: a perturbation
 /// that lands outside the measured window is invisible to the clock it
-/// exists to perturb, and the campaign regression gate needs the
-/// injected slowdown to show up in `time_secs`.
+/// exists to perturb: the injected slowdown must show up in `time_secs`.
 static TIMED_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// The current timed-section epoch (see [`reset`]).

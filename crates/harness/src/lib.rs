@@ -2,7 +2,7 @@
 //!
 //! The **process-isolated suite supervisor** for this NPB reproduction.
 //!
-//! The paper's methodology is whole-suite campaigns — Tables 2–6 sweep
+//! The paper's methodology is whole-suite runs — Tables 2–6 sweep
 //! all eight benchmarks across classes and thread counts — and the
 //! in-process fault model (PR 1) deliberately turns a hung region into
 //! process death, so one stuck rank used to kill an entire `npb all`
@@ -24,16 +24,12 @@
 //! * [`json`] — the hand-rolled JSON reader (the workspace is hermetic:
 //!   no serde, no registry dependencies);
 //! * [`table`] — the paper-style scalability table, with explicit
-//!   `base-missing` rows instead of silently rebased speedups;
-//! * [`campaign`] — the continuous-benchmarking layer: a persistent
-//!   per-(cell, rev, host) sample store, a budgeted supervisor pool,
-//!   and the median+MAD regression analyzer behind `npb-campaign`.
+//!   `base-missing` rows instead of silently rebased speedups.
 //!
-//! The `npb-suite` and `npb-campaign` binaries (in the root crate) are
-//! thin CLIs over this library.
+//! The `npb-suite` binary (in the root crate) is a thin CLI over this
+//! library; `benchmark/` drives [`run_cell`] directly.
 
 pub mod backoff;
-pub mod campaign;
 pub mod json;
 pub mod manifest;
 pub mod outcome;
@@ -41,11 +37,6 @@ pub mod supervisor;
 pub mod table;
 
 pub use backoff::Backoff;
-pub use campaign::{
-    analyze, baseline, median, read_store, run_campaign, Analysis, AnalyzeConfig, Baseline,
-    CampaignCell, CampaignConfig, CampaignSpec, Finding, RunHeader, Sample, Store, StoreState,
-    Verdict,
-};
 pub use json::Json;
 pub use manifest::{read_manifest, Cell, CellOutcome, CellStatus, Manifest, ResumeState};
 pub use outcome::{classify_exit, AttemptOutcome, ChildReport, Disposition};

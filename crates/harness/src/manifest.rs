@@ -79,8 +79,8 @@ impl fmt::Display for Cell {
 }
 
 /// The `[{"name":..,"secs":..,"imbalance":..},...]` JSON array fragment
-/// shared by manifest cell records and campaign store samples — one
-/// writer, so [`parse_regions`] inverts both.
+/// of a manifest cell record — one writer, which [`parse_regions`]
+/// inverts for the manifest reader and the supervisor alike.
 pub fn regions_json(regions: &[RegionProfile]) -> String {
     let items: Vec<String> = regions
         .iter()
@@ -544,5 +544,69 @@ mod tests {
         let state = read_manifest(&path).unwrap();
         assert_eq!(state.outcomes[0].status, CellStatus::Failed("verification-failed"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_failed_tag_roundtrips_and_a_foreign_tag_reads_as_unknown() {
+        let tags = ["verification-failed", "region-failed", "usage-error"];
+        let tags = [tags, ["spawn-failed", "oom-killed", "cpu-limit"]].concat();
+        let path = tmp("all-tags");
+        let mut m = Manifest::create(&path).unwrap();
+        for (i, &tag) in tags.iter().enumerate() {
+            m.cell(&outcome(&format!("B{i}"), CellStatus::Failed(tag))).unwrap();
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let foreign = text.lines().next().unwrap().replace("verification-failed", "melted");
+        std::fs::write(&path, format!("{text}{foreign}\n")).unwrap();
+        let read: Vec<_> =
+            read_manifest(&path).unwrap().outcomes.into_iter().map(|o| o.status).collect();
+        let mut want: Vec<_> = tags.into_iter().map(CellStatus::Failed).collect();
+        want.push(CellStatus::Failed("unknown"));
+        assert_eq!(read, want);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sched_and_rank_dispositions_roundtrip_and_sched_defaults_to_static() {
+        let path = tmp("sched");
+        let mut m = Manifest::create(&path).unwrap();
+        let mut procs = outcome("CG", CellStatus::Verified);
+        procs.rank_dispositions = vec!["done".into(), "killed:9".into()];
+        procs.sched = "feedback".into();
+        m.cell(&procs).unwrap();
+        assert_eq!(read_manifest(&path).unwrap().outcomes[0], procs);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace(",\"sched\":\"feedback\"", "")).unwrap();
+        assert_eq!(read_manifest(&path).unwrap().outcomes[0].sched, "static");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn run_and_attempt_records_complete_no_cell() {
+        // All a supervisor killed mid-cell leaves: resume re-runs the cell.
+        let path = tmp("no-terminal");
+        let mut m = Manifest::create(&path).unwrap();
+        m.run_header(1, 7, false).unwrap();
+        m.attempt(&cell("EP", 2), 0, 2, &AttemptOutcome::WatchdogExit, 9).unwrap();
+        let state = read_manifest(&path).unwrap();
+        assert!(state.completed.is_empty() && state.outcomes.is_empty() && state.torn_lines == 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn regions_json_is_inverted_by_parse_regions() {
+        let regions = vec![
+            RegionProfile { name: "x\"solve\\".into(), secs: 0.5, imbalance: 1.125 },
+            RegionProfile { name: "rhs".into(), secs: 2e-7, imbalance: 1.0 },
+        ];
+        let v = Json::parse(&regions_json(&regions)).unwrap();
+        assert_eq!(parse_regions(Some(&v)), regions);
+        assert_eq!(regions_json(&[]), "[]");
+    }
+
+    #[test]
+    fn cell_display_names_serial_and_threaded_widths() {
+        assert_eq!(cell("EP", 0).to_string(), "EP S opt serial");
+        assert_eq!(cell("CG", 4).to_string(), "CG S opt 4t");
     }
 }

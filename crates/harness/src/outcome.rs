@@ -433,4 +433,23 @@ mod tests {
         assert_eq!(ChildReport::last_in("banner only\n"), None);
         assert_eq!(ChildReport::last_in("{\"name\":\"CG\",\"cla"), None);
     }
+
+    #[test]
+    fn last_in_takes_the_last_whole_record_past_a_torn_line() {
+        let rec = |t: usize| {
+            format!(
+                r#"{{"name":"EP","class":"S","style":"opt","threads":{t},"time_secs":0.1,"mops":1,"verified":"success","attempts":1}}"#
+            )
+        };
+        let stdout = format!("{}\nbanner\n{}\n{{\"name\":\"EP\",\"thr\n", rec(2), rec(1));
+        assert_eq!(ChildReport::last_in(&stdout).map(|r| r.threads), Some(1));
+    }
+
+    #[test]
+    fn parse_strings_keeps_only_the_strings() {
+        let v = Json::parse(r#"{"d":["done",9,"killed:9",null],"n":"done"}"#).unwrap();
+        assert_eq!(parse_strings(v.get("d")), vec!["done", "killed:9"]);
+        assert!(parse_strings(v.get("n")).is_empty(), "a bare string is not a list");
+        assert!(parse_strings(None).is_empty());
+    }
 }

@@ -12,8 +12,9 @@
 //!   the timed section begins* (arming snapshots
 //!   [`npb_core::trace::timed_epoch`]; the delay holds its fire until
 //!   `trace::reset` advances it past the warm-up), proving barriers
-//!   tolerate stragglers without deadlocking and giving the campaign
-//!   regression gate a slowdown that `time_secs` can actually see;
+//!   tolerate stragglers without deadlocking and giving
+//!   `benchmark/run.sh --compare` a slowdown that `time_secs` can
+//!   actually see;
 //! * **hang** — the victim rank wedges forever at region entry,
 //!   exercising the watchdog (which terminates the process, naming the
 //!   stuck ranks);

@@ -176,8 +176,8 @@ pub(crate) struct Inner {
     /// [`npb_core::trace::timed_epoch`] snapshot taken when the fault
     /// was armed. A barrier delay holds its fire while the epoch still
     /// equals this — i.e. through untimed warm-up — so the injected
-    /// slowdown lands inside the benchmark's measured window (where the
-    /// campaign regression gate can see it), not before it.
+    /// slowdown lands inside the benchmark's measured window (where
+    /// `benchmark/run.sh --compare` can see it), not before it.
     fault_arm_epoch: AtomicU64,
     /// The `npb-trace` session workers record spans into, when tracing
     /// is on. Read (one uncontended lock) at most once per region per
@@ -235,9 +235,9 @@ impl Inner {
     /// section has begun (`trace::reset` advances the epoch past the
     /// arm-time snapshot). Every benchmark's untimed warm-up crosses
     /// barriers too; claiming there would spend the fault where the
-    /// benchmark clock — and the campaign regression gate reading it —
-    /// cannot see the slowdown. The epoch check happens *before* the
-    /// CAS so a warm-up crossing leaves the fault armed, not consumed.
+    /// benchmark clock cannot see the slowdown. The epoch check happens
+    /// *before* the CAS so a warm-up crossing leaves the fault armed, not
+    /// consumed.
     pub(crate) fn take_delay_fault(&self, tid: usize) -> Option<Duration> {
         let want = pack_fault(FAULT_DELAY, tid);
         if self.fault.load(Ordering::Relaxed) != want {

@@ -15,9 +15,7 @@
 use npb_core::Class;
 
 /// Cost units for one job of each class. The model itself lives on
-/// [`Class::cost`] so the campaign engine's global cost budget and this
-/// admission controller meter work in the same units — a campaign cell
-/// and an npbd job of the same class cost the same everywhere.
+/// [`Class::cost`], beside the class ladder it scales with.
 pub fn class_cost(class: Class) -> u64 {
     class.cost()
 }

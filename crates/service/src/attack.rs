@@ -11,7 +11,7 @@
 //! the daemon is absorbing deadline-kills and retries while serving
 //! clean traffic.
 //!
-//! Everything lands in `BENCH_service.json` via [`AttackReport::to_json`].
+//! Everything lands in one JSON report via [`AttackReport::to_json`].
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,7 +152,7 @@ pub struct AttackReport {
 }
 
 impl AttackReport {
-    /// The `BENCH_service.json` payload.
+    /// The report as one JSON line: `npb-attack`'s `--out` file or stdout.
     pub fn to_json(&self, cfg: &AttackConfig) -> String {
         let t = &self.tallies;
         format!(

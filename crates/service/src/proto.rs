@@ -146,37 +146,6 @@ impl JobSpec {
         format!("{:016x}", fnv1a64(&self.canonical_key()))
     }
 
-    /// The spec a campaign cell submits as: the cell's four axes plus
-    /// its sched/backend/spin policy knobs, every other policy field at
-    /// its default and `seed` pinned to 0. This is how the campaign
-    /// engine *reuses npbd's cache key* — a campaign sample and an
-    /// `npbd` submission of the same work produce the same
-    /// [`JobSpec::job_id`], so a service in front of the same binary
-    /// would dedupe and cache-hit against campaign-shaped traffic.
-    pub fn for_campaign_cell(
-        bench: &str,
-        class: Class,
-        style: Style,
-        threads: usize,
-        sched: &str,
-        backend: &str,
-        spin_us: Option<u64>,
-    ) -> JobSpec {
-        JobSpec {
-            bench: bench.to_ascii_uppercase(),
-            class,
-            style,
-            threads,
-            seed: 0,
-            policy: JobPolicy {
-                spin_us,
-                backend: Some(backend.to_string()),
-                sched: Some(sched.to_string()),
-                ..JobPolicy::default()
-            },
-        }
-    }
-
     /// The spec's fields as a JSON-object fragment (no braces), shared
     /// by the journal's `accepted` record and test fixtures. Optional
     /// policy fields are always present (`null` when unset) so the
@@ -407,32 +376,18 @@ mod tests {
         let mut d = spec("EP");
         d.seed = 8;
         assert_ne!(a.job_id(), d.job_id(), "seed is part of the identity");
+        let mut e = spec("EP");
+        e.policy.sched = Some("guided".into());
+        assert_ne!(a.job_id(), e.job_id(), "sched is part of the identity");
+        let mut f = spec("EP");
+        f.policy.spin_us = Some(0);
+        assert_ne!(a.job_id(), f.job_id(), "a zero spin budget is not the default");
     }
 
     #[test]
-    fn campaign_cells_share_the_wire_cache_key() {
-        // The campaign engine's content address IS npbd's: a campaign
-        // cell and a wire submit of the same work must land on the same
-        // job id, so the service's cache and dedupe apply to
-        // campaign-shaped traffic unchanged.
-        let cell =
-            JobSpec::for_campaign_cell("cg", Class::S, Style::Opt, 2, "static", "threads", None);
-        let wire = Request::parse(
-            r#"{"op":"submit","bench":"CG","class":"S","style":"opt","threads":2,
-                "sched":"static","backend":"threads"}"#,
-        )
-        .unwrap();
-        match wire {
-            Request::Submit { spec, .. } => assert_eq!(cell.job_id(), spec.job_id()),
-            other => panic!("{other:?}"),
-        }
-        // Every campaign axis is part of the identity.
-        let other =
-            JobSpec::for_campaign_cell("cg", Class::S, Style::Opt, 2, "guided", "threads", None);
-        assert_ne!(cell.job_id(), other.job_id(), "sched is part of the identity");
-        let other =
-            JobSpec::for_campaign_cell("cg", Class::S, Style::Opt, 2, "static", "threads", Some(0));
-        assert_ne!(cell.job_id(), other.job_id(), "spin budget is part of the identity");
+    fn job_ids_are_stable_across_builds() {
+        // Ids are on the wire and in the journal: a job keeps its id across daemon lives.
+        assert_eq!(spec("EP").job_id(), "2bec84fb275911c2");
     }
 
     #[test]
@@ -493,6 +448,55 @@ mod tests {
         let a = Json::parse(&accepted("00ff", true)).unwrap();
         assert_eq!(a.get_str("job"), Some("00ff"));
         assert_eq!(a.get("dedup"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn procs_backend_refuses_dynamic_sched() {
+        let line =
+            |s: &str| format!(r#"{{"op":"submit","bench":"EP","backend":"procs","sched":"{s}"}}"#);
+        assert!(Request::parse(&line("static")).is_ok());
+        for sched in ["guided", "feedback"] {
+            let err = Request::parse(&line(sched)).unwrap_err();
+            assert!(err.contains("threads backend"), "{err}");
+        }
+    }
+
+    #[test]
+    fn backend_and_sched_labels_are_validated() {
+        for bad in [r#""backend":"x""#, r#""backend":1"#, r#""sched":"dynamic""#, r#""sched":1"#] {
+            let line = format!(r#"{{"op":"submit","bench":"EP",{bad}}}"#);
+            assert!(Request::parse(&line).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn wait_false_is_fire_and_forget_and_wait_must_be_boolean() {
+        let r = Request::parse(r#"{"op":"submit","bench":"EP","wait":false}"#).unwrap();
+        assert!(matches!(r, Request::Submit { wait: false, .. }));
+        assert!(Request::parse(r#"{"op":"submit","bench":"EP","wait":"no"}"#).is_err());
+    }
+
+    #[test]
+    fn display_names_serial_and_threaded_jobs() {
+        assert_eq!(spec("CG").to_string(), "CG S opt 2t");
+        let serial = JobSpec { threads: 0, ..spec("EP") };
+        assert_eq!(serial.to_string(), "EP S opt serial");
+    }
+
+    #[test]
+    fn json_fields_write_unset_policy_as_null() {
+        let v = Json::parse(&format!("{{{}}}", spec("EP").json_fields())).unwrap();
+        let keys = ["deadline_ms", "checkpoint_every", "spin_us", "inject", "backend", "sched"];
+        for key in keys.into_iter().chain(["mem_limit_mb", "cpu_limit_s"]) {
+            assert_eq!(v.get(key), Some(&Json::Null), "{key}");
+        }
+    }
+
+    #[test]
+    fn rejected_omits_an_empty_detail() {
+        let r = Json::parse(&rejected("draining", "")).unwrap();
+        assert_eq!(r.get_str("reason"), Some("draining"));
+        assert_eq!(r.get("detail"), None);
     }
 
     #[test]

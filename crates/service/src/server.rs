@@ -776,4 +776,34 @@ mod tests {
         let (_, drained) = seven_lives("idle");
         assert!(drained[3] < Duration::from_millis(103), "drain -> serve returned: {drained:?}");
     }
+
+    #[test]
+    fn request_lines_split_on_newlines_and_end_at_eof() {
+        let mut r = std::io::Cursor::new(b"ping\n\xff\nlast".to_vec());
+        let mut next = || match read_request_line(&mut r, 16, None) {
+            Line::Req(s) => Some(s),
+            Line::Eof => None,
+            Line::TooLong | Line::Dead => panic!("a short line from memory cannot fail"),
+        };
+        assert_eq!(next().as_deref(), Some("ping"));
+        assert_eq!(next().as_deref(), Some("\u{fffd}"), "bad UTF-8 reaches the parser lossily");
+        assert_eq!(next().as_deref(), Some("last"), "an unterminated last line still counts");
+        assert_eq!(next(), None);
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused() {
+        let line = |s: &[u8]| read_request_line(&mut std::io::Cursor::new(s.to_vec()), 4, None);
+        assert!(matches!(line(b"1234\n"), Line::Req(_)), "exactly the cap is allowed");
+        assert!(matches!(line(b"12345\n"), Line::TooLong));
+        assert!(matches!(line(b"12345"), Line::TooLong), "with or without its newline");
+    }
+
+    #[test]
+    fn addr_parse_selects_tcp_by_prefix_and_displays_back() {
+        for s in ["tcp:127.0.0.1:7070", "/tmp/npbd.sock", "tcp.sock"] {
+            assert_eq!(Addr::parse(s).to_string(), s);
+        }
+        assert_eq!(Addr::parse("tcp:h:1"), Addr::Tcp("h:1".into()));
+    }
 }

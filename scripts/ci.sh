@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --check
 
+echo "== one benchmark =="
+# benchmark/ is the one measurement system and BENCHMARK.json its one
+# declaration: a committed BENCH_*.json snapshot beside it fails the gate.
+stray="$(git ls-files 'BENCH_*.json')"
+if [ -n "$stray" ]; then
+    echo "committed BENCH_*.json files (measure through benchmark/ instead):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 echo "== tier-1: build =="
 cargo build --release
 
@@ -108,26 +118,6 @@ echo "$sdc_out" | grep -q '"verified":"success"'
 recoveries="$(echo "$sdc_out" | grep -o '"recoveries":[0-9]*' | cut -d: -f2)"
 test "${recoveries:-0}" -ge 1
 
-echo "== sync microbench smoke =="
-# The fork/join + barrier microbench must complete at 1/2/4 threads and
-# emit valid JSON (few reps: this is a smoke, not a measurement; the
-# measured snapshot lives in BENCH_sync.json).
-sync_json="$(mktemp -t npb-syncbench-ci.XXXXXX.json)"
-trap 'rm -f "$manifest" "$sync_json"' EXIT
-cargo run --release -p npb-bench --bin syncbench -- \
-    --threads 1,2,4 --reps 50 --barriers 50 --json "$sync_json"
-python3 -c "
-import json, sys
-snap = json.load(open('$sync_json'))
-rows = snap['results']
-assert len(rows) == 6, rows  # 3 thread counts x {park, spin}
-assert all(r['fork_join_ns'] > 0 and r['barrier_ns'] > 0 for r in rows), rows
-srows = snap['sched_results']
-assert len(srows) == 9, srows  # 3 thread counts x {static, guided, feedback}
-assert {r['sched'] for r in srows} == {'static', 'guided', 'feedback'}, srows
-assert all(r['empty_ns'] > 0 and r['imbalanced_ns'] > 0 for r in srows), srows
-"
-
 echo "== sched smoke (adaptive loop scheduling) =="
 # Guided and feedback scheduling must verify and match the static
 # policy's result signature bit for bit (CG: schedulable elementwise
@@ -156,7 +146,7 @@ echo "== trace smoke (driver profile) =="
 trace_json="$(mktemp -t npb-trace-ci.XXXXXX.json)"
 trace_folded="$(mktemp -t npb-trace-ci.XXXXXX.folded)"
 trace_manifest="$(mktemp -t npb-trace-suite-ci.XXXXXX.jsonl)"
-trap 'rm -f "$manifest" "$sync_json" "$trace_json" "$trace_folded" "$trace_manifest"' EXIT
+trap 'rm -f "$manifest" "$trace_json" "$trace_folded" "$trace_manifest"' EXIT
 # Capture instead of piping into grep -q: an early-exiting reader would
 # SIGPIPE the still-printing binary and pipefail would abort the gate.
 trace_out="$(cargo run --release --bin npb -- cg --class S --trace "$trace_json" --json)"
@@ -185,7 +175,7 @@ echo "== service smoke (npbd daemon) =="
 # journal and the daemon exits 0.
 svc_dir="$(mktemp -d -t npbd-ci.XXXXXX)"
 svc_pid=""
-trap '[ -z "${svc_pid:-}" ] || kill "$svc_pid" 2>/dev/null || true; rm -rf "$svc_dir"; rm -f "$manifest" "$sync_json" "$trace_json" "$trace_folded" "$trace_manifest"' EXIT
+trap '[ -z "${svc_pid:-}" ] || kill "$svc_pid" 2>/dev/null || true; rm -rf "$svc_dir"; rm -f "$manifest" "$trace_json" "$trace_folded" "$trace_manifest"' EXIT
 target/release/npbd --socket "$svc_dir/npb.sock" --journal "$svc_dir/journal.jsonl" \
     --workers 1 --queue-cost 8 --backoff-ms 0 &
 svc_pid=$!
@@ -215,7 +205,7 @@ echo "== hostile-host smoke (environmental faults, Level 6) =="
 hh_manifest="$(mktemp -t npb-hh-ci.XXXXXX.jsonl)"
 hh_dir="$(mktemp -d -t npbd-hh-ci.XXXXXX)"
 oom_manifest="$(mktemp -t npb-oom-ci.XXXXXX.jsonl)"
-trap '[ -z "${svc_pid:-}" ] || kill "$svc_pid" 2>/dev/null || true; [ -z "${hh_pid:-}" ] || kill "$hh_pid" 2>/dev/null || true; rm -rf "$svc_dir" "$hh_dir"; rm -f "$manifest" "$sync_json" "$trace_json" "$trace_folded" "$trace_manifest" "$hh_manifest" "$oom_manifest"' EXIT
+trap '[ -z "${svc_pid:-}" ] || kill "$svc_pid" 2>/dev/null || true; [ -z "${hh_pid:-}" ] || kill "$hh_pid" 2>/dev/null || true; rm -rf "$svc_dir" "$hh_dir"; rm -f "$manifest" "$trace_json" "$trace_folded" "$trace_manifest" "$hh_manifest" "$oom_manifest"' EXIT
 hh_out=0
 target/release/npb-suite ep,is --class S --threads 1,2 --backoff-ms 0 \
     --manifest "$hh_manifest" --io-inject enospc:1 2>"$hh_dir/suite.err" || hh_out=$?
@@ -276,17 +266,12 @@ echo "$crash_out" | grep -q '"verified":"success"'
 recoveries="$(echo "$crash_out" | grep -o '"recoveries":[0-9]*' | cut -d: -f2)"
 test "${recoveries:-0}" -ge 1
 
-echo "== campaign regression gate (statistical) =="
-# Three clean S-class campaign runs must analyze stable; a run with a
-# delay injected into the CG cell must be flagged as a regression
-# attributed to a trace region (see scripts/campaign_gate.sh).
-scripts/campaign_gate.sh
-
 echo "== benchmark smoke (public API pinned by benchmark/) =="
-# benchmark/ is a workspace of its own that drives only public functions
-# (Team, Par, Sched, run_par, the kernels' run/phase functions, run_cell,
-# npbd): building it and running one class S pass fails the gate when a
-# change breaks that surface.
+# benchmark/ is the repo's one measurement system, a workspace of its own
+# that drives only public functions (Team, Par, Sched, run_par, the
+# kernels' run/phase functions, run_cell, npbd): building it and running
+# one class S pass plus an A/A compare fails the gate when a change
+# breaks that surface.
 bash benchmark/smoke.sh
 
 echo "== spin-vs-park equivalence (explicit park path) =="

@@ -19,8 +19,9 @@
 //! which the daemon starts shedding load with `rejected:queue-full`.
 //!
 //! The report (latency histogram with percentiles, acceptance /
-//! cache-hit / dedupe / rejection mix, saturation point) is written to
-//! `--out` (default `BENCH_service.json`) and summarized on stderr.
+//! cache-hit / dedupe / rejection mix, saturation point) is one JSON
+//! line, written to `--out PATH` when given and printed on stdout
+//! otherwise, and summarized on stderr.
 //!
 //! `--once JSON` sends a single raw request line and prints every reply
 //! line to stdout — the scriptable probe the CI smoke test uses.
@@ -42,7 +43,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: npb-attack --socket PATH|tcp:HOST:PORT [--clients N] [--requests N]\n\
          \x20                [--bench B] [--class C] [--threads T] [--seeds K]\n\
-         \x20                [--chaos] [--ramp] [--out PATH]\n\
+         \x20                [--chaos] [--ramp] [--out PATH]   # report on stdout without --out\n\
          \x20      npb-attack --socket ... --once JSON\n\
          \x20      npb-attack --socket ... --slowloris N [--max-wait-s S]"
     );
@@ -60,7 +61,7 @@ fn main() {
     let mut seeds = 4u64;
     let mut chaos = false;
     let mut ramp = false;
-    let mut out = std::path::PathBuf::from("BENCH_service.json");
+    let mut out: Option<std::path::PathBuf> = None;
     let mut once: Option<String> = None;
     let mut slowloris_clients: Option<usize> = None;
     let mut max_wait_s = 30u64;
@@ -81,7 +82,7 @@ fn main() {
             "--seeds" => seeds = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--chaos" => chaos = true,
             "--ramp" => ramp = true,
-            "--out" => out = std::path::PathBuf::from(val(&mut it)),
+            "--out" => out = Some(std::path::PathBuf::from(val(&mut it))),
             "--once" => once = Some(val(&mut it)),
             "--slowloris" => {
                 slowloris_clients = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
@@ -160,10 +161,19 @@ fn main() {
     };
     let report = run(&cfg);
     let json = report.to_json(&cfg);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("npb-attack: cannot write {}: {e}", out.display());
-        std::process::exit(1);
-    }
+    let dest = match &out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
+                eprintln!("npb-attack: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+            path.display().to_string()
+        }
+        None => {
+            println!("{json}");
+            "on stdout".to_string()
+        }
+    };
     let t = &report.tallies;
     eprintln!(
         "npb-attack: {} sent / {} verified / {} failed / {} cache hits / {} deduped / \
@@ -178,6 +188,6 @@ fn main() {
         report.latency.percentile_us(50.0),
         report.latency.percentile_us(99.0),
         report.saturation_clients.map_or("not reached".to_string(), |c| format!("{c} client(s)")),
-        out.display()
+        dest
     );
 }

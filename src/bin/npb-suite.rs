@@ -15,7 +15,7 @@
 //!
 //! Runs each (benchmark, class, style, threads) cell of the sweep as an
 //! isolated child `npb` process, so one hung or dying cell cannot take
-//! the campaign with it (which is exactly what a watchdog exit or a
+//! the sweep with it (which is exactly what a watchdog exit or a
 //! wedged rank does to an in-process `npb all`):
 //!
 //! * `--deadline-ms` kills (then reaps) any child that overstays its

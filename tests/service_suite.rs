@@ -452,3 +452,25 @@ fn chaos_sigkill_resume_loses_no_accepted_job() {
     let _ = std::fs::remove_file(&bench_out);
     d2.cleanup();
 }
+
+#[test]
+fn attack_without_out_prints_the_report_on_stdout() {
+    let _serial = serialized();
+    let mut d = DaemonFixture::start("stdout", &["--workers", "1"]);
+    let cwd = temp("stdout", "cwd");
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_npb-attack"))
+        .arg("--socket")
+        .arg(&d.socket)
+        .args(["--clients", "1", "--requests", "1", "--seeds", "1"])
+        .current_dir(&cwd)
+        .output()
+        .expect("run npb-attack");
+    assert!(out.status.success(), "{out:?}");
+    let report = npb_harness::Json::parse(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    assert_eq!(report.get_uint("sent"), Some(1), "{report:?}");
+    assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "npb-attack wrote into its cwd");
+    std::fs::remove_dir(&cwd).ok();
+    assert_eq!(d.drain_and_wait(), 0);
+    d.cleanup();
+}
