@@ -19,10 +19,10 @@ pub use makea::{makea, Csr};
 pub use params::CgParams;
 
 use npb_core::{
-    fmadd, ld, trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, Randlc, SdcGuard,
-    Style, Verified,
+    fmadd, ld, st, trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, Randlc,
+    SdcGuard, Style, Verified,
 };
-use npb_runtime::{escalate_corruption, run_par, Partials, SharedMut, Team};
+use npb_runtime::{escalate_corruption, run_par, Exchange, Partials, SharedMut, Team};
 
 /// Number of CG iterations per outer power step (NPB `cgitmax`).
 pub const CGITMAX: usize = 25;
@@ -52,13 +52,183 @@ pub struct CgOutcome {
     pub guard: GuardStats,
 }
 
+/// Generate the class's sparse matrix: `cg.f`'s `makea` from the shared
+/// NPB seed, so every caller (and every procs rank) builds the same one.
+pub fn matrix(p: &CgParams) -> Csr {
+    let mut rng = Randlc::new(npb_core::SEED_DEFAULT);
+    rng.next_f64(); // main's zeta = randlc(tran, amult) before makea
+    makea(&mut rng, p.na, p.nonzer, p.rcond, p.shift)
+}
+
+/// The vectors of one `conj_grad` call as every rank sees them: `x` is
+/// read-only, the other four are written under the phase discipline of
+/// [`conj_grad_rank`]. The threads backend builds them over its `Vec`s,
+/// the procs backend over shared-memory slices (`x`, `z`, `p`) and
+/// process-local vectors (`q`, `r`, of which a rank touches only its
+/// own rows).
+pub struct CgVectors<'a> {
+    /// The right-hand side of `A z = x`.
+    pub x: &'a [f64],
+    /// The solution estimate.
+    pub z: SharedMut<'a, f64>,
+    /// The search direction.
+    pub p: SharedMut<'a, f64>,
+    /// `A p`.
+    pub q: SharedMut<'a, f64>,
+    /// The residual.
+    pub r: SharedMut<'a, f64>,
+}
+
+/// One rank's share of `conj_grad`: 25 CG iterations solving `A z ≈ x`
+/// in barrier-separated phases, the one body both backends run. Returns
+/// this rank's partial of `‖x − A z‖²`; the caller sums the partials in
+/// rank order.
+///
+/// Scheduling: the three pure elementwise phases (`q = A p`,
+/// `p = r + βp`, the final `A z`) go through [`Exchange::for_chunks`],
+/// so `--sched guided|feedback` rebalances the irregular sparse rows on
+/// threads — each element is computed identically whichever rank claims
+/// it, so the bits cannot move. Every loop that accumulates an FP
+/// partial stays on the static [`Exchange::range`]: the rank-ordered
+/// reduction's grouping (and therefore its rounding) depends on which
+/// rows each rank owns.
+///
+/// Each phase borrows the rows it touches through `SharedMut::row` /
+/// `row_mut` and drops them before the barrier that closes it. Between
+/// two barriers a rank writes only the rows of its range or its chunks,
+/// and reads `p` or `z` whole only in phases where no rank writes them.
+pub fn conj_grad_rank<X: Exchange, const SAFE: bool>(ex: &X, mat: &Csr, v: &CgVectors<'_>) -> f64 {
+    let n = mat.n;
+    let (rowstr, colidx, a) = (&mat.rowstr[..], &mat.colidx[..], &mat.a[..]);
+    // Row `j` of `A y`.
+    let spmv_row = |j: usize, y: &[f64]| {
+        let mut sum = 0.0;
+        for k in ld::<_, SAFE>(rowstr, j)..ld::<_, SAFE>(rowstr, j + 1) {
+            let col = ld::<_, SAFE>(colidx, k) as usize;
+            sum = fmadd::<SAFE>(ld::<_, SAFE>(a, k), ld::<_, SAFE>(y, col), sum);
+        }
+        sum
+    };
+    let rows = ex.range(n);
+    let (lo, len) = (rows.start, rows.len());
+
+    // Initialization: q = z = 0, r = x, p = r; rho = r.r.
+    let mut rho_part = 0.0;
+    {
+        // SAFETY: this phase writes only this rank's rows of q, z, r, p.
+        let (q, z, r, p) = unsafe {
+            (v.q.row_mut(lo, len), v.z.row_mut(lo, len), v.r.row_mut(lo, len), v.p.row_mut(lo, len))
+        };
+        for j in 0..len {
+            let xj = ld::<_, SAFE>(v.x, lo + j);
+            st::<_, SAFE>(q, j, 0.0);
+            st::<_, SAFE>(z, j, 0.0);
+            st::<_, SAFE>(r, j, xj);
+            st::<_, SAFE>(p, j, xj);
+            rho_part = fmadd::<SAFE>(xj, xj, rho_part);
+        }
+    }
+    let mut rho = ex.all_sum(rho_part);
+
+    for _cgit in 0..CGITMAX {
+        // q = A p: disjoint row writes, so dynamically scheduled.
+        ex.for_chunks(n, |chunk| {
+            // SAFETY: nobody writes p in this phase; the chunks of q are
+            // disjoint across ranks.
+            let (p, q) = unsafe { (v.p.row(0, n), v.q.row_mut(chunk.start, chunk.len())) };
+            for (i, j) in chunk.enumerate() {
+                st::<_, SAFE>(q, i, spmv_row(j, p));
+            }
+        });
+        // d = p.q
+        let mut d_part = 0.0;
+        {
+            // SAFETY: read-only phase for p and q.
+            let (p, q) = unsafe { (v.p.row(lo, len), v.q.row(lo, len)) };
+            for j in 0..len {
+                d_part = fmadd::<SAFE>(ld::<_, SAFE>(p, j), ld::<_, SAFE>(q, j), d_part);
+            }
+        }
+        let alpha = rho / ex.all_sum(d_part);
+
+        // z += alpha p ; r -= alpha q ; rho' = r.r
+        let mut rho_part = 0.0;
+        {
+            // SAFETY: this phase writes only this rank's rows of z and r,
+            // and nobody writes p or q.
+            let (z, r, p, q) = unsafe {
+                (v.z.row_mut(lo, len), v.r.row_mut(lo, len), v.p.row(lo, len), v.q.row(lo, len))
+            };
+            for j in 0..len {
+                let pj = ld::<_, SAFE>(p, j);
+                st::<_, SAFE>(z, j, fmadd::<SAFE>(alpha, pj, ld::<_, SAFE>(z, j)));
+                let rj = fmadd::<SAFE>(-alpha, ld::<_, SAFE>(q, j), ld::<_, SAFE>(r, j));
+                st::<_, SAFE>(r, j, rj);
+                rho_part = fmadd::<SAFE>(rj, rj, rho_part);
+            }
+        }
+        let rho_new = ex.all_sum(rho_part);
+        let beta = rho_new / rho;
+        rho = rho_new;
+
+        // p = r + beta p. The next iteration's A p read needs the whole
+        // p vector, so a barrier closes the phase.
+        ex.for_chunks(n, |chunk| {
+            // SAFETY: the chunks of p are disjoint across ranks; nobody
+            // writes r in this phase.
+            let (p, r) = unsafe {
+                (v.p.row_mut(chunk.start, chunk.len()), v.r.row(chunk.start, chunk.len()))
+            };
+            for j in 0..chunk.len() {
+                st::<_, SAFE>(p, j, fmadd::<SAFE>(beta, ld::<_, SAFE>(p, j), ld::<_, SAFE>(r, j)));
+            }
+        });
+        ex.barrier();
+    }
+
+    // rnorm = || x - A z ||, reusing r for A z.
+    ex.for_chunks(n, |chunk| {
+        // SAFETY: nobody writes z in this phase; the chunks of r are
+        // disjoint across ranks.
+        let (z, r) = unsafe { (v.z.row(0, n), v.r.row_mut(chunk.start, chunk.len())) };
+        for (i, j) in chunk.enumerate() {
+            st::<_, SAFE>(r, i, spmv_row(j, z));
+        }
+    });
+    // SAFETY: this rank reads back only the rows of r it wrote itself
+    // (static split), or every chunk is done (a dynamic `for_chunks`
+    // ends at a barrier); nobody writes r again in this call.
+    let r = unsafe { v.r.row(lo, len) };
+    let mut s = 0.0;
+    for j in 0..len {
+        let dlt = ld::<_, SAFE>(v.x, lo + j) - ld::<_, SAFE>(r, j);
+        s = fmadd::<SAFE>(dlt, dlt, s);
+    }
+    s
+}
+
+/// One outer power step after `conj_grad`: zeta from `x·z` and `z·z`,
+/// then `x = z / ‖z‖`. Master-serial on both backends (the cost is
+/// O(n)).
+pub fn power_step(x: &mut [f64], z: &[f64], shift: f64) -> f64 {
+    let mut tx = 0.0; // x.z
+    let mut tz = 0.0; // z.z
+    for (xj, zj) in x.iter().zip(z) {
+        tx += xj * zj;
+        tz += zj * zj;
+    }
+    let inv = 1.0 / tz.sqrt();
+    for (xj, zj) in x.iter_mut().zip(z) {
+        *xj = inv * zj;
+    }
+    shift + 1.0 / tx
+}
+
 impl CgState {
     /// Generate the matrix for `class` (this is the untimed setup).
     pub fn new(class: Class) -> CgState {
         let p = CgParams::for_class(class);
-        let mut rng = Randlc::new(npb_core::SEED_DEFAULT);
-        rng.next_f64(); // main's zeta = randlc(tran, amult) before makea
-        let mat = makea(&mut rng, p.na, p.nonzer, p.rcond, p.shift);
+        let mat = matrix(&p);
         let n = p.na;
         CgState {
             mat,
@@ -77,138 +247,24 @@ impl CgState {
     }
 
     /// One `conj_grad` call: 25 CG iterations solving `A z ≈ x`,
-    /// returning `‖x - A z‖`. One parallel region with barrier-separated
-    /// phases; all reductions combine rank-ordered partials.
-    ///
-    /// Scheduling: the three pure elementwise phases (`q = A p`,
-    /// `p = r + βp`, the final `A z`) go through [`Par::for_chunks`], so
-    /// `--sched guided|feedback` rebalances the irregular sparse rows —
-    /// each element is computed identically whichever rank claims it, so
-    /// the bits cannot move. Every loop that accumulates an FP partial
-    /// stays pinned to the static [`Par::range`]: the rank-ordered
-    /// reduction's grouping (and therefore its rounding) depends on which
-    /// rows each rank owns.
-    ///
-    /// [`Par::for_chunks`]: npb_runtime::Par::for_chunks
-    /// [`Par::range`]: npb_runtime::Par::range
+    /// returning `‖x - A z‖` — one parallel region running
+    /// [`conj_grad_rank`] on every rank.
     pub fn conj_grad<const SAFE: bool>(&mut self, team: Option<&Team>) -> f64 {
-        let n = self.mat.n;
-        let nthreads = team.map_or(1, Team::size);
-        let p_rho = Partials::new(nthreads);
-        let p_d = Partials::new(nthreads);
-        let p_rnorm = Partials::new(nthreads);
-
-        let rowstr: &[usize] = &self.mat.rowstr;
-        let colidx: &[u32] = &self.mat.colidx;
-        let a: &[f64] = &self.mat.a;
-        let x: &[f64] = &self.x;
-        // SAFETY: each thread writes only its own row-range of z, p, q, r
-        // between barriers; x and the matrix are read-only in the region.
-        let z = unsafe { SharedMut::new(&mut self.z) };
-        let pv = unsafe { SharedMut::new(&mut self.pvec) };
-        let q = unsafe { SharedMut::new(&mut self.q) };
-        let r = unsafe { SharedMut::new(&mut self.r) };
-
-        run_par(team, |par| {
-            let rows = par.range(n);
-
-            // Initialization: q = z = 0, r = x, p = r; rho = r.r.
-            let mut rho_part = 0.0;
-            for j in rows.clone() {
-                q.set::<SAFE>(j, 0.0);
-                z.set::<SAFE>(j, 0.0);
-                let xj = ld::<_, SAFE>(x, j);
-                r.set::<SAFE>(j, xj);
-                pv.set::<SAFE>(j, xj);
-                rho_part = fmadd::<SAFE>(xj, xj, rho_part);
+        let p_rnorm = Partials::new(team.map_or(1, Team::size));
+        // SAFETY: conj_grad_rank writes the four vectors only under its
+        // phase discipline (disjoint rows between barriers).
+        let v = unsafe {
+            CgVectors {
+                x: &self.x,
+                z: SharedMut::new(&mut self.z),
+                p: SharedMut::new(&mut self.pvec),
+                q: SharedMut::new(&mut self.q),
+                r: SharedMut::new(&mut self.r),
             }
-            p_rho.set(par.tid(), rho_part);
-            par.barrier();
-            let mut rho = p_rho.sum();
-
-            for _cgit in 0..CGITMAX {
-                // q = A p: disjoint row writes, so dynamically scheduled.
-                par.for_chunks(n, |chunk| {
-                    for j in chunk {
-                        let mut sum = 0.0;
-                        for k in ld::<_, SAFE>(rowstr, j)..ld::<_, SAFE>(rowstr, j + 1) {
-                            let col = ld::<_, SAFE>(colidx, k) as usize;
-                            sum = fmadd::<SAFE>(ld::<_, SAFE>(a, k), pv.get::<SAFE>(col), sum);
-                        }
-                        q.set::<SAFE>(j, sum);
-                    }
-                });
-                // d = p.q
-                let mut d_part = 0.0;
-                for j in rows.clone() {
-                    d_part = fmadd::<SAFE>(pv.get::<SAFE>(j), q.get::<SAFE>(j), d_part);
-                }
-                p_d.set(par.tid(), d_part);
-                par.barrier();
-                let d = p_d.sum();
-                let alpha = rho / d;
-
-                // z += alpha p ; r -= alpha q ; rho' = r.r
-                let mut rho_part = 0.0;
-                for j in rows.clone() {
-                    z.set::<SAFE>(j, fmadd::<SAFE>(alpha, pv.get::<SAFE>(j), z.get::<SAFE>(j)));
-                    let rj = fmadd::<SAFE>(-alpha, q.get::<SAFE>(j), r.get::<SAFE>(j));
-                    r.set::<SAFE>(j, rj);
-                    rho_part = fmadd::<SAFE>(rj, rj, rho_part);
-                }
-                p_rho.set(par.tid(), rho_part);
-                par.barrier();
-                let rho_new = p_rho.sum();
-                let beta = rho_new / rho;
-                rho = rho_new;
-
-                // p = r + beta p. The next iteration's A p read needs the
-                // whole p vector, so a barrier closes the phase.
-                par.for_chunks(n, |chunk| {
-                    for j in chunk {
-                        pv.set::<SAFE>(j, fmadd::<SAFE>(beta, pv.get::<SAFE>(j), r.get::<SAFE>(j)));
-                    }
-                });
-                par.barrier();
-            }
-
-            // rnorm = || x - A z ||, reusing r for A z.
-            par.for_chunks(n, |chunk| {
-                for j in chunk {
-                    let mut sum = 0.0;
-                    for k in ld::<_, SAFE>(rowstr, j)..ld::<_, SAFE>(rowstr, j + 1) {
-                        let col = ld::<_, SAFE>(colidx, k) as usize;
-                        sum = fmadd::<SAFE>(ld::<_, SAFE>(a, k), z.get::<SAFE>(col), sum);
-                    }
-                    r.set::<SAFE>(j, sum);
-                }
-            });
-            par.barrier();
-            let mut s = 0.0;
-            for j in rows {
-                let dlt = ld::<_, SAFE>(x, j) - r.get::<SAFE>(j);
-                s = fmadd::<SAFE>(dlt, dlt, s);
-            }
-            p_rnorm.set(par.tid(), s);
-        });
-
+        };
+        let mat = &self.mat;
+        run_par(team, |par| p_rnorm.set(par.tid(), conj_grad_rank::<_, SAFE>(&par, mat, &v)));
         p_rnorm.sum().sqrt()
-    }
-
-    /// One outer power step after `conj_grad`: compute zeta and replace
-    /// `x` by the normalized `z` (master-serial, as the cost is O(n)).
-    fn power_step(&mut self) -> f64 {
-        let mut tx = 0.0; // x.z
-        let mut tz = 0.0; // z.z
-        for j in 0..self.mat.n {
-            tx += self.x[j] * self.z[j];
-            tz += self.z[j] * self.z[j];
-        }
-        let inv = 1.0 / tz.sqrt();
-        for j in 0..self.mat.n {
-            self.x[j] = inv * self.z[j];
-        }
-        self.p.shift + 1.0 / tx
     }
 
     /// Full benchmark: one untimed warm-up conj_grad, reset, then `niter`
@@ -229,7 +285,7 @@ impl CgState {
         // Untimed warm-up (NPB: "init all code and data page tables").
         self.x.fill(1.0);
         self.conj_grad::<SAFE>(team);
-        self.power_step();
+        power_step(&mut self.x, &self.z, self.p.shift);
         self.x.fill(1.0);
 
         let mut guard = SdcGuard::new(gcfg, self.p.niter);
@@ -263,7 +319,7 @@ impl CgState {
             };
             zeta = {
                 let _phase = trace::scope("power_step");
-                self.power_step()
+                power_step(&mut self.x, &self.z, self.p.shift)
             };
             guard.end(it, &[&self.x[..]], Some(rnorm));
             it += 1;

@@ -14,8 +14,10 @@ mod params;
 
 pub use params::{EpParams, EpRefs};
 
+use std::sync::Mutex;
+
 use npb_core::{fmadd, trace, BenchReport, Class, Randlc, Style, Verified};
-use npb_runtime::{run_par, Partials, Team};
+use npb_runtime::{run_par, Team};
 
 /// Log2 of the batch size (NPB's `MK`): each batch draws `2^(MK+1)`
 /// uniforms, i.e. `2^MK` candidate pairs.
@@ -36,6 +38,13 @@ pub struct EpResult {
     pub q: [f64; NQ],
     /// Total accepted pairs (`Σ Q_l`).
     pub gc: f64,
+}
+
+impl EpResult {
+    /// All sums zero: a rank's accumulator before its first batch.
+    pub fn zero() -> EpResult {
+        EpResult { sx: 0.0, sy: 0.0, q: [0.0; NQ], gc: 0.0 }
+    }
 }
 
 /// Run one batch of `2^MK` candidate pairs whose batch index is `k`
@@ -74,14 +83,23 @@ pub fn batch<const SAFE: bool>(k: usize, x: &mut [f64], res: &mut EpResult) {
     }
 }
 
+/// Combine the ranks' sums, given in rank order: each quantity summed
+/// over ascending rank (the `Partials::sum` fold), then `gc = Σ q`. Both
+/// backends finish an EP run with this.
+pub fn combine(ranks: &[EpResult]) -> EpResult {
+    let q: [f64; NQ] = std::array::from_fn(|l| ranks.iter().map(|r| r.q[l]).sum());
+    EpResult {
+        sx: ranks.iter().map(|r| r.sx).sum(),
+        sy: ranks.iter().map(|r| r.sy).sum(),
+        q,
+        gc: q.iter().sum(),
+    }
+}
+
 fn run_impl<const SAFE: bool>(params: &EpParams, team: Option<&Team>) -> EpResult {
     let nn = 1usize << (params.m - MK); // number of batches
     let nk = 1usize << MK;
-
-    let nthreads = team.map_or(1, Team::size);
-    let psx = Partials::new(nthreads);
-    let psy = Partials::new(nthreads);
-    let pq: Vec<Partials> = (0..NQ).map(|_| Partials::new(nthreads)).collect();
+    let ranks = Mutex::new(vec![EpResult::zero(); team.map_or(1, Team::size)]);
 
     let _phase = trace::scope("gaussian_pairs");
     // Deliberately static even when the team runs a guided/feedback
@@ -91,24 +109,14 @@ fn run_impl<const SAFE: bool>(params: &EpParams, team: Option<&Team>) -> EpResul
     // rank map to the deterministic static partition; only the rank
     // *count* may change it, never the schedule.
     run_par(team, |p| {
-        let mut local = EpResult { sx: 0.0, sy: 0.0, q: [0.0; NQ], gc: 0.0 };
+        let mut local = EpResult::zero();
         let mut x = vec![0.0f64; 2 * nk];
         for k in p.range(nn) {
             batch::<SAFE>(k, &mut x, &mut local);
         }
-        psx.set(p.tid(), local.sx);
-        psy.set(p.tid(), local.sy);
-        for l in 0..NQ {
-            pq[l].set(p.tid(), local.q[l]);
-        }
+        ranks.lock().expect("a rank panicked while publishing its sums")[p.tid()] = local;
     });
-
-    let mut q = [0.0; NQ];
-    for l in 0..NQ {
-        q[l] = pq[l].sum();
-    }
-    let gc = q.iter().sum();
-    EpResult { sx: psx.sum(), sy: psy.sum(), q, gc }
+    combine(&ranks.into_inner().expect("a rank panicked while publishing its sums"))
 }
 
 /// Verify a result against the published NPB reference sums for `class`.

@@ -18,7 +18,7 @@ mod params;
 pub use params::{IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 
 use npb_core::{ld, st, trace, BenchReport, Class, Randlc, Style, Verified, SEED_DEFAULT};
-use npb_runtime::{run_par, SharedMut, Team};
+use npb_runtime::{run_par, Exchange, SharedMut, Team};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
@@ -34,6 +34,120 @@ pub fn create_seq(p: &IsParams) -> Vec<i32> {
             (k * x) as i32
         })
         .collect()
+}
+
+/// `is.c`'s iteration markers for `iteration`, written into `keys`;
+/// returns the spot keys partial verification ranks afterwards.
+pub fn mark(keys: &mut [i32], p: &IsParams, iteration: usize) -> [i32; TEST_ARRAY_SIZE] {
+    keys[iteration] = iteration as i32;
+    keys[iteration + MAX_ITERATIONS] = (p.max_key - iteration) as i32;
+    p.test_index.map(|i| keys[i])
+}
+
+/// One rank's share of a ranking pass, the one body both backends run:
+/// histogram the keys into this rank's `max_key`-sized window of
+/// `hists` (`width × max_key` entries), cross a barrier, then merge
+/// every window into `counts` (`max_key` entries) in ascending rank
+/// order.
+///
+/// Both loops go through [`Exchange::for_chunks`], so
+/// `--sched guided|feedback` applies on threads: the histogram counts
+/// whichever keys a rank claims into that rank's *own* window, and
+/// integer addition is exact and commutative, so the merged counts — and
+/// the result signature — are identical under any schedule. The merge
+/// writes disjoint key ranges.
+///
+/// The merge reads every window, so the caller must separate two passes
+/// over the same `hists` by a barrier (or the end of the region).
+pub fn rank_pass<X: Exchange, const SAFE: bool>(
+    ex: &X,
+    keys: &[i32],
+    hists: &SharedMut<'_, i32>,
+    counts: &SharedMut<'_, i32>,
+) {
+    let mk = counts.len();
+    let width = ex.width();
+    assert_eq!(hists.len(), width * mk, "one histogram window per rank");
+    {
+        // SAFETY: window `rank` of `hists` is this rank's alone until
+        // the barrier below publishes it.
+        let win = unsafe { hists.row_mut(ex.rank() * mk, mk) };
+        win.fill(0);
+        ex.for_chunks(keys.len(), |chunk| {
+            for i in chunk {
+                let key = ld::<_, SAFE>(keys, i) as usize;
+                st::<_, SAFE>(win, key, ld::<_, SAFE>(win, key) + 1);
+            }
+        });
+    }
+    ex.barrier();
+    // SAFETY: every window is complete, and no rank writes `hists`
+    // again before the barrier the caller puts between passes.
+    let all = unsafe { hists.row(0, width * mk) };
+    ex.for_chunks(mk, |chunk| {
+        // SAFETY: the chunks of `counts` are disjoint across ranks.
+        let out = unsafe { counts.row_mut(chunk.start, chunk.len()) };
+        for (k, c) in chunk.zip(out) {
+            let mut sum = 0i32;
+            for tt in 0..width {
+                sum += ld::<_, SAFE>(all, tt * mk + k);
+            }
+            *c = sum;
+        }
+    });
+}
+
+/// The master-serial tail of a ranking pass (the paper's ordering; the
+/// OpenMP IS prefixes within threads): turn the merged `counts` into
+/// cumulative ranks (NPB's `key_buff1`: `counts[k]` = number of keys
+/// `<= k`), then check the `spot` keys of `iteration` against the
+/// published ranks. Returns the (passed, failed) partial verifications.
+pub fn prefix_and_check(
+    counts: &mut [i32],
+    p: &IsParams,
+    class: Class,
+    iteration: usize,
+    spot: &[i32; TEST_ARRAY_SIZE],
+) -> (usize, usize) {
+    let mut acc = 0i32;
+    for c in counts.iter_mut() {
+        acc += *c;
+        *c = acc;
+    }
+    let (mut passed, mut failed) = (0, 0);
+    for (i, &k) in spot.iter().enumerate() {
+        if 0 < k && (k as usize) < p.num_keys {
+            if counts[k as usize - 1] as i64 == p.expected_rank(class, i, iteration) {
+                passed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+    }
+    (passed, failed)
+}
+
+/// Full verification (NPB `full_verify`): scatter `keys` to the ranked
+/// positions the cumulative `counts` give and check the result is
+/// sorted and a permutation of the input.
+pub fn full_verify(keys: &[i32], counts: &[i32]) -> bool {
+    let mut counts = counts.to_vec();
+    let mut sorted = vec![0i32; keys.len()];
+    for &k in keys {
+        counts[k as usize] -= 1;
+        sorted[counts[k as usize] as usize] = k;
+    }
+    let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
+    // Permutation check: histogram equality with the input.
+    let mut h1 = vec![0i64; counts.len()];
+    let mut h2 = vec![0i64; counts.len()];
+    for &k in keys {
+        h1[k as usize] += 1;
+    }
+    for &k in &sorted {
+        h2[k as usize] += 1;
+    }
+    is_sorted && h1 == h2
 }
 
 /// One full IS benchmark instance (keys + working storage).
@@ -74,118 +188,35 @@ impl IsBench {
         &self.p
     }
 
-    /// One ranking pass (NPB `rank(iteration)`), parallelized over the
-    /// team with thread-private histograms merged per key range.
+    /// One ranking pass (NPB `rank(iteration)`): the markers, one
+    /// parallel region running [`rank_pass`] on every rank, then
+    /// [`prefix_and_check`] on the master.
     ///
     /// `hists` is scratch of `nthreads * max_key` entries, reused across
     /// iterations.
-    ///
-    /// Both parallel loops go through [`npb_runtime::Par::for_chunks`],
-    /// so `--sched guided|feedback` applies: the histogram pass counts
-    /// whichever keys a rank claims into that rank's *own* window, and
-    /// integer addition is exact and commutative, so the merged counts —
-    /// and the result signature — are identical under any schedule. The
-    /// merge pass is disjoint per-key writes.
     pub fn rank<const SAFE: bool>(
         &mut self,
         iteration: usize,
         team: Option<&Team>,
         hists: &mut [i32],
     ) {
-        let nthreads = team.map_or(1, Team::size);
-        let mk = self.p.max_key;
-        let nk = self.p.num_keys;
-        assert_eq!(hists.len(), nthreads * mk);
-
-        // Iteration markers, exactly as in is.c.
-        self.keys[iteration] = iteration as i32;
-        self.keys[iteration + MAX_ITERATIONS] = (mk - iteration) as i32;
-
-        let mut spot = [0i32; TEST_ARRAY_SIZE];
-        for (i, s) in spot.iter_mut().enumerate() {
-            *s = self.keys[self.p.test_index[i]];
-        }
-
+        let spot = mark(&mut self.keys, &self.p, iteration);
         self.keys_snapshot.copy_from_slice(&self.keys);
-
         let keys: &[i32] = &self.keys_snapshot;
-        // SAFETY: each thread writes only its own `mk`-sized window of
-        // `hists` before the barrier, and only its own key-range window of
-        // `counts` after it.
-        let sh = unsafe { SharedMut::new(hists) };
-        let sc = unsafe { SharedMut::new(&mut self.counts) };
-        run_par(team, |par| {
-            let t = par.tid();
-            let base = t * mk;
-            // Clear my histogram window, then histogram my key range.
-            for k in 0..mk {
-                sh.set::<SAFE>(base + k, 0);
-            }
-            par.for_chunks(nk, |chunk| {
-                for i in chunk {
-                    let key = ld::<_, SAFE>(keys, i) as usize;
-                    sh.set::<SAFE>(base + key, sh.get::<SAFE>(base + key) + 1);
-                }
-            });
-            par.barrier();
-            // Merge the private histograms across threads per key.
-            par.for_chunks(mk, |chunk| {
-                for k in chunk {
-                    let mut sum = 0i32;
-                    for tt in 0..par.num_threads() {
-                        sum += sh.get::<SAFE>(tt * mk + k);
-                    }
-                    sc.set::<SAFE>(k, sum);
-                }
-            });
-        });
+        // SAFETY: rank_pass writes `hists` and `counts` only under its
+        // phase discipline (own window, then disjoint key ranges).
+        let (sh, sc) = unsafe { (SharedMut::new(hists), SharedMut::new(&mut self.counts)) };
+        run_par(team, |par| rank_pass::<_, SAFE>(&par, keys, &sh, &sc));
 
-        // Cumulative ranks: serial prefix sum by the master (cheap
-        // relative to the histogram; the original OpenMP IS does the same
-        // within threads but the ordering here is the paper's).
-        let counts = &mut self.counts;
-        for k in 1..mk {
-            let prev = ld::<_, SAFE>(counts, k - 1);
-            let cur = ld::<_, SAFE>(counts, k);
-            st::<_, SAFE>(counts, k, cur + prev);
-        }
-
-        // Partial verification against the published spot ranks.
-        for i in 0..TEST_ARRAY_SIZE {
-            let k = spot[i];
-            if 0 < k && (k as usize) < nk {
-                let expected = self.p.expected_rank(self.class, i, iteration);
-                let got = self.counts[k as usize - 1] as i64;
-                if got == expected {
-                    self.passed += 1;
-                } else {
-                    self.failed += 1;
-                }
-            }
-        }
+        let (passed, failed) =
+            prefix_and_check(&mut self.counts, &self.p, self.class, iteration, &spot);
+        self.passed += passed;
+        self.failed += failed;
     }
 
-    /// Full verification (NPB `full_verify`): scatter the keys to their
-    /// ranked positions and check the result is sorted and a permutation
-    /// of the input.
+    /// Full verification of the last ranking ([`full_verify`]).
     pub fn full_verify(&mut self) -> bool {
-        let mut counts = self.counts.clone();
-        let mut sorted = vec![0i32; self.p.num_keys];
-        for &k in &self.keys_snapshot {
-            counts[k as usize] -= 1;
-            sorted[counts[k as usize] as usize] = k;
-        }
-        let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
-        // Permutation check: histogram equality with the snapshot.
-        let mut h1 = vec![0i64; self.p.max_key];
-        let mut h2 = vec![0i64; self.p.max_key];
-        for &k in &self.keys_snapshot {
-            h1[k as usize] += 1;
-        }
-        for &k in &sorted {
-            h2[k as usize] += 1;
-        }
-        is_sorted && h1 == h2
+        full_verify(&self.keys_snapshot, &self.counts)
     }
 
     /// Run the full benchmark: untimed warm-up rank, `MAX_ITERATIONS`

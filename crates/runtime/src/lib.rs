@@ -17,6 +17,9 @@
 //!   all workers report done;
 //! * [`Par`] — the per-thread context inside a region: thread id, static
 //!   [`Par::range`] partitioning, [`Par::barrier`];
+//! * [`Exchange`] — the rank-level interface kernel bodies are written
+//!   against, which [`Par`] and the procs backend's rank view both
+//!   implement, so one body serves threads and processes;
 //! * [`partition`] — OpenMP-style static block partitioning;
 //! * [`Partials`] — cache-padded per-thread slots combined in rank order,
 //!   so reductions are deterministic for a fixed thread count;
@@ -63,6 +66,7 @@
 //! slots — lives in [`procs`].
 
 mod error;
+mod exchange;
 mod inject;
 mod par;
 mod partials;
@@ -75,6 +79,7 @@ mod spin;
 mod team;
 
 pub use error::{escalate_corruption, BarrierPoisoned, InjectedFault, RegionError};
+pub use exchange::Exchange;
 pub use inject::{FaultKind, FaultPlan};
 // The environmental (I/O) fault taxonomy is npb-core's; the procs
 // checkpoint slots accept its faults at commit time.

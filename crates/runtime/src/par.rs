@@ -9,6 +9,7 @@
 //! only takes that lock when a `SeqCst` parked-counter says someone is
 //! actually parked — the lock-free fast path pays no lock round-trip.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -17,6 +18,7 @@ use std::time::Instant;
 use npb_core::trace::{SpanKind, TraceSession};
 
 use crate::error::BarrierPoisoned;
+use crate::exchange::{Exchange, REDUCE_SLOTS};
 use crate::partition;
 use crate::sched::{self, OrderedSplit, Sched};
 use crate::spin::spin_wait;
@@ -73,7 +75,9 @@ impl Barrier {
 ///
 /// `team == None` is the pure serial path: one implicit thread, no-op
 /// barriers — the "Serial" column of the paper's tables.
-#[derive(Clone, Copy)]
+///
+/// Neither `Copy` nor `Clone`: the view carries this rank's count of
+/// [`Exchange::all_sum`] calls, which must stay one per rank.
 pub struct Par<'t> {
     tid: usize,
     n: usize,
@@ -82,17 +86,20 @@ pub struct Par<'t> {
     /// tracing is off): barrier waits record their spin/park split on
     /// this rank's lane through it.
     trace: Option<&'t TraceSession>,
+    /// Reductions this rank has made in the region; its parity picks
+    /// the reduction slot (see [`Exchange::all_sum`]).
+    reductions: Cell<usize>,
 }
 
 impl<'t> Par<'t> {
     /// Serial context: rank 0 of 1, barriers are no-ops.
     pub fn serial() -> Par<'static> {
-        Par { tid: 0, n: 1, team: None, trace: None }
+        Par { tid: 0, n: 1, team: None, trace: None, reductions: Cell::new(0) }
     }
 
     /// Rank `tid`'s context for one region of `team`.
     pub(crate) fn on_team(tid: usize, team: &'t Inner, trace: Option<&'t TraceSession>) -> Self {
-        Par { tid, n: team.n, team: Some(team), trace }
+        Par { tid, n: team.n, team: Some(team), trace, reductions: Cell::new(0) }
     }
 
     /// This thread's rank within the team.
@@ -433,6 +440,41 @@ impl<'t> Par<'t> {
     }
 }
 
+/// The threads backend's [`Exchange`]: the team's barrier, its
+/// scheduled loops, and reductions in the team's [`Partials`] bank
+/// (`Inner::reduce`). The serial context is a width-1 exchange.
+///
+/// [`Partials`]: crate::Partials
+impl Exchange for Par<'_> {
+    fn rank(&self) -> usize {
+        self.tid
+    }
+
+    fn width(&self) -> usize {
+        self.n
+    }
+
+    #[track_caller]
+    fn for_chunks<F: FnMut(Range<usize>)>(&self, len: usize, body: F) {
+        Par::for_chunks(self, len, body)
+    }
+
+    fn barrier(&self) {
+        Par::barrier(self)
+    }
+
+    fn all_sum(&self, v: f64) -> f64 {
+        let Some(inner) = self.team else {
+            return std::iter::once(v).sum();
+        };
+        let k = self.reductions.replace(self.reductions.get() + 1);
+        let partials = &inner.reduce[k % REDUCE_SLOTS];
+        partials.set(self.tid, v);
+        Par::barrier(self);
+        partials.sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,6 +576,37 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// `all_sum` folds the ranks' partials in ascending rank order — the
+    /// same bits as `Partials::sum` — on every rank, and back-to-back
+    /// calls with one barrier each never let a fast rank overwrite a
+    /// partial a slow rank has yet to read: every round's partials
+    /// differ, so a reused slot would show in some rank's sum.
+    #[test]
+    fn all_sum_is_the_rank_ordered_partials_fold() {
+        let vals = [0.1, 1e16, -1e16, 0.3];
+        let val = |t: usize, round: usize| vals[t] * (round % 7 + 1) as f64;
+        let want = |round: usize| {
+            let partials = crate::Partials::new(vals.len());
+            for t in 0..vals.len() {
+                partials.set(t, val(t, round));
+            }
+            partials.sum()
+        };
+        let wants: Vec<u64> = (0..500).map(|round| want(round).to_bits()).collect();
+        for_both_modes(vals.len(), |team| {
+            let bad = AtomicUsize::new(0);
+            team.exec(|p| {
+                for (round, &w) in wants.iter().enumerate() {
+                    if Exchange::all_sum(&p, val(p.tid(), round)).to_bits() != w {
+                        bad.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            assert_eq!(bad.load(Ordering::Relaxed), 0, "sums that missed the rank-ordered fold");
+        });
+        assert_eq!(Exchange::all_sum(&Par::serial(), -0.0).to_bits(), (-0.0f64).to_bits());
     }
 
     /// Every scheduling policy must hand out each index exactly once per

@@ -66,6 +66,8 @@ impl Partials {
     /// region (see type-level discipline above).
     #[inline]
     pub fn set(&self, tid: usize, v: f64) {
+        // SAFETY: only rank `tid` writes slot `tid`, and nobody reads it
+        // before the barrier or region end that follows.
         unsafe {
             *self.slots[tid].get() = v;
         }
@@ -74,6 +76,7 @@ impl Partials {
     /// Add to thread `tid`'s partial result.
     #[inline]
     pub fn accumulate(&self, tid: usize, v: f64) {
+        // SAFETY: as for `set`.
         unsafe {
             *self.slots[tid].get() += v;
         }
@@ -88,16 +91,20 @@ impl Partials {
 
     /// Combine the slots in rank order with `+`.
     pub fn sum(&self) -> f64 {
+        // SAFETY: combination follows every rank's `set` across a
+        // barrier or the region's end.
         self.slots.iter().map(|s| unsafe { *s.get() }).sum()
     }
 
     /// Combine the slots in rank order with `max`.
     pub fn max(&self) -> f64 {
+        // SAFETY: as for `sum`.
         self.slots.iter().map(|s| unsafe { *s.get() }).fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Read one slot (master only, outside a region).
     pub fn get(&self, tid: usize) -> f64 {
+        // SAFETY: master only, outside a region: no rank writes.
         unsafe { *self.slots[tid].get() }
     }
 }

@@ -23,9 +23,10 @@
 //! parent detects the death (futex-barrier timeout + `waitpid`), kills
 //! the stragglers, rolls every rank back to the last checkpointed
 //! round, and respawns — the benchmark completes and verifies instead
-//! of dying. The benchmark-specific drivers (who owns which rows, what
-//! the exchange areas mean) live in the root `npb` crate, which links
-//! the kernels; this module is pure mechanism.
+//! of dying. The rank bodies are the kernel crates' own, generic over
+//! [`Exchange`](crate::Exchange); the glue that runs them on processes
+//! (segment layouts, the rank view, the round loop) lives in the root
+//! `npb` crate. This module is pure mechanism.
 
 pub mod barrier;
 pub mod shm;

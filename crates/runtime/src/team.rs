@@ -51,8 +51,9 @@ use std::time::{Duration, Instant};
 use npb_core::trace::{self, SpanKind, TraceSession};
 
 use crate::error::{BarrierPoisoned, InjectedFault, RegionError};
+use crate::exchange::REDUCE_SLOTS;
 use crate::par::{Barrier, Par};
-use crate::partials::CachePadded;
+use crate::partials::{CachePadded, Partials};
 use crate::sched::{self, Sched};
 use crate::spin::{region_timeout_ms_from_env, spin_us_from_env, spin_wait};
 
@@ -144,6 +145,8 @@ pub(crate) struct Inner {
     panicked: Mutex<Vec<usize>>,
     /// The [`Par::barrier`] words.
     pub(crate) barrier: Barrier,
+    /// The reduction slots behind [`crate::Exchange::all_sum`].
+    pub(crate) reduce: [Partials; REDUCE_SLOTS],
     /// Spin budget (µs) for every waiter on this team; 0 = pure park.
     pub(crate) spin_us: AtomicU64,
     /// Loop scheduling policy ([`Sched::as_u8`]) for
@@ -374,6 +377,7 @@ impl Team {
             done_cv: Condvar::new(),
             panicked: Mutex::new(Vec::new()),
             barrier: Barrier::new(),
+            reduce: std::array::from_fn(|_| Partials::new(n)),
             spin_us: AtomicU64::new(spin_us_from_env()),
             sched: AtomicU8::new(sched::sched_from_env().as_u8()),
             sched_ring: (0..sched::GUIDED_RING)
@@ -714,8 +718,8 @@ impl Team {
     {
         let partials = crate::Partials::new(self.size());
         self.exec(|p| {
-            let v = f(p);
-            partials.set(p.tid(), v);
+            let tid = p.tid();
+            partials.set(tid, f(p));
         });
         partials.sum()
     }

@@ -8,6 +8,19 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --check
 
+echo "== unsafe contracts =="
+# Every `unsafe {` block in the procs glue and the EP/IS/CG kernels
+# states its contract: `// SAFETY:` on the same line or within the three
+# lines above it.
+awk 'FNR == 1 { delete seen }
+     /unsafe \{/ && !/^[[:space:]]*\/\// {
+         ok = /SAFETY:/
+         for (k = 1; k <= 3; k++) if (seen[FNR - k] ~ /SAFETY:/) ok = 1
+         if (!ok) { print FILENAME ":" FNR ": unsafe block without // SAFETY:"; bad = 1 }
+     }
+     { seen[FNR] = $0 }
+     END { exit bad }' src/procs/*.rs crates/ep/src/*.rs crates/is/src/*.rs crates/cg/src/*.rs
+
 echo "== one benchmark =="
 # benchmark/ is the one measurement system and BENCHMARK.json its one
 # declaration: a committed BENCH_*.json snapshot beside it fails the gate.
@@ -255,12 +268,15 @@ echo "== procs backend smoke (process-sharded execution) =="
 # The process-sharded backend must agree with the threads backend to
 # the last bit at equal width, and an injected rank panic must be
 # contained by a checkpoint restore (recoveries journaled, exit 0).
-threads_out="$(target/release/npb ep --class S --backend threads --threads 4 --json)"
-procs_out="$(target/release/npb ep --class S --backend procs --threads 4 --json)"
-threads_sig="$(echo "$threads_out" | grep -o '"result_sig":"[^"]*"')"
-procs_sig="$(echo "$procs_out" | grep -o '"result_sig":"[^"]*"')"
-test -n "$threads_sig"
-test "$threads_sig" = "$procs_sig"
+# Width 3 splits every partition unevenly.
+for bench in ep is cg; do
+    threads_out="$(target/release/npb $bench --class S --backend threads --threads 3 --json)"
+    procs_out="$(target/release/npb $bench --class S --backend procs --threads 3 --json)"
+    threads_sig="$(echo "$threads_out" | grep -o '"result_sig":"[^"]*"')"
+    procs_sig="$(echo "$procs_out" | grep -o '"result_sig":"[^"]*"')"
+    test -n "$threads_sig"
+    test "$threads_sig" = "$procs_sig"
+done
 crash_out="$(target/release/npb cg --class S --backend procs --threads 4 --inject panic --json)"
 echo "$crash_out" | grep -q '"verified":"success"'
 recoveries="$(echo "$crash_out" | grep -o '"recoveries":[0-9]*' | cut -d: -f2)"

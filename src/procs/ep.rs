@@ -2,29 +2,26 @@
 //! backend's base case — no mid-round exchange at all, one final
 //! reduction.
 //!
-//! Rank `r` owns the batch range `partition(nn, N, r)` (exactly the
-//! threads backend's `Par::range` split) and walks it in [`ROUNDS`]
+//! Rank `r` owns the batch range `partition(nn, N, r)` (the
+//! [`Exchange::range`] every backend uses) and walks it in [`ROUNDS`]
 //! checkpoint windows of ascending batch index `k`. After each window
 //! it commits `(sx, sy, q[10])` plus its progress to its checkpoint
 //! slot and crosses the outer barrier, which is the parent's
 //! rank-death detection point. After the last window it publishes its
-//! partial sums in the exchange area; the parent combines them in rank
-//! order — the same strictly sequential per-rank accumulation and
-//! rank-ordered reduction as `Partials::sum`, which is why a procs run
-//! at width N is bit-identical to a threads run at N.
+//! sums in the exchange area, and the parent finishes with
+//! `npb_ep::combine` — the same rank-ordered combine the threads
+//! backend runs, which is why a procs run at width N is bit-identical
+//! to a threads run at N.
 
 use std::time::Instant;
 
 use npb_core::trace::{self, SpanKind};
-use npb_core::{BenchReport, Style};
+use npb_core::BenchReport;
 use npb_ep::{EpParams, EpResult, NQ};
-use npb_runtime::partition;
-use npb_runtime::procs::shm::{
-    ckpt_slot_bytes, header, CkptSlot, ShmLayout, ShmSegment, STATUS_DONE,
-};
-use npb_runtime::procs::ProcBarrier;
+use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
+use npb_runtime::Exchange;
 
-use super::{io_config, min_slot_round, Parent, ProcsConfig, SpawnSpec, WorkerCtx};
+use super::{min_slot_round, CkptCommitter, Parent, ProcsConfig, RankView, WorkerCtx};
 use crate::RunError;
 
 /// Checkpoint windows per rank: enough that a mid-run crash loses only
@@ -64,25 +61,12 @@ fn unpack(p: &[f64]) -> EpResult {
     EpResult { sx: p[0], sy: p[1], q, gc: 0.0 }
 }
 
-// ---------------------------------------------------------------------
-// Parent
-// ---------------------------------------------------------------------
-
 pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let params = EpParams::for_class(cfg.class);
     let lay = layout(cfg.nranks);
-    let seg = ShmSegment::create(lay.len, cfg.nranks)
-        .map_err(io_config("cannot create the procs shm segment"))?;
+    let seg = cfg.segment(lay.len)?;
     let slots: Vec<CkptSlot<'_>> =
         (0..cfg.nranks).map(|r| CkptSlot::at(&seg, lay.slots[r], PAYLOAD)).collect();
-    let spec = SpawnSpec {
-        bench: "ep",
-        class: cfg.class,
-        style: cfg.style,
-        nranks: cfg.nranks,
-        shm_fd: seg.fd(),
-        shm_len: lay.len,
-    };
 
     // EP has no warm-up: the whole supervised run is the timed section
     // (spawn included, as the threads backend includes team dispatch).
@@ -90,18 +74,31 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let t0 = Instant::now();
     let (res, recoveries, checkpoints, dispositions) = {
         let _phase = trace::scope("gaussian_pairs");
-        let mut parent = Parent::launch(&seg, spec, cfg)?;
-        let mut resume = 0u32;
+        let mut parent = Parent::launch(&seg, "ep", cfg)?;
         let mut checkpoints = 0usize;
-        loop {
-            match supervise(&mut parent, resume, &mut checkpoints, cfg.nranks) {
-                Ok(()) => break,
-                Err(f) => resume = parent.recover_with(&f, || min_slot_round(&slots))?,
-            }
-        }
+        // A crossing per checkpoint window, then the final crossing that
+        // publishes the sums.
+        parent.run_rounds(
+            ROUNDS as u32 + 1,
+            |parent, round| {
+                parent.outer_sync()?;
+                // Every rank committed a slot this round (ranks replaying
+                // past their own checkpoint skip the commit, so this is an
+                // upper bound only during recovery replay).
+                if round < ROUNDS as u32 {
+                    checkpoints += cfg.nranks;
+                }
+                Ok(())
+            },
+            || min_slot_round(&slots),
+        )?;
         let res = {
             let _x = trace::master_span(SpanKind::Exchange);
-            combine(&seg, &lay, cfg.nranks)
+            // SAFETY: the final barrier has opened, so every rank's sums
+            // are published and no rank writes again (they are exiting).
+            let sums = unsafe { seg.slice_f64(lay.partials, cfg.nranks * PAYLOAD) };
+            let ranks: Vec<EpResult> = sums.chunks_exact(PAYLOAD).map(unpack).collect();
+            npb_ep::combine(&ranks)
         };
         let d = parent.finish();
         (res, parent.recoveries, checkpoints, d)
@@ -128,68 +125,16 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     })
 }
 
-/// One incarnation's barrier schedule: a crossing per checkpoint
-/// window, plus the final crossing that publishes the partials.
-fn supervise(
-    parent: &mut Parent<'_>,
-    resume: u32,
-    checkpoints: &mut usize,
-    nranks: usize,
-) -> Result<(), super::RoundFailure> {
-    for _round in resume..ROUNDS as u32 {
-        parent.outer_sync()?;
-        // Every rank committed a slot this round (ranks replaying past
-        // their own checkpoint skip the commit, so this is an upper
-        // bound only during recovery replay).
-        *checkpoints += nranks;
-    }
-    parent.outer_sync()
-}
-
-/// Rank-ordered combination of the published partials — per quantity,
-/// ascending rank, exactly `Partials::sum`.
-fn combine(seg: &ShmSegment, lay: &Layout, nranks: usize) -> EpResult {
-    // SAFETY: the final barrier has opened, so every rank's window is
-    // committed and no rank writes again (they are exiting).
-    let p = unsafe { seg.slice_f64(lay.partials, nranks * PAYLOAD) };
-    let mut res = EpResult { sx: 0.0, sy: 0.0, q: [0.0; NQ], gc: 0.0 };
-    for r in 0..nranks {
-        res.sx += p[r * PAYLOAD];
-    }
-    for r in 0..nranks {
-        res.sy += p[r * PAYLOAD + 1];
-    }
-    for (l, ql) in res.q.iter_mut().enumerate() {
-        for r in 0..nranks {
-            *ql += p[r * PAYLOAD + 2 + l];
-        }
-    }
-    res.gc = res.q.iter().sum();
-    res
-}
-
-// ---------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------
-
-pub(crate) fn worker(ctx: &WorkerCtx) -> i32 {
-    match ctx.style {
-        Style::Opt => worker_impl::<false>(ctx),
-        Style::Safe => worker_impl::<true>(ctx),
-    }
-}
-
-fn worker_impl<const SAFE: bool>(ctx: &WorkerCtx) -> i32 {
+pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let params = EpParams::for_class(ctx.class);
     let nn = 1usize << (params.m - npb_ep::MK);
     let nk = 1usize << npb_ep::MK;
     let lay = layout(ctx.nranks);
-    let outer =
-        ProcBarrier::new(&ctx.seg, header::OUTER_GEN, header::OUTER_COUNT, ctx.nranks as u32 + 1);
+    let ex = RankView::outer(ctx);
     let slot = CkptSlot::at(&ctx.seg, lay.slots[ctx.rank], PAYLOAD);
-    let mut ck = super::CkptCommitter::from_env(format!("rank {}", ctx.rank));
+    let mut ck = CkptCommitter::from_env(format!("rank {}", ctx.rank));
 
-    let my = partition(nn, ctx.nranks, ctx.rank);
+    let my = ex.range(nn);
     let chunk = my.len().div_ceil(ROUNDS).max(1);
     let window = |w: usize| {
         let lo = my.start + (w * chunk).min(my.len());
@@ -205,7 +150,7 @@ fn worker_impl<const SAFE: bool>(ctx: &WorkerCtx) -> i32 {
     // already in `acc`), but every barrier is still attended.
     let (mut done, mut acc) = match slot.load() {
         Some((round, payload)) => (round, unpack(&payload)),
-        None => (0, EpResult { sx: 0.0, sy: 0.0, q: [0.0; NQ], gc: 0.0 }),
+        None => (0, EpResult::zero()),
     };
 
     for w in resume as usize..ROUNDS {
@@ -217,17 +162,15 @@ fn worker_impl<const SAFE: bool>(ctx: &WorkerCtx) -> i32 {
             ck.save(&slot, w as u32 + 1, &pack(&acc));
             done = w as u32 + 1;
         }
-        ctx.sync(&outer);
+        ex.barrier();
     }
 
-    // Publish my partials, then the final crossing releases the parent
-    // to combine them (the barrier's SeqCst edge publishes the writes).
-    // SAFETY: rank-disjoint window of the exchange area.
-    unsafe {
-        let p = ctx.seg.slice_f64(lay.partials, ctx.nranks * PAYLOAD);
-        p[ctx.rank * PAYLOAD..][..PAYLOAD].copy_from_slice(&pack(&acc));
-    }
-    ctx.seg.status(ctx.rank).store(STATUS_DONE, std::sync::atomic::Ordering::SeqCst);
-    ctx.sync(&outer);
-    0
+    // Publish my sums, then the final crossing releases the parent to
+    // combine them (the barrier's SeqCst edge publishes the writes).
+    debug_assert!(ctx.rank < ctx.nranks);
+    // SAFETY: row `rank` of the exchange area is this rank's alone, and
+    // the parent reads it only after the final crossing.
+    let mine = unsafe { ctx.seg.slice_f64(lay.partials + 8 * PAYLOAD * ctx.rank, PAYLOAD) };
+    mine.copy_from_slice(&pack(&acc));
+    ex.barrier();
 }

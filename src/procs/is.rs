@@ -1,22 +1,21 @@
-//! Process-sharded IS: the histogram exchange of the integer sort
-//! through shared memory.
+//! Process-sharded IS: `npb_is::rank_pass` on worker processes, its
+//! histogram exchange through shared memory.
 //!
 //! Rounds: round 0 is the untimed warm-up ranking (iteration 1, as in
 //! `is.c`), rounds 1..=10 are the timed iterations. Each rank keeps a
 //! full private key array (regenerated deterministically at spawn, with
 //! the iteration markers of already-completed rounds replayed), so the
-//! only shared state is the exchange itself:
+//! only shared state is the exchange itself: the per-rank histogram
+//! windows and the merged `counts`. The ranks run `rank_pass` against a
+//! [`RankView`] over the outer barrier, so the parent attends both of a
+//! round's crossings:
 //!
-//! * histogram phase — rank `r` counts its key range
-//!   `partition(nk, N, r)` into its own `max_key`-sized window of the
-//!   shared `hists` area, then crosses outer barrier (a);
-//! * merge phase — rank `r` sums column `k` of every window for its
-//!   `partition(mk, N, r)` key range into the shared `counts` array
-//!   (ascending rank, the threads backend's merge order exactly), then
-//!   crosses outer barrier (b) and commits its checkpoint slot;
-//! * the parent, between (b) and the next round's (a), runs the serial
-//!   prefix sum over `counts` and the spot-check partial verification —
-//!   the same master-serial step the threads backend runs.
+//! * (a), inside `rank_pass`, between the histogram and the merge;
+//! * (b), after the merge; each rank then commits its checkpoint slot.
+//!
+//! Between (b) and the next round's (a) the parent runs
+//! `npb_is::prefix_and_check` over `counts` — the same master-serial
+//! step the threads backend runs.
 //!
 //! IS checkpoints carry no payload: a rank's resumable state is fully
 //! determined by the round number (keys are regenerated, the exchange
@@ -27,14 +26,11 @@ use std::time::Instant;
 
 use npb_core::trace::{self, SpanKind};
 use npb_core::{BenchReport, Verified};
-use npb_is::{create_seq, IsBench, IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
-use npb_runtime::partition;
-use npb_runtime::procs::shm::{
-    ckpt_slot_bytes, header, CkptSlot, ShmLayout, ShmSegment, STATUS_DONE,
-};
-use npb_runtime::procs::ProcBarrier;
+use npb_is::{create_seq, IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
+use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
+use npb_runtime::{Exchange, SharedMut};
 
-use super::{io_config, min_slot_round, Parent, ProcsConfig, SpawnSpec, WorkerCtx};
+use super::{min_slot_round, CkptCommitter, Parent, ProcsConfig, RankView, WorkerCtx};
 use crate::RunError;
 
 /// Warm-up round plus the timed iterations.
@@ -42,17 +38,7 @@ const ROUNDS: usize = MAX_ITERATIONS + 1;
 
 /// The ranking iteration a round runs (round 0 warms up on iteration 1).
 fn iter_of(round: u32) -> usize {
-    if round == 0 {
-        1
-    } else {
-        round as usize
-    }
-}
-
-/// The iteration markers of `rank(iteration)`, exactly as in `is.c`.
-fn apply_markers(keys: &mut [i32], iteration: usize, max_key: usize) {
-    keys[iteration] = iteration as i32;
-    keys[iteration + MAX_ITERATIONS] = (max_key - iteration) as i32;
+    (round as usize).max(1)
 }
 
 struct Layout {
@@ -73,86 +59,50 @@ fn layout(nranks: usize, max_key: usize) -> Layout {
     Layout { hists, counts, slots, len: l.segment_len() }
 }
 
-// ---------------------------------------------------------------------
-// Parent
-// ---------------------------------------------------------------------
-
 pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let p = IsParams::for_class(cfg.class);
     let (mk, nk) = (p.max_key, p.num_keys);
     let lay = layout(cfg.nranks, mk);
-    let seg = ShmSegment::create(lay.len, cfg.nranks)
-        .map_err(io_config("cannot create the procs shm segment"))?;
+    let seg = cfg.segment(lay.len)?;
     let slots: Vec<CkptSlot<'_>> =
         (0..cfg.nranks).map(|r| CkptSlot::at(&seg, lay.slots[r], 0)).collect();
-    let spec = SpawnSpec {
-        bench: "is",
-        class: cfg.class,
-        style: cfg.style,
-        nranks: cfg.nranks,
-        shm_fd: seg.fd(),
-        shm_len: lay.len,
-    };
+    // SAFETY: the parent touches `counts` only from barrier (b) to the next
+    // round's (a), or after the run: the ranks' merge waits for it at (a).
+    let counts = || unsafe { seg.slice_i32(lay.counts, mk) };
 
-    // The parent's own key array mirrors every rank's: markers applied
-    // round by round, the spot values captured before each exchange.
+    // The parent's own key array mirrors every rank's: the markers of
+    // rounds `0..marked` applied.
     let mut keys = create_seq(&p);
+    let mut marked = 0u32;
     // Per-round partial-verification deltas; redone rounds overwrite
     // their entry, so a recovery never double-counts.
     let mut results: Vec<Option<(usize, usize)>> = vec![None; ROUNDS];
-    let mut parent = Parent::launch(&seg, spec, cfg)?;
-    let mut resume = 0u32;
+    let mut parent = Parent::launch(&seg, "is", cfg)?;
     let mut checkpoints = 0usize;
     let mut t0: Option<Instant> = None;
-    'incarnation: loop {
-        if parent.recoveries > 0 {
-            // Rebuild the parent's keys exactly as the respawned ranks
-            // do: fresh sequence plus the committed rounds' markers.
-            keys = create_seq(&p);
-            for r in 0..resume {
-                apply_markers(&mut keys, iter_of(r), mk);
+    parent.run_rounds(
+        ROUNDS as u32,
+        |parent, round| {
+            if round < marked {
+                // A recovery rewound the run: rebuild the keys exactly as
+                // the respawned ranks do.
+                keys = create_seq(&p);
+                marked = 0;
             }
-        }
-        // `resume` feeds the *next* incarnation's range (via `continue
-        // 'incarnation`), not this one's — exactly what the lint warns
-        // is not happening.
-        #[allow(clippy::mut_range_bound)]
-        for round in resume..ROUNDS as u32 {
-            let it = iter_of(round);
-            apply_markers(&mut keys, it, mk);
             let mut spot = [0i32; TEST_ARRAY_SIZE];
-            for (i, s) in spot.iter_mut().enumerate() {
-                *s = keys[p.test_index[i]];
+            while marked <= round {
+                spot = npb_is::mark(&mut keys, &p, iter_of(marked));
+                marked += 1;
             }
             let _phase = (round >= 1).then(|| trace::scope("rank"));
-            for _barrier in 0..2 {
-                if let Err(f) = parent.outer_sync() {
-                    resume = parent.recover_with(&f, || min_slot_round(&slots))?;
-                    continue 'incarnation;
-                }
-            }
+            parent.outer_sync()?; // (a): histograms complete.
+            parent.outer_sync()?; // (b): counts merged.
             checkpoints += cfg.nranks;
             {
                 let _x = trace::master_span(SpanKind::Exchange);
-                // SAFETY: between barrier (b) and the next round's (a)
-                // the parent is the only process touching `counts` —
-                // the ranks' next merge waits on the parent's arrival.
-                let counts = unsafe { seg.slice_i32(lay.counts, mk) };
-                for k in 1..mk {
-                    counts[k] += counts[k - 1];
-                }
-                let (mut pass, mut fail) = (0usize, 0usize);
-                for i in 0..TEST_ARRAY_SIZE {
-                    let k = spot[i];
-                    if 0 < k && (k as usize) < nk {
-                        if counts[k as usize - 1] as i64 == p.expected_rank(cfg.class, i, it) {
-                            pass += 1;
-                        } else {
-                            fail += 1;
-                        }
-                    }
-                }
-                results[round as usize] = Some((pass, fail));
+                let check =
+                    npb_is::prefix_and_check(counts(), &p, cfg.class, iter_of(round), &spot);
+                results[round as usize] = Some(check);
             }
             if round == 0 && t0.is_none() {
                 // Timed section starts after the warm-up ranking, as in
@@ -161,9 +111,10 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
                 trace::reset();
                 t0 = Some(Instant::now());
             }
-        }
-        break;
-    }
+            Ok(())
+        },
+        || min_slot_round(&slots),
+    )?;
     let secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
     let dispositions = parent.finish();
 
@@ -172,11 +123,8 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
         results[1..].iter().flatten().fold((0usize, 0usize), |(p, f), &(dp, df)| (p + dp, f + df));
     // Full verification against the final counts, on the parent's key
     // state (which is every rank's key state after round 10's markers).
-    let counts_final = unsafe { seg.slice_i32(lay.counts, mk) }.to_vec();
-    let mut bench = IsBench::new(cfg.class);
-    bench.keys_snapshot.copy_from_slice(&keys);
-    bench.counts.copy_from_slice(&counts_final);
-    let full_ok = bench.full_verify();
+    let counts_final = counts();
+    let full_ok = npb_is::full_verify(&keys, counts_final);
     let verified = if full_ok && failed == 0 && passed == TEST_ARRAY_SIZE * MAX_ITERATIONS {
         Verified::Success
     } else {
@@ -197,64 +145,38 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
         checkpoint_count: checkpoints,
         checkpoint_overhead_s: 0.0,
         regions: Vec::new(),
-        result_sig: Some(npb_is::result_sig(&counts_final)),
+        result_sig: Some(npb_is::result_sig(counts_final)),
         rank_dispositions: dispositions,
     })
 }
 
-// ---------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------
-
-pub(crate) fn worker(ctx: &WorkerCtx) -> i32 {
-    // IS is integer arithmetic throughout: the opt/safe access styles
-    // cannot diverge, so one (bounds-checked) rank loop serves both.
+pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let p = IsParams::for_class(ctx.class);
-    let (mk, nk) = (p.max_key, p.num_keys);
+    let mk = p.max_key;
     let lay = layout(ctx.nranks, mk);
-    let outer =
-        ProcBarrier::new(&ctx.seg, header::OUTER_GEN, header::OUTER_COUNT, ctx.nranks as u32 + 1);
+    let ex = RankView::outer(ctx);
     let slot = CkptSlot::at(&ctx.seg, lay.slots[ctx.rank], 0);
-    let mut ck = super::CkptCommitter::from_env(format!("rank {}", ctx.rank));
+    let mut ck = CkptCommitter::from_env(format!("rank {}", ctx.rank));
 
     let mut keys = create_seq(&p);
     let resume = ctx.resume();
-    for r in 0..resume {
-        apply_markers(&mut keys, iter_of(r), mk);
-    }
-    let my_keys = partition(nk, ctx.nranks, ctx.rank);
-    let my_bins = partition(mk, ctx.nranks, ctx.rank);
-
-    for round in resume..ROUNDS as u32 {
-        apply_markers(&mut keys, iter_of(round), mk);
+    for round in 0..ROUNDS as u32 {
+        npb_is::mark(&mut keys, &p, iter_of(round));
+        if round < resume {
+            continue; // committed before the recovery: markers only
+        }
         ctx.round_start(round);
-        // SAFETY: my histogram window is rank-disjoint until barrier
-        // (a) publishes it.
-        unsafe {
-            let hists = ctx.seg.slice_i32(lay.hists, ctx.nranks * mk);
-            let win = &mut hists[ctx.rank * mk..][..mk];
-            win.fill(0);
-            for i in my_keys.clone() {
-                win[keys[i] as usize] += 1;
-            }
-        }
-        ctx.sync(&outer); // (a): all windows complete.
-                          // SAFETY: reads of the now-stable windows; my counts key range
-                          // is rank-disjoint, and the parent reads counts only after (b).
-        unsafe {
-            let hists = ctx.seg.slice_i32(lay.hists, ctx.nranks * mk);
-            let counts = ctx.seg.slice_i32(lay.counts, mk);
-            for k in my_bins.clone() {
-                let mut sum = 0i32;
-                for tt in 0..ctx.nranks {
-                    sum += hists[tt * mk + k];
-                }
-                counts[k] = sum;
-            }
-        }
-        ctx.sync(&outer); // (b): counts merged, parent takes over.
+        // SAFETY: rank_pass writes `hists` and `counts` only under its
+        // phase discipline, and the parent touches `counts` only between
+        // (b) and the next round's (a).
+        let (hists, counts) = unsafe {
+            (
+                SharedMut::new(ctx.seg.slice_i32(lay.hists, ctx.nranks * mk)),
+                SharedMut::new(ctx.seg.slice_i32(lay.counts, mk)),
+            )
+        };
+        npb_is::rank_pass::<_, SAFE>(&ex, &keys, &hists, &counts);
+        ex.barrier(); // (b): counts merged, parent takes over.
         ck.save(&slot, round + 1, &[]);
     }
-    ctx.seg.status(ctx.rank).store(STATUS_DONE, std::sync::atomic::Ordering::SeqCst);
-    0
 }

@@ -3,9 +3,11 @@
 //!
 //! The mechanism (shared-memory segments, cross-process futex barriers,
 //! per-rank checkpoint slots, rank supervision) lives in
-//! [`npb_runtime::procs`]; this module family owns the *policy* — which
-//! rows each rank computes, what the exchange areas mean, and the
-//! supervised recovery loop:
+//! [`npb_runtime::procs`]; the arithmetic lives in the kernel crates.
+//! This module family is glue only: the segment layout of each
+//! benchmark, spawning, the rank view a kernel body runs against, the
+//! supervised round/recovery loop, checkpoints, and the procs-only
+//! report fields:
 //!
 //! * the parent creates the segment, spawns `npb <bench> --rank R/N`
 //!   workers against the inherited memfd, and participates in every
@@ -21,24 +23,27 @@
 //!
 //! Supported kernels: EP (independent batches — pure reduction), IS
 //! (histogram exchange) and CG (spmv with an inner workers-only barrier
-//! per reduction). The drivers reproduce the threads backend's
-//! partitioning and rank-ordered reduction arithmetic exactly, so a
-//! procs run at width N is **bit-identical** to a threads run at N
-//! (`result_sig` equality is CI-enforced).
+//! per reduction). Both backends run the kernel crate's rank body —
+//! `npb_ep::combine`, `npb_is::rank_pass` and `npb_cg::conj_grad_rank`
+//! — against an [`Exchange`]: [`npb_runtime::Par`] on threads, a
+//! [`RankView`] here. Partitions, barriers and reduction order are the
+//! same code, so a procs run at width N is **bit-identical** to a
+//! threads run at N (`result_sig` equality is CI-enforced).
 
 mod cg;
 mod ep;
 mod is;
 
-use std::io;
+use std::cell::Cell;
 use std::process::{Command, Stdio};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use npb_core::trace::{self, SpanKind};
 use npb_core::{Class, Style, WATCHDOG_EXIT_CODE};
-use npb_runtime::procs::shm::{header, CkptSlot, ShmSegment, STATUS_RUNNING};
+use npb_runtime::procs::shm::{header, CkptSlot, ShmSegment, STATUS_DONE, STATUS_RUNNING};
 use npb_runtime::procs::{ProcBarrier, RankSet};
-use npb_runtime::{FaultKind, FaultPlan, RegionError};
+use npb_runtime::{Exchange, FaultKind, FaultPlan, RegionError, SharedMut};
 
 use crate::{RunError, RunOptions};
 
@@ -111,6 +116,19 @@ pub(crate) struct ProcsConfig {
     pub fault: Option<(usize, WorkerFault)>,
 }
 
+impl ProcsConfig {
+    /// Create the run's shared segment of `len` bytes.
+    pub fn segment(&self, len: usize) -> Result<ShmSegment, RunError> {
+        ShmSegment::create(len, self.nranks)
+            .map_err(|e| RunError::Config(format!("cannot create the procs shm segment: {e}")))
+    }
+}
+
+/// The parent-inclusive outer barrier: every worker plus the parent.
+fn outer_barrier(seg: &ShmSegment, nranks: usize) -> ProcBarrier<'_> {
+    ProcBarrier::new(seg, header::OUTER_GEN, header::OUTER_COUNT, nranks as u32 + 1)
+}
+
 /// Map an `--inject` plan onto the procs backend: the process-level
 /// faults translate (panic → worker aborts, delay → worker stalls,
 /// hang → worker wedges); the in-computation corruptions (nan,
@@ -173,13 +191,13 @@ impl WorkerFault {
 /// set: `npb <bench> --class C --style S --rank R/N --shm-fd FD
 /// --shm-len LEN`, stdout silenced (the parent owns the report
 /// channel), stderr inherited (worker panics stay diagnosable).
-pub(crate) struct SpawnSpec {
-    pub bench: &'static str,
-    pub class: Class,
-    pub style: Style,
-    pub nranks: usize,
-    pub shm_fd: i32,
-    pub shm_len: usize,
+struct SpawnSpec {
+    bench: &'static str,
+    class: Class,
+    style: Style,
+    nranks: usize,
+    shm_fd: i32,
+    shm_len: usize,
 }
 
 impl SpawnSpec {
@@ -258,26 +276,54 @@ pub(crate) struct Parent<'a> {
 }
 
 impl<'a> Parent<'a> {
-    /// Spawn the first incarnation. `fault` victimizes one rank of this
-    /// incarnation only — recovery respawns are always clean, matching
-    /// the one-shot fault contract of the threads backend.
+    /// Spawn the first incarnation of `bench`'s ranks against `seg`.
+    /// `cfg.fault` victimizes one rank of this incarnation only —
+    /// recovery respawns are always clean, matching the one-shot fault
+    /// contract of the threads backend.
     pub fn launch(
         seg: &'a ShmSegment,
-        spec: SpawnSpec,
+        bench: &'static str,
         cfg: &ProcsConfig,
     ) -> Result<Parent<'a>, RunError> {
-        let outer =
-            ProcBarrier::new(seg, header::OUTER_GEN, header::OUTER_COUNT, spec.nranks as u32 + 1);
+        let spec = SpawnSpec {
+            bench,
+            class: cfg.class,
+            style: cfg.style,
+            nranks: cfg.nranks,
+            shm_fd: seg.fd(),
+            shm_len: seg.len(),
+        };
         let ranks = spec.spawn(cfg.fault.as_ref())?;
         Ok(Parent {
             seg,
+            outer: outer_barrier(seg, cfg.nranks),
             spec,
-            outer,
             ranks,
             round_timeout: cfg.round_timeout,
             recoveries: 0,
             max_recoveries: cfg.max_recoveries,
         })
+    }
+
+    /// The supervised round loop every driver shares: run the parent's
+    /// side of rounds `0..rounds` with `round`, and answer a failed
+    /// crossing by [`Parent::recover_with`] — `restore` rebuilds the
+    /// parent-owned state from the checkpoints and returns the round to
+    /// resume from — before continuing from that round.
+    pub fn run_rounds(
+        &mut self,
+        rounds: u32,
+        mut round: impl FnMut(&mut Parent<'a>, u32) -> Result<(), RoundFailure>,
+        mut restore: impl FnMut() -> u32,
+    ) -> Result<(), RunError> {
+        let mut next = 0;
+        while next < rounds {
+            match round(self, next) {
+                Ok(()) => next += 1,
+                Err(f) => next = self.recover_with(&f, &mut restore)?,
+            }
+        }
+        Ok(())
     }
 
     /// Arrive at the outer barrier and wait for it to open,
@@ -311,7 +357,7 @@ impl<'a> Parent<'a> {
     /// Past the budget the failure surfaces as the structured
     /// [`RegionError`] the threads backend uses: `Panicked` naming the
     /// dead rank, `Timeout` for a hang.
-    pub fn recover_with(
+    fn recover_with(
         &mut self,
         failure: &RoundFailure,
         resume_round: impl FnOnce() -> u32,
@@ -337,9 +383,9 @@ impl<'a> Parent<'a> {
             }));
         }
         let resume = resume_round();
-        self.seg.atomic_u32(header::RESUME).store(resume, std::sync::atomic::Ordering::SeqCst);
+        self.seg.atomic_u32(header::RESUME).store(resume, Ordering::SeqCst);
         self.outer.reset();
-        self.seg.atomic_u32(header::INNER_COUNT).store(0, std::sync::atomic::Ordering::SeqCst);
+        self.seg.atomic_u32(header::INNER_COUNT).store(0, Ordering::SeqCst);
         eprintln!("npb procs: restoring every rank from checkpoint round {resume} and respawning");
         self.ranks = self.spec.spawn(None)?;
         Ok(resume)
@@ -385,22 +431,15 @@ impl CkptCommitter {
     }
 
     /// Commit `payload` at `round` into `slot`, applying any injected
-    /// write fault. Returns whether the commit landed intact.
-    pub fn save(&mut self, slot: &CkptSlot<'_>, round: u32, payload: &[f64]) -> bool {
+    /// write fault; a faulted commit is reported, not returned.
+    pub fn save(&mut self, slot: &CkptSlot<'_>, round: u32, payload: &[f64]) {
         let fault = match self.inj.as_mut() {
             Some(inj) => inj.on_write(8 * payload.len().max(1)),
             None => npb_runtime::WriteFault::Pass,
         };
-        match slot.save_faulted(round, payload, fault) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!(
-                    "npb procs: {}: {}",
-                    self.who,
-                    npb_core::IoDegraded::new("ckpt", "save", &e)
-                );
-                false
-            }
+        if let Err(e) = slot.save_faulted(round, payload, fault) {
+            let report = npb_core::IoDegraded::new("ckpt", "save", &e);
+            eprintln!("npb procs: {}: {report}", self.who);
         }
     }
 }
@@ -428,7 +467,7 @@ pub(crate) struct WorkerCtx {
 impl WorkerCtx {
     /// The round every rank restarts from (header word, parent-owned).
     pub fn resume(&self) -> u32 {
-        self.seg.atomic_u32(header::RESUME).load(std::sync::atomic::Ordering::SeqCst)
+        self.seg.atomic_u32(header::RESUME).load(Ordering::SeqCst)
     }
 
     /// Apply the pacing delay and, at [`FAULT_ROUND`], the injected
@@ -451,18 +490,81 @@ impl WorkerCtx {
             },
         }
     }
+}
 
-    /// A worker's barrier rendezvous: bounded by the orphan safety
-    /// net — if the barrier never opens (parent SIGKILLed, siblings
-    /// gone), the worker exits rather than idling forever.
-    pub fn sync(&self, barrier: &ProcBarrier<'_>) {
-        if !barrier.sync(WORKER_SYNC_TIMEOUT) {
+/// Reduction slots of a [`RankView`]'s area: consecutive
+/// [`Exchange::all_sum`] calls alternate between two, so one barrier per
+/// reduction suffices — a rank writes a slot again only after a later
+/// reduction's barrier, by which time every rank has read the slot's
+/// previous sum.
+pub(crate) const REDUCE_SLOTS: usize = 2;
+
+/// One worker rank as an [`Exchange`]: its [`WorkerCtx`], the
+/// [`ProcBarrier`] its driver gives it, and the segment's reduction
+/// area. EP and IS hand it the outer barrier, whose every crossing the
+/// parent attends; CG hands it the workers-only inner barrier, since
+/// its reductions need no parent. The reduction area holds
+/// [`REDUCE_SLOTS`] × `nranks` `f64`s, slot-major and packed 8 bytes
+/// apart (empty for drivers that do not reduce).
+pub(crate) struct RankView<'a> {
+    ctx: &'a WorkerCtx,
+    barrier: ProcBarrier<'a>,
+    slots: SharedMut<'a, f64>,
+    /// Reductions this incarnation has made; its parity picks the slot.
+    /// Every rank makes the same calls, and a recovery respawns every
+    /// rank, so the count agrees across ranks.
+    reductions: Cell<usize>,
+}
+
+impl<'a> RankView<'a> {
+    pub fn new(ctx: &'a WorkerCtx, barrier: ProcBarrier<'a>, slots: &'a mut [f64]) -> Self {
+        assert!(slots.is_empty() || slots.len() == REDUCE_SLOTS * ctx.nranks);
+        // SAFETY: all_sum writes only this rank's entry of a slot and
+        // reads a slot whole only after the barrier that publishes it.
+        let slots = unsafe { SharedMut::new(slots) };
+        RankView { ctx, barrier, slots, reductions: Cell::new(0) }
+    }
+
+    /// The parent-inclusive outer barrier.
+    pub fn outer(ctx: &'a WorkerCtx) -> Self {
+        RankView::new(ctx, outer_barrier(&ctx.seg, ctx.nranks), &mut [])
+    }
+}
+
+impl Exchange for RankView<'_> {
+    fn rank(&self) -> usize {
+        self.ctx.rank
+    }
+
+    fn width(&self) -> usize {
+        self.ctx.nranks
+    }
+
+    /// Bounded by the orphan safety net: if the barrier never opens
+    /// (parent SIGKILLed, siblings gone), the worker exits rather than
+    /// idling forever.
+    fn barrier(&self) {
+        if !self.barrier.sync(WORKER_SYNC_TIMEOUT) {
             eprintln!(
                 "npb procs: rank {} abandoned at a barrier for {:?}; exiting",
-                self.rank, WORKER_SYNC_TIMEOUT
+                self.ctx.rank, WORKER_SYNC_TIMEOUT
             );
             std::process::exit(WATCHDOG_EXIT_CODE);
         }
+    }
+
+    fn all_sum(&self, v: f64) -> f64 {
+        let n = self.ctx.nranks;
+        let slot = self.reductions.replace(self.reductions.get() + 1) % REDUCE_SLOTS;
+        debug_assert!(self.ctx.rank < n);
+        // SAFETY: entry (slot, rank) is this rank's alone; the barrier
+        // below publishes it.
+        let mine = unsafe { self.slots.row_mut(slot * n + self.ctx.rank, 1) };
+        mine[0] = v;
+        self.barrier();
+        // SAFETY: no rank writes this slot again before a later
+        // reduction's barrier (the REDUCE_SLOTS alternation).
+        unsafe { self.slots.row(slot * n, n) }.iter().sum()
     }
 }
 
@@ -476,16 +578,22 @@ pub fn worker_main(bench: &str, args: &[String]) -> i32 {
             npb_core::USAGE_EXIT_CODE
         }
         Ok(ctx) => {
-            ctx.seg.status(ctx.rank).store(STATUS_RUNNING, std::sync::atomic::Ordering::SeqCst);
-            match bench.to_ascii_uppercase().as_str() {
-                "EP" => ep::worker(&ctx),
-                "IS" => is::worker(&ctx),
-                "CG" => cg::worker(&ctx),
-                other => {
+            ctx.seg.status(ctx.rank).store(STATUS_RUNNING, Ordering::SeqCst);
+            let rank_loop: fn(&WorkerCtx) = match (bench.to_ascii_uppercase().as_str(), ctx.style) {
+                ("EP", Style::Opt) => ep::worker::<false>,
+                ("EP", Style::Safe) => ep::worker::<true>,
+                ("IS", Style::Opt) => is::worker::<false>,
+                ("IS", Style::Safe) => is::worker::<true>,
+                ("CG", Style::Opt) => cg::worker::<false>,
+                ("CG", Style::Safe) => cg::worker::<true>,
+                (other, _) => {
                     eprintln!("npb procs worker: no rank loop for {other}");
-                    npb_core::USAGE_EXIT_CODE
+                    return npb_core::USAGE_EXIT_CODE;
                 }
-            }
+            };
+            rank_loop(&ctx);
+            ctx.seg.status(ctx.rank).store(STATUS_DONE, Ordering::SeqCst);
+            0
         }
     }
 }
@@ -523,7 +631,7 @@ fn worker_ctx(args: &[String]) -> Result<WorkerCtx, String> {
     let fd = fd.ok_or("missing --shm-fd")?;
     let len = len.ok_or("missing --shm-len")?;
     let seg = ShmSegment::attach(fd, len).map_err(|e| format!("cannot attach shm: {e}"))?;
-    if seg.atomic_u32(header::NRANKS).load(std::sync::atomic::Ordering::SeqCst) != nranks as u32 {
+    if seg.atomic_u32(header::NRANKS).load(Ordering::SeqCst) != nranks as u32 {
         return Err(format!("segment was created for a different rank count than {nranks}"));
     }
     let round_delay = std::env::var("NPB_PROCS_ROUND_DELAY_MS")
@@ -539,10 +647,4 @@ fn worker_ctx(args: &[String]) -> Result<WorkerCtx, String> {
         fault: std::cell::Cell::new(fault),
         round_delay,
     })
-}
-
-/// Convert a segment-creation failure into a config error (the only
-/// io errors a parent driver can hit before spawning).
-pub(crate) fn io_config(what: &str) -> impl FnOnce(io::Error) -> RunError + '_ {
-    move |e| RunError::Config(format!("{what}: {e}"))
 }

@@ -574,6 +574,14 @@ fn procs_is_survives_sigkill_of_one_rank() {
     assert_kill_one_rank_is_contained("is");
 }
 
+/// CG is the one procs benchmark whose checkpoint belongs to the
+/// parent (`x` in the parent slot): recovery restores it there, not
+/// from the dead rank's own slot.
+#[test]
+fn procs_cg_survives_sigkill_of_one_rank() {
+    assert_kill_one_rank_is_contained("cg");
+}
+
 #[test]
 fn procs_sigkill_without_recovery_budget_fails_terminally() {
     // The unguarded control: with the recovery budget at zero the same
@@ -686,21 +694,42 @@ fn procs_rejects_in_process_corruption_faults() {
 fn procs_results_are_bit_identical_to_threads() {
     // result_sig is the integrity hash over exactly what verification
     // reads; equal strings mean the backends agree to the last bit.
+    // Width 3 splits CG.S's 1400 rows and IS.S's 65,536 keys unevenly;
+    // width 1 is the procs backend's single-rank edge.
     for bench in ["ep", "is", "cg"] {
-        let sig = |backend: &str| {
-            let out =
-                npb(&[bench, "--class", "S", "--backend", backend, "--threads", "4", "--json"]);
-            assert_eq!(
-                out.status.code(),
-                Some(0),
-                "{bench}/{backend} stderr: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            last_json(&out.stdout)
-                .get_str("result_sig")
-                .unwrap_or_else(|| panic!("{bench}/{backend} record has no result_sig"))
-                .to_string()
-        };
-        assert_eq!(sig("threads"), sig("procs"), "{bench}: backends must agree bit-for-bit");
+        for threads in ["1", "3", "4"] {
+            for style in ["opt", "safe"] {
+                let sig = |backend: &str| {
+                    let out = npb(&[
+                        bench,
+                        "--class",
+                        "S",
+                        "--style",
+                        style,
+                        "--backend",
+                        backend,
+                        "--threads",
+                        threads,
+                        "--json",
+                    ]);
+                    let what = format!("{bench}/{backend} t{threads} {style}");
+                    assert_eq!(
+                        out.status.code(),
+                        Some(0),
+                        "{what} stderr: {}",
+                        String::from_utf8_lossy(&out.stderr)
+                    );
+                    last_json(&out.stdout)
+                        .get_str("result_sig")
+                        .unwrap_or_else(|| panic!("{what} record has no result_sig"))
+                        .to_string()
+                };
+                assert_eq!(
+                    sig("threads"),
+                    sig("procs"),
+                    "{bench} t{threads} {style}: backends must agree bit-for-bit"
+                );
+            }
+        }
     }
 }
