@@ -47,14 +47,7 @@ pub fn verify_norms(set: Option<&VerifySet>, dt: f64, xcr: &[f64; 5], xce: &[f64
     if (dt - s.dt).abs() > eps {
         return Verified::NotPerformed;
     }
-    for m in 0..5 {
-        if !npb_core::rel_err_ok(xcr[m], s.xcr[m], eps)
-            || !npb_core::rel_err_ok(xce[m], s.xce[m], eps)
-        {
-            return Verified::Failure;
-        }
-    }
-    Verified::Success
+    npb_core::verify_all(&[&xcr[..], xce].concat(), Some([&s.xcr[..], &s.xce].concat()), eps)
 }
 
 #[cfg(test)]

@@ -365,10 +365,10 @@ pub fn compute_rhs<const SAFE: bool, const SPEED: bool>(
     // SAFETY: plane `k`'s five lines are touched only by the rank producing
     // plane `k` of `rhs`.
     let lines = unsafe { SharedMut::new(&mut f.lines) };
-    // SAFETY: the point grids are written like `uc` — phase 1, own planes,
-    // read after the barrier (`speed` not at all in here).
     let [rho_i, us, vs, ws, qs, square, speed] =
         [&mut f.rho_i, &mut f.us, &mut f.vs, &mut f.ws, &mut f.qs, &mut f.square, &mut f.speed]
+            // SAFETY: the point grids are written like `uc` — phase 1, own
+            // planes, read after the barrier (`speed` not at all in here).
             .map(|g| unsafe { SharedMut::new(g) });
     let dirs = [
         Dir {

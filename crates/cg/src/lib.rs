@@ -19,10 +19,9 @@ pub use makea::{makea, Csr};
 pub use params::CgParams;
 
 use npb_core::{
-    fmadd, ld, st, trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, Randlc,
-    SdcGuard, Style, Verified,
+    fmadd, ld, st, trace, BenchReport, Class, GuardConfig, GuardStats, Randlc, Style, Verified,
 };
-use npb_runtime::{escalate_corruption, run_par, Exchange, Partials, SharedMut, Team};
+use npb_runtime::{guarded_loop, run_par, Exchange, Partials, SharedMut, Team};
 
 /// Number of CG iterations per outer power step (NPB `cgitmax`).
 pub const CGITMAX: usize = 25;
@@ -267,13 +266,8 @@ impl CgState {
         p_rnorm.sum().sqrt()
     }
 
-    /// Full benchmark: one untimed warm-up conj_grad, reset, then `niter`
-    /// timed power steps.
-    pub fn run<const SAFE: bool>(&mut self, team: Option<&Team>) -> CgOutcome {
-        self.run_guarded::<SAFE>(team, &GuardConfig::default())
-    }
-
-    /// [`CgState::run`] under the in-computation SDC guard: the state
+    /// Full benchmark under the in-computation SDC guard: one untimed
+    /// warm-up conj_grad, reset, then `niter` timed power steps. The state
     /// carried across power steps is exactly `x` (every other vector is
     /// regenerated by `conj_grad` from it), so `x` is what the guard
     /// watches, checkpoints and restores.
@@ -288,60 +282,39 @@ impl CgState {
         power_step(&mut self.x, &self.z, self.p.shift);
         self.x.fill(1.0);
 
-        let mut guard = SdcGuard::new(gcfg, self.p.niter);
-        guard.init(&[&self.x[..]]);
         let mut zeta = 0.0;
         let mut rnorm = 0.0;
         // Timed section starts here: drop the warm-up's spans so the
         // profile covers exactly what `secs` covers.
         trace::reset();
         let t0 = std::time::Instant::now();
-        let mut it = 0;
-        while it < self.p.niter {
-            match guard.begin(it, &mut [&mut self.x[..]]) {
-                GuardAction::Continue => {}
-                GuardAction::Rollback { resume } => {
-                    // Replayed iterations must not consult timings from
-                    // the corrupted pass.
-                    if let Some(t) = team {
-                        t.reset_sched_history();
-                    }
-                    it = resume;
-                    continue;
-                }
-                GuardAction::Escalate { iteration, detections } => {
-                    escalate_corruption(iteration, detections)
-                }
-            }
-            rnorm = {
-                let _phase = trace::scope("conj_grad");
-                self.conj_grad::<SAFE>(team)
-            };
-            zeta = {
-                let _phase = trace::scope("power_step");
-                power_step(&mut self.x, &self.z, self.p.shift)
-            };
-            guard.end(it, &[&self.x[..]], Some(rnorm));
-            it += 1;
-        }
+        let guard = guarded_loop(
+            team,
+            gcfg,
+            self.p.niter,
+            self,
+            |s| [&mut s.x[..]],
+            |s, _| {
+                rnorm = {
+                    let _phase = trace::scope("conj_grad");
+                    s.conj_grad::<SAFE>(team)
+                };
+                zeta = {
+                    let _phase = trace::scope("power_step");
+                    power_step(&mut s.x, &s.z, s.p.shift)
+                };
+                Some(rnorm)
+            },
+        );
         let secs = t0.elapsed().as_secs_f64();
-        CgOutcome { zeta, rnorm, secs, guard: guard.stats() }
+        CgOutcome { zeta, rnorm, secs, guard }
     }
 }
 
 /// Verify a zeta value against the published reference (tolerance 1e-10,
 /// as in `cg.f`).
 pub fn verify(class: Class, zeta: f64) -> Verified {
-    match CgParams::for_class(class).zeta_verify {
-        None => Verified::NotPerformed,
-        Some(zv) => {
-            if npb_core::rel_err_ok(zeta, zv, 1.0e-10) {
-                Verified::Success
-            } else {
-                Verified::Failure
-            }
-        }
-    }
+    npb_core::verify_all(&[zeta], CgParams::for_class(class).zeta_verify.map(|z| [z]), 1.0e-10)
 }
 
 /// Bit-exact signature of an outcome: the integrity hash over the final
@@ -370,31 +343,27 @@ pub fn run_with_guard(
         Style::Safe => st.run_guarded::<true>(team, gcfg),
     };
     let p = st.params();
-    BenchReport {
-        name: "CG",
+    BenchReport::new(
+        "CG",
         class,
-        size: (p.na, 0, 0),
-        niter: p.niter,
-        time_secs: out.secs,
-        mops: p.flops() * 1.0e-6 / out.secs.max(1e-12),
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, out.zeta),
-        recoveries: out.guard.recoveries,
-        checkpoint_count: out.guard.checkpoint_count,
-        checkpoint_overhead_s: out.guard.checkpoint_overhead_s,
-        regions: Vec::new(),
-        result_sig: Some(result_sig(out.zeta)),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (p.na, 0, 0),
+        p.niter,
+        out.secs,
+        p.flops() * 1.0e-6 / out.secs.max(1e-12),
+        verify(class, out.zeta),
+        result_sig(out.zeta),
+        out.guard,
+    )
 }
 
 /// Run and return the raw outcome (tests / harness).
 pub fn run_raw(class: Class, style: Style, team: Option<&Team>) -> CgOutcome {
     let mut st = CgState::new(class);
     match style {
-        Style::Opt => st.run::<false>(team),
-        Style::Safe => st.run::<true>(team),
+        Style::Opt => st.run_guarded::<false>(team, &GuardConfig::default()),
+        Style::Safe => st.run_guarded::<true>(team, &GuardConfig::default()),
     }
 }
 

@@ -66,6 +66,9 @@ pub fn ld<T: Copy, const SAFE: bool>(a: &[T], i: usize) -> T {
         a[i]
     } else {
         debug_assert!(i < a.len(), "opt-style load out of bounds: {i} >= {}", a.len());
+        // SAFETY: opt style trusts the kernel's index, as the Fortran it
+        // models does; the safe style runs the same indices checked, and
+        // debug builds check them here.
         unsafe { *a.get_unchecked(i) }
     }
 }
@@ -77,6 +80,7 @@ pub fn st<T: Copy, const SAFE: bool>(a: &mut [T], i: usize, v: T) {
         a[i] = v;
     } else {
         debug_assert!(i < a.len(), "opt-style store out of bounds: {i} >= {}", a.len());
+        // SAFETY: as for `ld`.
         unsafe {
             *a.get_unchecked_mut(i) = v;
         }

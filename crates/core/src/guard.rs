@@ -26,19 +26,23 @@
 //!   benchmark's mutable state, saved every `k` outer iterations. Each
 //!   snapshot carries its own checksum; a rollback that finds the newest
 //!   snapshot corrupted falls back to the older one.
-//! * [`SdcGuard`] — the per-run orchestrator the benchmark loops drive:
+//! * [`SdcGuard`] — the per-run orchestrator:
 //!   [`SdcGuard::begin`] at the top of each iteration (applies any armed
 //!   deterministic bit flip, then runs the detection stack and decides
 //!   continue / rollback / escalate), [`SdcGuard::end`] at the bottom
 //!   (screens, records the trusted reference, takes the periodic
 //!   checkpoint).
 //!
+//! One loop drives it: `npb_runtime::guarded_loop`, the outer loop BT,
+//! SP, LU, MG, FT and CG all run, is the only caller of `begin`/`end`
+//! outside this module's tests, so it alone decides what a verdict does.
 //! Detection → rollback → escalate state machine: a detection restores
 //! the last good checkpoint and replays (counted in
-//! [`GuardStats::recoveries`]); `max_detections` repeated detections at
+//! [`GuardStats::recoveries`]; the loop also discards the team's
+//! feedback-scheduling history); `max_detections` repeated detections at
 //! the *same* iteration — or a detection with no intact checkpoint left —
-//! escalate to the caller, which converts the verdict into a
-//! `RegionError` for the in-process and supervisor levels to handle.
+//! escalate, which the loop converts into a `RegionError` for the
+//! in-process and supervisor levels to handle.
 //!
 //! The deterministic bit-flip fault (`--inject bitflip:<seed>`) arms
 //! through the thread-local [`arm_bitflip`] hook, mirroring the NaN hook
@@ -141,7 +145,7 @@ pub enum GuardAction {
     /// Corruption was detected and the state arrays have been restored
     /// from a checkpoint: resume the loop at iteration `resume` (any
     /// per-iteration side state, e.g. FT's checksum log, must be
-    /// truncated to match).
+    /// truncated to match before the replayed iteration appends).
     Rollback {
         /// First iteration to re-run.
         resume: usize,
@@ -583,8 +587,9 @@ impl CheckpointStore {
 
 /// Per-run SDC guard: owns the monitor stack, the checkpoint store and
 /// the armed bit-flip fault, and drives the detection → rollback →
-/// escalate state machine from the two calls every guarded benchmark
-/// loop makes ([`SdcGuard::begin`] / [`SdcGuard::end`]).
+/// escalate state machine from the two calls the guarded outer loop
+/// (`npb_runtime::guarded_loop`) makes each iteration
+/// ([`SdcGuard::begin`] / [`SdcGuard::end`]).
 pub struct SdcGuard {
     cfg: GuardConfig,
     guards: Vec<Box<dyn IterationGuard>>,

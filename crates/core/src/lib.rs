@@ -61,7 +61,7 @@ pub use report::{BenchReport, RegionProfile};
 pub use rlimit::ResourceLimits;
 pub use timer::RegionStats;
 pub use trace::{SpanKind, TraceFormat, TraceSession};
-pub use verify::{arm_nan_corruption, nan_corruption_armed, rel_err_ok, Verified};
+pub use verify::{arm_nan_corruption, nan_corruption_armed, rel_err_ok, verify_all, Verified};
 
 /// All benchmark names, in the paper's table order. This lives in the
 /// substrate crate (rather than the root `npb` crate that can actually

@@ -1,6 +1,6 @@
 //! The standard NPB result banner and a machine-readable result struct.
 
-use crate::{Class, Style, Verified};
+use crate::{Class, GuardStats, Style, Verified};
 
 /// Per-region profile attached to a [`BenchReport`] when tracing ran:
 /// the benchmark-named phase, its attributable seconds, and its
@@ -102,6 +102,43 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// The report of one finished run, filled the way every producer fills
+    /// it: the guard counters come from `guard`, and the per-region profile
+    /// and rank dispositions start empty (the driver attaches the profile
+    /// when tracing ran, the procs backend its ranks' dispositions).
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        name: &'static str,
+        class: Class,
+        style: Style,
+        threads: usize,
+        size: (usize, usize, usize),
+        niter: usize,
+        time_secs: f64,
+        mops: f64,
+        verified: Verified,
+        result_sig: u64,
+        guard: GuardStats,
+    ) -> BenchReport {
+        BenchReport {
+            name,
+            class,
+            size,
+            niter,
+            time_secs,
+            mops,
+            threads,
+            style,
+            verified,
+            recoveries: guard.recoveries,
+            checkpoint_count: guard.checkpoint_count,
+            checkpoint_overhead_s: guard.checkpoint_overhead_s,
+            regions: Vec::new(),
+            result_sig: Some(result_sig),
+            rank_dispositions: Vec::new(),
+        }
+    }
+
     /// Render the classic NPB banner.
     pub fn banner(&self) -> String {
         let ver = match self.verified {

@@ -7,11 +7,12 @@ thread_local! {
     /// to [`rel_err_ok`] *on this thread* is replaced by NaN before
     /// comparison. This is the verification end of the runtime's
     /// deterministic fault injection (`--inject nan:<seed>`): every
-    /// kernel funnels its verification through this comparison, so arming
-    /// here corrupts "the kernel's output" as seen by the verifier
-    /// without touching any kernel. Thread-local rather than
-    /// process-global so concurrent benchmark runs (e.g. parallel tests
-    /// in one binary) cannot steal or trip each other's armed fault.
+    /// floating-point verification goes through this comparison (by way
+    /// of [`verify_all`]), so arming here corrupts "the kernel's output"
+    /// as seen by the verifier without touching any kernel.
+    /// Thread-local rather than process-global so concurrent benchmark
+    /// runs (e.g. parallel tests in one binary) cannot steal or trip each
+    /// other's armed fault.
     static NAN_CORRUPTION: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -74,16 +75,26 @@ pub fn rel_err_ok(computed: f64, reference: f64, epsilon: f64) -> bool {
     err <= epsilon && err.is_finite() && computed.is_finite()
 }
 
-/// Verify a vector of quantities against references; returns `Success`
-/// only if every component passes.
-pub fn verify_all(computed: &[f64], reference: &[f64], epsilon: f64) -> Verified {
-    assert_eq!(computed.len(), reference.len());
-    for (&c, &r) in computed.iter().zip(reference) {
-        if !rel_err_ok(c, r, epsilon) {
-            return Verified::Failure;
-        }
+/// NPB's verification of a run: every computed quantity within
+/// `epsilon` of its reference ([`rel_err_ok`], in order, stopping at the
+/// first miss). No reference for the class reads `NotPerformed`; a
+/// reference of another length reads `Failure`.
+pub fn verify_all(
+    computed: &[f64],
+    reference: Option<impl AsRef<[f64]>>,
+    epsilon: f64,
+) -> Verified {
+    let Some(reference) = reference else {
+        return Verified::NotPerformed;
+    };
+    let reference = reference.as_ref();
+    let ok = computed.len() == reference.len()
+        && computed.iter().zip(reference).all(|(&c, &r)| rel_err_ok(c, r, epsilon));
+    if ok {
+        Verified::Success
+    } else {
+        Verified::Failure
     }
-    Verified::Success
 }
 
 #[cfg(test)]
@@ -116,9 +127,11 @@ mod tests {
 
     #[test]
     fn vector_verification() {
-        let r = [1.0, 2.0, 3.0];
-        assert_eq!(verify_all(&[1.0, 2.0, 3.0], &r, 1e-8), Verified::Success);
-        assert_eq!(verify_all(&[1.0, 2.1, 3.0], &r, 1e-8), Verified::Failure);
+        let r = Some([1.0, 2.0, 3.0]);
+        assert_eq!(verify_all(&[1.0, 2.0, 3.0], r, 1e-8), Verified::Success);
+        assert_eq!(verify_all(&[1.0, 2.1, 3.0], r, 1e-8), Verified::Failure);
+        assert_eq!(verify_all(&[1.0, 2.0], r, 1e-8), Verified::Failure);
+        assert_eq!(verify_all(&[1.0], None::<[f64; 1]>, 1e-8), Verified::NotPerformed);
     }
 
     #[test]

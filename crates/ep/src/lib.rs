@@ -16,7 +16,7 @@ pub use params::{EpParams, EpRefs};
 
 use std::sync::Mutex;
 
-use npb_core::{fmadd, trace, BenchReport, Class, Randlc, Style, Verified};
+use npb_core::{fmadd, trace, BenchReport, Class, GuardStats, Randlc, Style, Verified};
 use npb_runtime::{run_par, Team};
 
 /// Log2 of the batch size (NPB's `MK`): each batch draws `2^(MK+1)`
@@ -121,17 +121,7 @@ fn run_impl<const SAFE: bool>(params: &EpParams, team: Option<&Team>) -> EpResul
 
 /// Verify a result against the published NPB reference sums for `class`.
 pub fn verify(class: Class, res: &EpResult) -> Verified {
-    match params::refs(class) {
-        None => Verified::NotPerformed,
-        Some(r) => {
-            let eps = 1.0e-8;
-            if npb_core::rel_err_ok(res.sx, r.sx, eps) && npb_core::rel_err_ok(res.sy, r.sy, eps) {
-                Verified::Success
-            } else {
-                Verified::Failure
-            }
-        }
-    }
+    npb_core::verify_all(&[res.sx, res.sy], params::refs(class).map(|r| [r.sx, r.sy]), 1.0e-8)
 }
 
 /// Bit-exact signature of a result: the integrity hash over exactly the
@@ -156,23 +146,19 @@ pub fn run(class: Class, style: Style, team: Option<&Team>) -> BenchReport {
     let time = t0.elapsed().as_secs_f64();
     let n = 2f64.powi(params.m as i32);
     let mops = n * 1.0e-6 / time.max(1e-12);
-    BenchReport {
-        name: "EP",
+    BenchReport::new(
+        "EP",
         class,
-        size: (1usize << params.m, 0, 0),
-        niter: 1,
-        time_secs: time,
-        mops,
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, &res),
-        recoveries: 0,
-        checkpoint_count: 0,
-        checkpoint_overhead_s: 0.0,
-        regions: Vec::new(),
-        result_sig: Some(result_sig(&res)),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (1usize << params.m, 0, 0),
+        1,
+        time,
+        mops,
+        verify(class, &res),
+        result_sig(&res),
+        GuardStats::default(),
+    )
 }
 
 /// Run and return the raw sums (used by tests and the harness).

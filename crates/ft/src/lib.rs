@@ -34,10 +34,9 @@ pub use params::{reference_checksums, FtParams};
 use fft::{cfftz_block, BlockBuf, Elem, BLOCK};
 use npb_core::lane::{self, Kernel, Lane};
 use npb_core::{
-    trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, Randlc, SdcGuard, Style,
-    Verified, SEED_DEFAULT,
+    trace, BenchReport, Class, GuardConfig, GuardStats, Randlc, Style, Verified, SEED_DEFAULT,
 };
-use npb_runtime::{escalate_corruption, run_par, RankScratch, SharedMut, Team};
+use npb_runtime::{guarded_loop, run_par, RankScratch, SharedMut, Team};
 use std::ops::Range;
 
 const ALPHA: f64 = 1.0e-6;
@@ -198,18 +197,13 @@ impl FtState {
         chk.scale(1.0 / self.p.ntotal() as f64)
     }
 
-    /// Full benchmark: one untimed warm-up pass, then the timed section
-    /// (index map, initial conditions, forward FFT, `niter` evolve /
-    /// inverse-FFT / checksum steps), as `ft.f` structures it.
-    pub fn run(&mut self, team: Option<&Team>) -> FtOutcome {
-        self.run_guarded(team, &GuardConfig::default())
-    }
-
-    /// [`FtState::run`] under the in-computation SDC guard. The only
-    /// state a time step carries forward is the spectral field `u0`
-    /// (`evolve` derives `u1` from it, the inverse FFT and checksum only
-    /// consume `u1`), so the guard watches and restores `u0`; on
-    /// rollback the checksums of the replayed steps are truncated.
+    /// Full benchmark under the in-computation SDC guard: one untimed
+    /// warm-up pass, then the timed section (index map, initial
+    /// conditions, forward FFT, `niter` evolve / inverse-FFT / checksum
+    /// steps), as `ft.f` structures it. The only state a time step carries
+    /// forward is the spectral field `u0` (`evolve` derives `u1` from it,
+    /// the inverse FFT and checksum only consume `u1`), so the guard
+    /// watches and restores `u0`; a replayed step overwrites its checksum.
     pub fn run_guarded(&mut self, team: Option<&Team>, gcfg: &GuardConfig) -> FtOutcome {
         // Per-rank FFT block buffers, allocated once before the timed
         // section; the solver loop reuses them across every transform.
@@ -233,43 +227,29 @@ impl FtState {
             fft3d(1, &self.p, &self.table, &mut self.u1, &mut self.u0, &scratch, team);
         }
         let mut sums = Vec::with_capacity(self.p.niter);
-        let mut guard = SdcGuard::new(gcfg, self.p.niter);
-        guard.init(&[complex::as_f64(&self.u0)]);
-        let mut it = 0;
-        while it < self.p.niter {
-            match guard.begin(it, &mut [complex::as_f64_mut(&mut self.u0)]) {
-                GuardAction::Continue => {}
-                GuardAction::Rollback { resume } => {
-                    // Replayed iterations must not consult timings from
-                    // the corrupted pass.
-                    if let Some(t) = team {
-                        t.reset_sched_history();
-                    }
-                    sums.truncate(resume);
-                    it = resume;
-                    continue;
+        let guard = guarded_loop(
+            team,
+            gcfg,
+            self.p.niter,
+            self,
+            |s| [complex::as_f64_mut(&mut s.u0)],
+            |s, it| {
+                {
+                    let _phase = trace::scope("evolve");
+                    s.evolve(team);
                 }
-                GuardAction::Escalate { iteration, detections } => {
-                    escalate_corruption(iteration, detections)
+                {
+                    let _phase = trace::scope("fft");
+                    fft3d_inplace(-1, &s.p, &s.table, &mut s.u1, &scratch, team);
                 }
-            }
-            {
-                let _phase = trace::scope("evolve");
-                self.evolve(team);
-            }
-            {
-                let _phase = trace::scope("fft");
-                fft3d_inplace(-1, &self.p, &self.table, &mut self.u1, &scratch, team);
-            }
-            {
                 let _phase = trace::scope("checksum");
-                sums.push(self.checksum());
-            }
-            guard.end(it, &[complex::as_f64(&self.u0)], None);
-            it += 1;
-        }
+                sums.truncate(it);
+                sums.push(s.checksum());
+                None
+            },
+        );
         let secs = t0.elapsed().as_secs_f64();
-        FtOutcome { sums, secs, guard: guard.stats() }
+        FtOutcome { sums, secs, guard }
     }
 }
 
@@ -452,22 +432,8 @@ impl Kernel for Sweep<'_> {
 /// Verify a checksum sequence against the published references
 /// (tolerance 1e-12, as in `ft.f`).
 pub fn verify(class: Class, sums: &[C64]) -> Verified {
-    match reference_checksums(class) {
-        None => Verified::NotPerformed,
-        Some(refs) => {
-            if sums.len() != refs.len() {
-                return Verified::Failure;
-            }
-            for (s, r) in sums.iter().zip(&refs) {
-                if !npb_core::rel_err_ok(s.re, r.re, 1.0e-12)
-                    || !npb_core::rel_err_ok(s.im, r.im, 1.0e-12)
-                {
-                    return Verified::Failure;
-                }
-            }
-            Verified::Success
-        }
-    }
+    let refs = reference_checksums(class);
+    npb_core::verify_all(complex::as_f64(sums), refs.as_deref().map(complex::as_f64), 1.0e-12)
 }
 
 /// Run the FT benchmark and produce the standard report.
@@ -486,32 +452,25 @@ pub fn run_with_guard(
     let mut st = FtState::new(class);
     let out = st.run_guarded(team, gcfg);
     let p = *st.params();
-    BenchReport {
-        name: "FT",
+    BenchReport::new(
+        "FT",
         class,
-        size: (p.nx, p.ny, p.nz),
-        niter: p.niter,
-        time_secs: out.secs,
-        mops: p.flops(out.secs),
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, &out.sums),
-        recoveries: out.guard.recoveries,
-        checkpoint_count: out.guard.checkpoint_count,
-        checkpoint_overhead_s: out.guard.checkpoint_overhead_s,
-        regions: Vec::new(),
-        result_sig: Some({
-            let flat: Vec<f64> = out.sums.iter().flat_map(|s| [s.re, s.im]).collect();
-            npb_core::state_hash(&[&flat])
-        }),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (p.nx, p.ny, p.nz),
+        p.niter,
+        out.secs,
+        p.flops(out.secs),
+        verify(class, &out.sums),
+        npb_core::state_hash(&[complex::as_f64(&out.sums)]),
+        out.guard,
+    )
 }
 
 /// Run and return the raw checksums (tests / harness). FT has one body
 /// for both styles; `_style` keeps the eight `run_raw`s one shape.
 pub fn run_raw(class: Class, _style: Style, team: Option<&Team>) -> FtOutcome {
-    FtState::new(class).run(team)
+    FtState::new(class).run_guarded(team, &GuardConfig::default())
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@ mod params;
 
 pub use params::{IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 
-use npb_core::{ld, st, trace, BenchReport, Class, Randlc, Style, Verified, SEED_DEFAULT};
+use npb_core::{
+    ld, st, trace, BenchReport, Class, GuardStats, Randlc, Style, Verified, SEED_DEFAULT,
+};
 use npb_runtime::{run_par, Exchange, SharedMut, Team};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
@@ -270,23 +272,19 @@ pub fn run(class: Class, style: Style, team: Option<&Team>) -> BenchReport {
         Style::Safe => bench.run::<true>(team),
     };
     let p = bench.params();
-    BenchReport {
-        name: "IS",
+    BenchReport::new(
+        "IS",
         class,
-        size: (p.num_keys, 0, 0),
-        niter: MAX_ITERATIONS,
-        time_secs: secs,
-        mops: (MAX_ITERATIONS * p.num_keys) as f64 * 1.0e-6 / secs.max(1e-12),
-        threads: team.map_or(0, Team::size),
         style,
+        team.map_or(0, Team::size),
+        (p.num_keys, 0, 0),
+        MAX_ITERATIONS,
+        secs,
+        (MAX_ITERATIONS * p.num_keys) as f64 * 1.0e-6 / secs.max(1e-12),
         verified,
-        recoveries: 0,
-        checkpoint_count: 0,
-        checkpoint_overhead_s: 0.0,
-        regions: Vec::new(),
-        result_sig: Some(result_sig(&bench.counts)),
-        rank_dispositions: Vec::new(),
-    }
+        result_sig(&bench.counts),
+        GuardStats::default(),
+    )
 }
 
 #[cfg(test)]

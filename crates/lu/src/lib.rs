@@ -22,10 +22,8 @@ pub use params::{reference, LuParams, LuRefs, OMEGA};
 pub use rhs::LuFields;
 
 use npb_cfd_common::Consts;
-use npb_core::{
-    trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, SdcGuard, Style, Verified,
-};
-use npb_runtime::{escalate_corruption, run_par, SharedMut, Team};
+use npb_core::{trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
+use npb_runtime::{guarded_loop, run_par, SharedMut, Team};
 
 /// LU benchmark instance.
 pub struct LuState {
@@ -74,6 +72,8 @@ impl LuState {
         // rsd *= dt over the interior.
         {
             let _phase = trace::scope("scale");
+            // SAFETY: each rank scales only the points of its own
+            // k-planes, and no rank reads `rsd` elsewhere in the region.
             let rsd = unsafe { SharedMut::new(&mut self.fields.rsd) };
             run_par(team, |par| {
                 par.for_chunks_in(1, n - 1, |ks| {
@@ -105,6 +105,8 @@ impl LuState {
             let _phase = trace::scope("add");
             let tmp = 1.0 / (OMEGA * (2.0 - OMEGA));
             let rsd: &[f64] = &self.fields.rsd;
+            // SAFETY: each rank updates only the points of its own
+            // k-planes, and `u` is read by no rank in the region.
             let u = unsafe { SharedMut::new(&mut self.fields.u) };
             run_par(team, |par| {
                 par.for_chunks_in(1, n - 1, |ks| {
@@ -128,16 +130,12 @@ impl LuState {
         rhs::rhs::<SAFE>(&mut self.fields, &self.consts, team);
     }
 
-    /// Full benchmark: one untimed warm-up iteration, re-init, `niter`
-    /// timed SSOR iterations, verification quantities.
-    pub fn run<const SAFE: bool>(&mut self, team: Option<&Team>) -> LuOutcome {
-        self.run_guarded::<SAFE>(team, &GuardConfig::default())
-    }
-
-    /// [`LuState::run`] under the in-computation SDC guard. An SSOR
-    /// iteration consumes both the solution `u` and the residual `rsd`
-    /// left by the previous step (`frct` is constant after `reset`), so
-    /// the guard watches and restores that pair.
+    /// Full benchmark under the in-computation SDC guard: one untimed
+    /// warm-up iteration, re-init, `niter` timed SSOR iterations,
+    /// verification quantities. An SSOR iteration consumes both the
+    /// solution `u` and the residual `rsd` left by the previous step
+    /// (`frct` is constant after `reset`), so the guard watches and
+    /// restores that pair.
     pub fn run_guarded<const SAFE: bool>(
         &mut self,
         team: Option<&Team>,
@@ -153,35 +151,23 @@ impl LuState {
         // so the profile covers exactly what `secs` covers.
         trace::reset();
         let t0 = std::time::Instant::now();
-        let mut guard = SdcGuard::new(gcfg, self.p.niter);
-        guard.init(&[&self.fields.u[..], &self.fields.rsd[..]]);
-        let mut it = 0;
-        while it < self.p.niter {
-            match guard.begin(it, &mut [&mut self.fields.u[..], &mut self.fields.rsd[..]]) {
-                GuardAction::Continue => {}
-                GuardAction::Rollback { resume } => {
-                    // Replayed iterations must not consult timings from
-                    // the corrupted pass.
-                    if let Some(t) = team {
-                        t.reset_sched_history();
-                    }
-                    it = resume;
-                    continue;
-                }
-                GuardAction::Escalate { iteration, detections } => {
-                    escalate_corruption(iteration, detections)
-                }
-            }
-            self.ssor_step::<SAFE>(team);
-            guard.end(it, &[&self.fields.u[..], &self.fields.rsd[..]], None);
-            it += 1;
-        }
+        let guard = guarded_loop(
+            team,
+            gcfg,
+            self.p.niter,
+            self,
+            |s| [&mut s.fields.u[..], &mut s.fields.rsd[..]],
+            |s, _| {
+                s.ssor_step::<SAFE>(team);
+                None
+            },
+        );
         let xcr = l2norm(self.p.n, &self.fields.rsd);
         let secs = t0.elapsed().as_secs_f64();
 
         let xce = error(&self.fields, &self.consts);
         let xci = pintgr(&self.fields, &self.consts);
-        LuOutcome { xcr, xce, xci, secs, guard: guard.stats() }
+        LuOutcome { xcr, xce, xci, secs, guard }
     }
 }
 
@@ -194,17 +180,8 @@ pub fn verify(class: Class, out: &LuOutcome) -> Verified {
     if (LuParams::for_class(class).dt - r.dt).abs() > eps {
         return Verified::NotPerformed;
     }
-    for m in 0..5 {
-        if !npb_core::rel_err_ok(out.xcr[m], r.xcr[m], eps)
-            || !npb_core::rel_err_ok(out.xce[m], r.xce[m], eps)
-        {
-            return Verified::Failure;
-        }
-    }
-    if !npb_core::rel_err_ok(out.xci, r.xci, eps) {
-        return Verified::Failure;
-    }
-    Verified::Success
+    let flat = |xcr: &[f64], xce: &[f64], xci: f64| [xcr, xce, &[xci]].concat();
+    npb_core::verify_all(&flat(&out.xcr, &out.xce, out.xci), Some(flat(&r.xcr, &r.xce, r.xci)), eps)
 }
 
 /// Run the LU benchmark and produce the standard report.
@@ -225,31 +202,27 @@ pub fn run_with_guard(
         Style::Opt => st.run_guarded::<false>(team, gcfg),
         Style::Safe => st.run_guarded::<true>(team, gcfg),
     };
-    BenchReport {
-        name: "LU",
+    BenchReport::new(
+        "LU",
         class,
-        size: (st.p.n, st.p.n, st.p.n),
-        niter: st.p.niter,
-        time_secs: out.secs,
-        mops: st.p.mops(out.secs),
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, &out),
-        recoveries: out.guard.recoveries,
-        checkpoint_count: out.guard.checkpoint_count,
-        checkpoint_overhead_s: out.guard.checkpoint_overhead_s,
-        regions: Vec::new(),
-        result_sig: Some(npb_core::state_hash(&[&out.xcr, &out.xce, &[out.xci]])),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (st.p.n, st.p.n, st.p.n),
+        st.p.niter,
+        out.secs,
+        st.p.mops(out.secs),
+        verify(class, &out),
+        npb_core::state_hash(&[&out.xcr, &out.xce, &[out.xci]]),
+        out.guard,
+    )
 }
 
 /// Run and return the raw norms (tests / harness).
 pub fn run_raw(class: Class, style: Style, team: Option<&Team>) -> LuOutcome {
     let mut st = LuState::new(class);
     match style {
-        Style::Opt => st.run::<false>(team),
-        Style::Safe => st.run::<true>(team),
+        Style::Opt => st.run_guarded::<false>(team, &GuardConfig::default()),
+        Style::Safe => st.run_guarded::<true>(team, &GuardConfig::default()),
     }
 }
 

@@ -484,6 +484,8 @@ pub fn erhs(f: &mut LuFields, c: &Consts, team: Option<&Team>) {
             }
         }
     }
+    // SAFETY: `apply_fluxes` writes only the planes of each rank's chunk
+    // between barriers, and reads the separate `exact` field.
     let out = unsafe { SharedMut::new(&mut f.frct) };
     apply_fluxes::<false>(n, c, &exact, &out, team);
 }
@@ -493,6 +495,9 @@ pub fn rhs<const SAFE: bool>(f: &mut LuFields, c: &Consts, team: Option<&Team>) 
     let n = f.n;
     let frct: &[f64] = &f.frct;
     let u: &[f64] = &f.u;
+    // SAFETY: each element is written by the rank whose chunk holds it,
+    // then `apply_fluxes` writes only the planes of each rank's chunk
+    // between barriers; `rsd` is never read in these regions.
     let rsd = unsafe { SharedMut::new(&mut f.rsd) };
     run_par(team, |par| {
         let tot = 5 * n * n * n;

@@ -300,6 +300,9 @@ fn wait_until(cond: impl Fn() -> bool) {
 pub fn lower_sweep<const SAFE: bool>(f: &mut LuFields, c: &Consts, dt: f64, team: Option<&Team>) {
     let n = f.n;
     let u: &[f64] = &f.u;
+    // SAFETY: rank `t` writes only its own j-range of plane `k`, and
+    // reads a neighbour's rows of plane `k` only after that rank has
+    // published it through `done` (Release/Acquire).
     let rsd = unsafe { SharedMut::new(&mut f.rsd) };
     let nthreads = team.map_or(1, Team::size);
     let done: Vec<AtomicUsize> = (0..nthreads).map(|_| AtomicUsize::new(0)).collect();
@@ -331,6 +334,9 @@ pub fn lower_sweep<const SAFE: bool>(f: &mut LuFields, c: &Consts, dt: f64, team
 pub fn upper_sweep<const SAFE: bool>(f: &mut LuFields, c: &Consts, dt: f64, team: Option<&Team>) {
     let n = f.n;
     let u: &[f64] = &f.u;
+    // SAFETY: rank `t` writes only its own j-range of plane `k`, and
+    // reads a neighbour's rows of plane `k` only after that rank has
+    // published it through `done` (Release/Acquire).
     let rsd = unsafe { SharedMut::new(&mut f.rsd) };
     let nthreads = team.map_or(1, Team::size);
     // done[t] = number of planes thread t has completed.

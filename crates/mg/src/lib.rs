@@ -18,10 +18,8 @@ mod zran3;
 pub use params::MgParams;
 pub use zran3::zran3;
 
-use npb_core::{
-    trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, SdcGuard, Style, Verified,
-};
-use npb_runtime::{escalate_corruption, SharedMut, Team};
+use npb_core::{trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
+use npb_runtime::{guarded_loop, SharedMut, Team};
 pub use ops::MgScratch;
 use ops::{interp, norm2u3, psinv, resid, rprj3, zero3};
 
@@ -198,14 +196,10 @@ impl MgState {
         norm2u3::<SAFE>(&sr, n, team)
     }
 
-    /// Full benchmark: one untimed warm-up cycle, reset, then the timed
-    /// `resid + nit × (mg3P + resid) + norm` section of `mg.f`.
-    pub fn run<const SAFE: bool>(&mut self, team: Option<&Team>) -> MgOutcome {
-        self.run_guarded::<SAFE>(team, &GuardConfig::default())
-    }
-
-    /// [`MgState::run`] under the in-computation SDC guard. The state a
-    /// V-cycle carries into the next iteration is exactly the finest
+    /// Full benchmark under the in-computation SDC guard: one untimed
+    /// warm-up cycle, reset, then the timed
+    /// `resid + nit × (mg3P + resid) + norm` section of `mg.f`. The state
+    /// a V-cycle carries into the next iteration is exactly the finest
     /// `u` and `r` grids: every coarse level is rebuilt from them (the
     /// downward restriction rewrites `r[lev<finest]`, `zero3`+`interp`
     /// rewrite `u[lev<finest]`) and `v` is constant after `reset` — so
@@ -226,52 +220,33 @@ impl MgState {
         trace::reset();
         let t0 = std::time::Instant::now();
         self.resid_finest::<SAFE>(team);
-        let fin = self.lt - 1;
-        let mut guard = SdcGuard::new(gcfg, self.p.nit);
-        guard.init(&[&self.u[fin][..], &self.r[fin][..]]);
-        let mut it = 0;
-        while it < self.p.nit {
-            match guard.begin(it, &mut [&mut self.u[fin][..], &mut self.r[fin][..]]) {
-                GuardAction::Continue => {}
-                GuardAction::Rollback { resume } => {
-                    // Replayed iterations must not consult timings from
-                    // the corrupted pass.
-                    if let Some(t) = team {
-                        t.reset_sched_history();
-                    }
-                    it = resume;
-                    continue;
-                }
-                GuardAction::Escalate { iteration, detections } => {
-                    escalate_corruption(iteration, detections)
-                }
-            }
-            self.mg3p::<SAFE>(team);
-            self.resid_finest::<SAFE>(team);
-            guard.end(it, &[&self.u[fin][..], &self.r[fin][..]], None);
-            it += 1;
-        }
+        let guard = guarded_loop(
+            team,
+            gcfg,
+            self.p.nit,
+            self,
+            |s| {
+                let fin = s.lt - 1;
+                [&mut s.u[fin][..], &mut s.r[fin][..]]
+            },
+            |s, _| {
+                s.mg3p::<SAFE>(team);
+                s.resid_finest::<SAFE>(team);
+                None
+            },
+        );
         let (rnm2, rnmu) = {
             let _phase = trace::scope("norm2");
             self.residual_norms::<SAFE>(team)
         };
         let secs = t0.elapsed().as_secs_f64();
-        MgOutcome { rnm2, rnmu, secs, guard: guard.stats() }
+        MgOutcome { rnm2, rnmu, secs, guard }
     }
 }
 
 /// Verify `rnm2` against the published reference (tolerance 1e-8).
 pub fn verify(class: Class, rnm2: f64) -> Verified {
-    match MgParams::for_class(class).verify_rnm2 {
-        None => Verified::NotPerformed,
-        Some(r) => {
-            if npb_core::rel_err_ok(rnm2, r, 1.0e-8) {
-                Verified::Success
-            } else {
-                Verified::Failure
-            }
-        }
-    }
+    npb_core::verify_all(&[rnm2], MgParams::for_class(class).verify_rnm2.map(|r| [r]), 1.0e-8)
 }
 
 /// Run the MG benchmark and produce the standard report (NPB's 58 flops
@@ -295,31 +270,27 @@ pub fn run_with_guard(
     };
     let p = *st.params();
     let nn = (p.nx * p.nx * p.nx) as f64;
-    BenchReport {
-        name: "MG",
+    BenchReport::new(
+        "MG",
         class,
-        size: (p.nx, p.nx, p.nx),
-        niter: p.nit,
-        time_secs: out.secs,
-        mops: 58.0 * p.nit as f64 * nn * 1.0e-6 / out.secs.max(1e-12),
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, out.rnm2),
-        recoveries: out.guard.recoveries,
-        checkpoint_count: out.guard.checkpoint_count,
-        checkpoint_overhead_s: out.guard.checkpoint_overhead_s,
-        regions: Vec::new(),
-        result_sig: Some(npb_core::state_hash(&[&[out.rnm2]])),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (p.nx, p.nx, p.nx),
+        p.nit,
+        out.secs,
+        58.0 * p.nit as f64 * nn * 1.0e-6 / out.secs.max(1e-12),
+        verify(class, out.rnm2),
+        npb_core::state_hash(&[&[out.rnm2]]),
+        out.guard,
+    )
 }
 
 /// Run and return the raw outcome (tests / harness).
 pub fn run_raw(class: Class, style: Style, team: Option<&Team>) -> MgOutcome {
     let mut st = MgState::new(class);
     match style {
-        Style::Opt => st.run::<false>(team),
-        Style::Safe => st.run::<true>(team),
+        Style::Opt => st.run_guarded::<false>(team, &GuardConfig::default()),
+        Style::Safe => st.run_guarded::<true>(team, &GuardConfig::default()),
     }
 }
 

@@ -1,6 +1,11 @@
 //! The structured failure vocabulary of a parallel region: what
-//! [`crate::Team::try_exec`] (and the procs backend) report, and the
-//! panic payloads the runtime itself unwinds with.
+//! [`crate::Team::try_exec`] (and the procs backend) report, the panic
+//! payloads the runtime itself unwinds with, and [`guarded_loop`], the
+//! SDC-guarded outer loop whose escalation becomes one of them.
+
+use npb_core::{GuardAction, GuardConfig, GuardStats, SdcGuard};
+
+use crate::Team;
 
 /// Structured outcome of a failed parallel region.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +51,49 @@ pub enum RegionError {
 /// that worker panics take (retry budget, then the supervisor).
 pub fn escalate_corruption(iteration: usize, detections: usize) -> ! {
     std::panic::panic_any(RegionError::Corruption { iteration, detections })
+}
+
+/// The outer loop of every guarded benchmark: `niter` calls of `step`
+/// under an [`SdcGuard`] built from `gcfg`, watching the arrays `watched`
+/// returns — the complete state one iteration hands the next.
+///
+/// `step(state, it)` runs iteration `it` and returns its residual where
+/// the kernel has one. On a rollback the watched arrays are already
+/// restored; the loop discards the team's feedback-scheduling history
+/// (replayed iterations must not consult timings from the corrupted
+/// pass) and resumes at the checkpoint's iteration, so a step that keeps
+/// a per-iteration log truncates it to `it` before appending. An
+/// escalation unwinds through [`escalate_corruption`].
+pub fn guarded_loop<S, const N: usize>(
+    team: Option<&Team>,
+    gcfg: &GuardConfig,
+    niter: usize,
+    state: &mut S,
+    watched: fn(&mut S) -> [&mut [f64]; N],
+    mut step: impl FnMut(&mut S, usize) -> Option<f64>,
+) -> GuardStats {
+    let mut guard = SdcGuard::new(gcfg, niter);
+    guard.init(&watched(state).map(|a| &*a));
+    let mut it = 0;
+    while it < niter {
+        match guard.begin(it, &mut watched(state)) {
+            GuardAction::Continue => {}
+            GuardAction::Rollback { resume } => {
+                if let Some(t) = team {
+                    t.reset_sched_history();
+                }
+                it = resume;
+                continue;
+            }
+            GuardAction::Escalate { iteration, detections } => {
+                escalate_corruption(iteration, detections)
+            }
+        }
+        let residual = step(state, it);
+        guard.end(it, &watched(state).map(|a| &*a), residual);
+        it += 1;
+    }
+    guard.stats()
 }
 
 impl std::fmt::Display for RegionError {
@@ -96,5 +144,29 @@ mod tests {
         assert_eq!(*err, RegionError::Corruption { iteration: 7, detections: 3 });
         let text = err.to_string();
         assert!(text.contains("iteration 7") && text.contains("3 repeated"), "{text}");
+    }
+
+    #[test]
+    fn guarded_loop_escalates_corruption_every_replay_repeats() {
+        let gcfg = GuardConfig::enabled_every(1);
+        let payload = std::panic::catch_unwind(|| {
+            let mut state = [1.0f64; 4];
+            guarded_loop(
+                None,
+                &gcfg,
+                6,
+                &mut state,
+                |s| [&mut s[..]],
+                |s, it| {
+                    if it == 3 {
+                        s[0] = f64::NAN;
+                    }
+                    None
+                },
+            )
+        })
+        .unwrap_err();
+        let err = payload.downcast::<RegionError>().expect("RegionError payload");
+        assert_eq!(*err, RegionError::Corruption { iteration: 4, detections: 3 });
     }
 }

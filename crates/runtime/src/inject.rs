@@ -182,11 +182,13 @@ mod tests {
         let plan = FaultPlan::new(FaultKind::BitFlip, 42);
         plan.arm(None).expect("bitflip needs no worker threads");
         assert!(npb_core::bitflip_armed());
-        // Claim it so this test leaves no armed fault behind for
-        // parallel tests on this thread.
-        let guard = npb_core::SdcGuard::new(&npb_core::GuardConfig::default(), 4);
+        // A guarded loop claims it (and flips its bit), so this test
+        // leaves no armed fault behind for parallel tests on this thread.
+        let mut state = [1.0f64; 8];
+        let gcfg = npb_core::GuardConfig::default();
+        crate::guarded_loop(None, &gcfg, 4, &mut state, |s| [&mut s[..]], |_, _| None);
         assert!(!npb_core::bitflip_armed());
-        drop(guard);
+        assert_eq!(state.iter().filter(|&&v| v != 1.0).count(), 1, "one element flipped");
     }
 
     #[test]

@@ -57,7 +57,9 @@
 //!   barrier;
 //! * `spin` — the bounded adaptive spin every waiter runs before it
 //!   parks, and the `NPB_SPIN_US` / `NPB_REGION_TIMEOUT_MS` parsers;
-//! * `error` — [`RegionError`] and the runtime's own panic payloads.
+//! * `error` — [`RegionError`], the runtime's own panic payloads, and
+//!   [`guarded_loop`], the SDC-guarded outer loop of every iterative
+//!   benchmark.
 
 //!
 //! The multi-*process* generalization of all of the above — rank
@@ -78,7 +80,7 @@ mod shared;
 mod spin;
 mod team;
 
-pub use error::{escalate_corruption, BarrierPoisoned, InjectedFault, RegionError};
+pub use error::{escalate_corruption, guarded_loop, BarrierPoisoned, InjectedFault, RegionError};
 pub use exchange::Exchange;
 pub use inject::{FaultKind, FaultPlan};
 // The environmental (I/O) fault taxonomy is npb-core's; the procs

@@ -50,16 +50,6 @@ impl Partials {
         Partials { slots: (0..n).map(|_| CachePadded::new(UnsafeCell::new(0.0))).collect() }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Store thread `tid`'s partial result.
     ///
     /// Must only be called by the thread owning rank `tid` during a
@@ -70,22 +60,6 @@ impl Partials {
         // before the barrier or region end that follows.
         unsafe {
             *self.slots[tid].get() = v;
-        }
-    }
-
-    /// Add to thread `tid`'s partial result.
-    #[inline]
-    pub fn accumulate(&self, tid: usize, v: f64) {
-        // SAFETY: as for `set`.
-        unsafe {
-            *self.slots[tid].get() += v;
-        }
-    }
-
-    /// Reset all slots to zero (master only, outside a region).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s.get_mut() = 0.0;
         }
     }
 
@@ -100,12 +74,6 @@ impl Partials {
     pub fn max(&self) -> f64 {
         // SAFETY: as for `sum`.
         self.slots.iter().map(|s| unsafe { *s.get() }).fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Read one slot (master only, outside a region).
-    pub fn get(&self, tid: usize) -> f64 {
-        // SAFETY: master only, outside a region: no rank writes.
-        unsafe { *self.slots[tid].get() }
     }
 }
 
@@ -124,28 +92,19 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_clear() {
-        let mut p = Partials::new(2);
-        p.accumulate(0, 1.5);
-        p.accumulate(0, 2.5);
-        assert_eq!(p.get(0), 4.0);
-        p.clear();
-        assert_eq!(p.sum(), 0.0);
-    }
-
-    #[test]
     fn concurrent_disjoint_slots() {
         let p = Partials::new(8);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let p = &p;
                 s.spawn(move || {
-                    for _ in 0..1000 {
-                        p.accumulate(t, 1.0);
+                    for i in 1..=1000 {
+                        p.set(t, (t * i) as f64);
                     }
                 });
             }
         });
-        assert_eq!(p.sum(), 8000.0);
+        assert_eq!(p.sum(), 28_000.0);
+        assert_eq!(p.max(), 7_000.0);
     }
 }

@@ -28,10 +28,8 @@ pub use params::{reference, SpParams};
 use npb_cfd_common::{
     add, compute_rhs, error_norm, exact_rhs, initialize, rhs_norm, verify_norms, Consts, Fields,
 };
-use npb_core::{
-    trace, BenchReport, Class, GuardAction, GuardConfig, GuardStats, SdcGuard, Style, Verified,
-};
-use npb_runtime::{escalate_corruption, Team};
+use npb_core::{trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
+use npb_runtime::{guarded_loop, Team};
 
 /// SP benchmark instance.
 pub struct SpState {
@@ -88,16 +86,11 @@ impl SpState {
         add::<SAFE>(&mut self.fields, team);
     }
 
-    /// Full benchmark: initialize, one untimed warm-up step,
-    /// re-initialize, `niter` timed steps, verification norms.
-    pub fn run<const SAFE: bool>(&mut self, team: Option<&Team>) -> SpOutcome {
-        self.run_guarded::<SAFE>(team, &GuardConfig::default())
-    }
-
-    /// [`SpState::run`] under the in-computation SDC guard. Each ADI
-    /// step recomputes `rhs` and every auxiliary field from the solution
-    /// `u`, so `u` is the complete inter-iteration state the guard
-    /// watches and restores.
+    /// Full benchmark under the in-computation SDC guard: initialize, one
+    /// untimed warm-up step, re-initialize, `niter` timed steps,
+    /// verification norms. Each ADI step recomputes `rhs` and every
+    /// auxiliary field from the solution `u`, so `u` is the complete
+    /// inter-iteration state the guard watches and restores.
     pub fn run_guarded<const SAFE: bool>(
         &mut self,
         team: Option<&Team>,
@@ -112,29 +105,17 @@ impl SpState {
         // the profile covers exactly what `secs` covers.
         trace::reset();
         let t0 = std::time::Instant::now();
-        let mut guard = SdcGuard::new(gcfg, self.p.niter);
-        guard.init(&[&self.fields.u[..]]);
-        let mut it = 0;
-        while it < self.p.niter {
-            match guard.begin(it, &mut [&mut self.fields.u[..]]) {
-                GuardAction::Continue => {}
-                GuardAction::Rollback { resume } => {
-                    // Replayed iterations must not consult timings from
-                    // the corrupted pass.
-                    if let Some(t) = team {
-                        t.reset_sched_history();
-                    }
-                    it = resume;
-                    continue;
-                }
-                GuardAction::Escalate { iteration, detections } => {
-                    escalate_corruption(iteration, detections)
-                }
-            }
-            self.adi::<SAFE>(team);
-            guard.end(it, &[&self.fields.u[..]], None);
-            it += 1;
-        }
+        let guard = guarded_loop(
+            team,
+            gcfg,
+            self.p.niter,
+            self,
+            |s| [&mut s.fields.u[..]],
+            |s, _| {
+                s.adi::<SAFE>(team);
+                None
+            },
+        );
         let secs = t0.elapsed().as_secs_f64();
 
         let xce = error_norm(&self.fields, &self.consts);
@@ -143,7 +124,7 @@ impl SpState {
         for m in 0..5 {
             xcr[m] /= self.consts.dt;
         }
-        SpOutcome { xcr, xce, secs, guard: guard.stats() }
+        SpOutcome { xcr, xce, secs, guard }
     }
 }
 
@@ -171,31 +152,27 @@ pub fn run_with_guard(
         Style::Opt => st.run_guarded::<false>(team, gcfg),
         Style::Safe => st.run_guarded::<true>(team, gcfg),
     };
-    BenchReport {
-        name: "SP",
+    BenchReport::new(
+        "SP",
         class,
-        size: (st.p.n, st.p.n, st.p.n),
-        niter: st.p.niter,
-        time_secs: out.secs,
-        mops: st.p.mops(out.secs),
-        threads: team.map_or(0, Team::size),
         style,
-        verified: verify(class, &out),
-        recoveries: out.guard.recoveries,
-        checkpoint_count: out.guard.checkpoint_count,
-        checkpoint_overhead_s: out.guard.checkpoint_overhead_s,
-        regions: Vec::new(),
-        result_sig: Some(npb_core::state_hash(&[&out.xcr, &out.xce])),
-        rank_dispositions: Vec::new(),
-    }
+        team.map_or(0, Team::size),
+        (st.p.n, st.p.n, st.p.n),
+        st.p.niter,
+        out.secs,
+        st.p.mops(out.secs),
+        verify(class, &out),
+        npb_core::state_hash(&[&out.xcr, &out.xce]),
+        out.guard,
+    )
 }
 
 /// Run and return the raw norms (tests / harness).
 pub fn run_raw(class: Class, style: Style, team: Option<&Team>) -> SpOutcome {
     let mut st = SpState::new(class);
     match style {
-        Style::Opt => st.run::<false>(team),
-        Style::Safe => st.run::<true>(team),
+        Style::Opt => st.run_guarded::<false>(team, &GuardConfig::default()),
+        Style::Safe => st.run_guarded::<true>(team, &GuardConfig::default()),
     }
 }
 

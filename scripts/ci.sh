@@ -9,9 +9,9 @@ echo "== fmt =="
 cargo fmt --check
 
 echo "== unsafe contracts =="
-# Every `unsafe {` block in the procs glue and the EP/IS/CG kernels
-# states its contract: `// SAFETY:` on the same line or within the three
-# lines above it.
+# Every `unsafe {` block in the procs glue, the EP/IS/CG/BT/SP/LU/FT
+# kernels, the shared CFD code and npb-core states its contract:
+# `// SAFETY:` on the same line or within the three lines above it.
 awk 'FNR == 1 { delete seen }
      /unsafe \{/ && !/^[[:space:]]*\/\// {
          ok = /SAFETY:/
@@ -19,7 +19,7 @@ awk 'FNR == 1 { delete seen }
          if (!ok) { print FILENAME ":" FNR ": unsafe block without // SAFETY:"; bad = 1 }
      }
      { seen[FNR] = $0 }
-     END { exit bad }' src/procs/*.rs crates/ep/src/*.rs crates/is/src/*.rs crates/cg/src/*.rs
+     END { exit bad }' src/procs/*.rs crates/{ep,is,cg,bt,sp,lu,ft,cfd-common,core}/src/*.rs
 
 echo "== one benchmark =="
 # benchmark/ is the one measurement system and BENCHMARK.json its one
@@ -121,15 +121,17 @@ target/release/npb-suite is,mg --class S --threads 0 --manifest "$manifest" >/de
 grep -Eq '"event":"attempt".*"elapsed_ms":[0-9]\}' "$manifest"
 
 echo "== sdc smoke (in-computation guard) =="
-# An exponent bit flip lands in the adversarial tail of CG's outer
-# loop; the SDC guard must detect it against the rolling checksum,
-# roll back to the last checkpoint, replay, verify (exit 0), and
-# report the recovery in the JSON record.
-sdc_out="$(cargo run --release --bin npb -- \
-    cg S --sdc-guard --checkpoint-every=2 --inject bitflip:42 --json)"
-echo "$sdc_out" | grep -q '"verified":"success"'
-recoveries="$(echo "$sdc_out" | grep -o '"recoveries":[0-9]*' | cut -d: -f2)"
-test "${recoveries:-0}" -ge 1
+# An exponent bit flip lands in the adversarial tail of CG's and LU's
+# outer loops; the SDC guard must detect it against the rolling
+# checksum, roll back to the last checkpoint, replay, verify (exit 0),
+# and report the recovery in the JSON record.
+for bench in cg lu; do
+    sdc_out="$(cargo run --release --bin npb -- \
+        $bench S --sdc-guard --checkpoint-every=2 --inject bitflip:42 --json)"
+    echo "$sdc_out" | grep -q '"verified":"success"'
+    recoveries="$(echo "$sdc_out" | grep -o '"recoveries":[0-9]*' | cut -d: -f2)"
+    test "${recoveries:-0}" -ge 1
+done
 
 echo "== sched smoke (adaptive loop scheduling) =="
 # Guided and feedback scheduling must verify and match the static

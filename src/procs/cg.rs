@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use npb_cg::{CgParams, CgVectors};
 use npb_core::trace::{self, SpanKind};
-use npb_core::BenchReport;
+use npb_core::{BenchReport, GuardStats};
 use npb_runtime::procs::shm::{ckpt_slot_bytes, header, CkptSlot, ShmLayout};
 use npb_runtime::procs::ProcBarrier;
 use npb_runtime::{Exchange, SharedMut};
@@ -114,23 +114,26 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
     let dispositions = parent.finish();
 
-    Ok(BenchReport {
-        name: "CG",
-        class: cfg.class,
-        size: (n, 0, 0),
-        niter: p.niter,
-        time_secs: secs,
-        mops: p.flops() * 1.0e-6 / secs.max(1e-12),
-        threads: cfg.nranks,
-        style: cfg.style,
-        verified: npb_cg::verify(cfg.class, zeta),
+    let guard = GuardStats {
         recoveries: parent.recoveries,
         checkpoint_count: checkpoints,
         checkpoint_overhead_s: ckpt_secs,
-        regions: Vec::new(),
-        result_sig: Some(npb_cg::result_sig(zeta)),
-        rank_dispositions: dispositions,
-    })
+    };
+    let mut report = BenchReport::new(
+        "CG",
+        cfg.class,
+        cfg.style,
+        cfg.nranks,
+        (n, 0, 0),
+        p.niter,
+        secs,
+        p.flops() * 1.0e-6 / secs.max(1e-12),
+        npb_cg::verify(cfg.class, zeta),
+        npb_cg::result_sig(zeta),
+        guard,
+    );
+    report.rank_dispositions = dispositions;
+    Ok(report)
 }
 
 pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use npb_core::trace::{self, SpanKind};
-use npb_core::BenchReport;
+use npb_core::{BenchReport, GuardStats};
 use npb_ep::{EpParams, EpResult, NQ};
 use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
 use npb_runtime::Exchange;
@@ -106,23 +106,23 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let time = t0.elapsed().as_secs_f64();
 
     let n = 2f64.powi(params.m as i32);
-    Ok(BenchReport {
-        name: "EP",
-        class: cfg.class,
-        size: (1usize << params.m, 0, 0),
-        niter: 1,
-        time_secs: time,
-        mops: n * 1.0e-6 / time.max(1e-12),
-        threads: cfg.nranks,
-        style: cfg.style,
-        verified: npb_ep::verify(cfg.class, &res),
-        recoveries,
-        checkpoint_count: checkpoints,
-        checkpoint_overhead_s: 0.0,
-        regions: Vec::new(),
-        result_sig: Some(npb_ep::result_sig(&res)),
-        rank_dispositions: dispositions,
-    })
+    let guard =
+        GuardStats { recoveries, checkpoint_count: checkpoints, checkpoint_overhead_s: 0.0 };
+    let mut report = BenchReport::new(
+        "EP",
+        cfg.class,
+        cfg.style,
+        cfg.nranks,
+        (1usize << params.m, 0, 0),
+        1,
+        time,
+        n * 1.0e-6 / time.max(1e-12),
+        npb_ep::verify(cfg.class, &res),
+        npb_ep::result_sig(&res),
+        guard,
+    );
+    report.rank_dispositions = dispositions;
+    Ok(report)
 }
 
 pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {

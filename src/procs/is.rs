@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use npb_core::trace::{self, SpanKind};
-use npb_core::{BenchReport, Verified};
+use npb_core::{BenchReport, GuardStats, Verified};
 use npb_is::{create_seq, IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
 use npb_runtime::{Exchange, SharedMut};
@@ -131,23 +131,26 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
         Verified::Failure
     };
 
-    Ok(BenchReport {
-        name: "IS",
-        class: cfg.class,
-        size: (nk, 0, 0),
-        niter: MAX_ITERATIONS,
-        time_secs: secs,
-        mops: (MAX_ITERATIONS * nk) as f64 * 1.0e-6 / secs.max(1e-12),
-        threads: cfg.nranks,
-        style: cfg.style,
-        verified,
+    let guard = GuardStats {
         recoveries: parent.recoveries,
         checkpoint_count: checkpoints,
         checkpoint_overhead_s: 0.0,
-        regions: Vec::new(),
-        result_sig: Some(npb_is::result_sig(counts_final)),
-        rank_dispositions: dispositions,
-    })
+    };
+    let mut report = BenchReport::new(
+        "IS",
+        cfg.class,
+        cfg.style,
+        cfg.nranks,
+        (nk, 0, 0),
+        MAX_ITERATIONS,
+        secs,
+        (MAX_ITERATIONS * nk) as f64 * 1.0e-6 / secs.max(1e-12),
+        verified,
+        npb_is::result_sig(counts_final),
+        guard,
+    );
+    report.rank_dispositions = dispositions;
+    Ok(report)
 }
 
 pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {

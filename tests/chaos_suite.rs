@@ -238,6 +238,33 @@ fn ft_bitflip_is_detected_rolled_back_and_verified() {
 }
 
 #[test]
+fn bt_bitflip_is_detected_rolled_back_and_verified() {
+    guarded(120, || {
+        assert_bitflip_recovery("BT", 0);
+        assert_bitflip_recovery("BT", 2);
+        assert_bitflip_unguarded_fails("BT", 0);
+    });
+}
+
+#[test]
+fn sp_bitflip_is_detected_rolled_back_and_verified() {
+    guarded(120, || {
+        assert_bitflip_recovery("SP", 0);
+        assert_bitflip_recovery("SP", 2);
+        assert_bitflip_unguarded_fails("SP", 0);
+    });
+}
+
+#[test]
+fn lu_bitflip_is_detected_rolled_back_and_verified() {
+    guarded(120, || {
+        assert_bitflip_recovery("LU", 0);
+        assert_bitflip_recovery("LU", 2);
+        assert_bitflip_unguarded_fails("LU", 0);
+    });
+}
+
+#[test]
 fn bitflip_recovery_works_with_spinning_enabled() {
     // The rollback-and-replay path reuses the team across attempts;
     // spinning waiters must not perturb detection, checkpointing, or the
@@ -303,26 +330,38 @@ fn panic_inside_guided_chunk_poisons_then_team_heals() {
 /// back *and* discard the persisted per-rank timings: replayed
 /// iterations re-partition from scratch instead of consulting splits
 /// measured during the corrupted pass. `Team::sched_resets` counts that
-/// discard, and the replay must still verify bit-for-bit.
+/// discard, and the replay must still verify bit-for-bit — for every
+/// benchmark that runs the guarded loop.
 #[test]
 fn bitflip_rollback_under_feedback_resets_sched_history() {
-    guarded(120, || {
-        let team = Team::new(2);
-        team.set_sched(Sched::Feedback);
-        let plan = FaultPlan::parse("bitflip:42").unwrap();
-        plan.arm(Some(&team)).unwrap();
-        let gcfg = GuardConfig::enabled_every(2);
-        let report = npb_cg::run_with_guard(Class::S, Style::Opt, Some(&team), &gcfg);
-        assert!(
-            report.verified.is_success(),
-            "feedback-scheduled guarded run must verify after rollback, got {:?}",
-            report.verified
-        );
-        assert!(report.recoveries >= 1, "the guard must have rolled back at least once");
-        assert!(
-            team.sched_resets() >= 1,
-            "rollback must reset the feedback scheduler's persisted timings"
-        );
+    type RunWithGuard = fn(Class, Style, Option<&Team>, &GuardConfig) -> npb::BenchReport;
+    let benches: [(&str, RunWithGuard); 6] = [
+        ("BT", npb_bt::run_with_guard),
+        ("SP", npb_sp::run_with_guard),
+        ("LU", npb_lu::run_with_guard),
+        ("MG", npb_mg::run_with_guard),
+        ("FT", npb_ft::run_with_guard),
+        ("CG", npb_cg::run_with_guard),
+    ];
+    guarded(240, move || {
+        for (name, run_with_guard) in benches {
+            let team = Team::new(2);
+            team.set_sched(Sched::Feedback);
+            let plan = FaultPlan::parse("bitflip:42").unwrap();
+            plan.arm(Some(&team)).unwrap();
+            let gcfg = GuardConfig::enabled_every(2);
+            let report = run_with_guard(Class::S, Style::Opt, Some(&team), &gcfg);
+            assert!(
+                report.verified.is_success(),
+                "{name}: feedback-scheduled guarded run must verify after rollback, got {:?}",
+                report.verified
+            );
+            assert!(report.recoveries >= 1, "{name}: the guard must have rolled back");
+            assert!(
+                team.sched_resets() >= 1,
+                "{name}: rollback must reset the feedback scheduler's persisted timings"
+            );
+        }
     });
 }
 
