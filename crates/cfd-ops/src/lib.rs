@@ -175,6 +175,8 @@ pub fn run_linearized<const SAFE: bool>(op: Op, cfg: &OpConfig, team: Option<&Te
 
     let t0 = std::time::Instant::now();
     {
+        // SAFETY: each rank writes only the planes or points of its own
+        // range, and no rank reads `y` or `outv` inside a sweep.
         let sy = unsafe { SharedMut::new(&mut y) };
         let so = unsafe { SharedMut::new(&mut outv) };
         for _sweep in 0..op.sweeps() {

@@ -112,8 +112,8 @@ impl GuardConfig {
 
 /// Parse a `--checkpoint-every` value: a positive integer number of
 /// iterations. Malformed values are reported (the driver warns once on
-/// stderr and falls back to [`DEFAULT_CHECKPOINT_EVERY`], the same
-/// treatment `NPB_REGION_TIMEOUT_MS` gets) rather than silently accepted.
+/// stderr and falls back to [`DEFAULT_CHECKPOINT_EVERY`]) rather than
+/// silently accepted.
 pub fn parse_checkpoint_every(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(k) if k >= 1 => Ok(k),

@@ -120,8 +120,11 @@ impl IoFaultPlan {
     }
 
     /// The ambient plan from `NPB_IO_INJECT`, parsed once per process.
-    /// A malformed value warns once and disarms (the same warn-don't-die
-    /// contract as every other env knob in the stack).
+    /// This is one of the stack's three environment variables, and no
+    /// flag's default: `--io-inject` exports it so the plan crosses exec
+    /// into procs workers and reaches every durable path without being
+    /// threaded through each call. A malformed value warns once and
+    /// disarms.
     pub fn from_env() -> Option<IoFaultPlan> {
         static AMBIENT: OnceLock<Option<IoFaultPlan>> = OnceLock::new();
         *AMBIENT.get_or_init(|| {

@@ -241,6 +241,8 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 scalar (input is &str, so this
                     // boundary arithmetic cannot split a code point).
                     let rest = &self.bytes[self.pos..];
+                    // SAFETY: `bytes` came from a `&str`, and `pos` only ever
+                    // advances by whole ASCII bytes or whole scalars.
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
                     let ch = s.chars().next().unwrap();
                     out.push(ch);

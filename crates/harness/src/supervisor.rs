@@ -67,8 +67,7 @@ pub struct SuiteConfig {
     pub backend: Option<String>,
     /// Forward `--sched <label>` to every child: the loop-scheduling
     /// policy ("static", "guided" or "feedback"; validated upstream).
-    /// `None` leaves the children on their own default (static, or the
-    /// ambient `NPB_SCHED`).
+    /// `None` leaves the children on their default, static.
     pub sched: Option<String>,
     /// Run every child with `--trace` (a throwaway temp file): the
     /// per-region profile then rides the child's `--json` record into

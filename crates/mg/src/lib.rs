@@ -124,6 +124,8 @@ impl MgState {
         // Restrict the residual down the hierarchy.
         for lev in (1..lt).rev() {
             let (lo, hi) = self.r.split_at_mut(lev);
+            // SAFETY: two different levels; `rprj3` reads the fine one and writes
+            // only the coarse planes of each rank's own chunk.
             let sf = unsafe { SharedMut::new(&mut hi[0]) };
             let sc = unsafe { SharedMut::new(&mut lo[lev - 1]) };
             let scratch = self.scratch.as_ref().expect("ensured above");
@@ -133,6 +135,8 @@ impl MgState {
         // Coarsest level: u = 0 then one smoothing step.
         {
             let n = self.sizes[0];
+            // SAFETY: distinct buffers; `zero3` and `psinv` write only the `u`
+            // planes of each rank's own chunk, and nothing writes `r`.
             let su = unsafe { SharedMut::new(&mut self.u[0]) };
             let sr = unsafe { SharedMut::new(&mut self.r[0]) };
             let scratch = self.scratch.as_ref().expect("ensured above");
@@ -146,6 +150,8 @@ impl MgState {
             let nc = self.sizes[lev - 1];
             {
                 let (lo, hi) = self.u.split_at_mut(lev);
+                // SAFETY: two different levels; `interp` reads the coarse one and
+                // writes only the fine planes of each rank's own chunk.
                 let sc = unsafe { SharedMut::new(&mut lo[lev - 1]) };
                 let sf = unsafe { SharedMut::new(&mut hi[0]) };
                 let scratch = self.scratch.as_ref().expect("ensured above");
@@ -154,6 +160,8 @@ impl MgState {
                 interp::<SAFE>(&sc, nc, &sf, n, scratch, team);
             }
             {
+                // SAFETY: distinct buffers; `resid` then `psinv` each write one of
+                // them, only in the planes of each rank's own chunk.
                 let su = unsafe { SharedMut::new(&mut self.u[lev]) };
                 let sr = unsafe { SharedMut::new(&mut self.r[lev]) };
                 let scratch = self.scratch.as_ref().expect("ensured above");
@@ -173,6 +181,8 @@ impl MgState {
             let nc = self.sizes[lev - 1];
             {
                 let (lo, hi) = self.u.split_at_mut(lev);
+                // SAFETY: two different levels; `interp` reads the coarse one and
+                // writes only the fine planes of each rank's own chunk.
                 let sc = unsafe { SharedMut::new(&mut lo[lev - 1]) };
                 let sf = unsafe { SharedMut::new(&mut hi[0]) };
                 let scratch = self.scratch.as_ref().expect("ensured above");
@@ -180,6 +190,8 @@ impl MgState {
                 interp::<SAFE>(&sc, nc, &sf, n, scratch, team);
             }
             self.resid_finest::<SAFE>(team);
+            // SAFETY: distinct buffers; `psinv` reads `r` and writes only the `u`
+            // planes of each rank's own chunk.
             let su = unsafe { SharedMut::new(&mut self.u[lev]) };
             let sr = unsafe { SharedMut::new(&mut self.r[lev]) };
             let scratch = self.scratch.as_ref().expect("ensured above");
@@ -192,6 +204,7 @@ impl MgState {
     pub fn residual_norms<const SAFE: bool>(&mut self, team: Option<&Team>) -> (f64, f64) {
         let lev = self.lt - 1;
         let n = self.sizes[lev];
+        // SAFETY: `norm2u3` only reads the grid.
         let sr = unsafe { SharedMut::new(&mut self.r[lev]) };
         norm2u3::<SAFE>(&sr, n, team)
     }

@@ -162,11 +162,12 @@ pub fn zero3(z: &SharedMut<f64>, _n: usize, team: Option<&Team>) {
 /// faces into the ghost layers, axis by axis in the reference order.
 pub fn comm3<const SAFE: bool>(u: &SharedMut<f64>, n: usize, team: Option<&Team>) {
     run_par(team, |p| {
-        // SAFETY: `from` and `to` are different rows of the grid, so the two
-        // views never overlap; the callers below say why no other rank
-        // touches either.
-        let copy_row = |from: usize, to: usize| unsafe {
-            u.row_mut(to, n).copy_from_slice(u.row(from, n));
+        let copy_row = |from: usize, to: usize| {
+            debug_assert!(from.abs_diff(to) >= n, "comm3: rows {from} and {to} overlap");
+            // SAFETY: `from` and `to` are different rows of the grid (asserted
+            // above), so the two views never overlap; the callers below say
+            // why no other rank touches either.
+            unsafe { u.row_mut(to, n).copy_from_slice(u.row(from, n)) }
         };
         // Axis 1 then axis 2, per interior plane i3: a rank reads and
         // writes only the planes of its own chunk.
@@ -544,7 +545,7 @@ mod tests {
     fn comm3_wraps_all_axes() {
         let n = 6;
         let mut v = grid(n, |i1, i2, i3| (i1 * 100 + i2 * 10 + i3) as f64);
-        let s = unsafe { SharedMut::new(&mut v) };
+        let s = view(&mut v);
         comm3::<true>(&s, n, None);
         // Ghost at i1=1 must equal interior at i1=n-1.
         assert_eq!(s.get::<true>(id1(n, 1, 3, 3)), s.get::<true>(id1(n, n - 1, 3, 3)));
@@ -564,9 +565,9 @@ mod tests {
         let mut u = grid(n, |_, _, _| 3.5);
         let mut v = grid(n, |i1, i2, i3| (i1 + i2 + i3) as f64);
         let mut r = vec![0.0; n * n * n];
-        let su = unsafe { SharedMut::new(&mut u) };
-        let sv = unsafe { SharedMut::new(&mut v) };
-        let sr = unsafe { SharedMut::new(&mut r) };
+        let su = view(&mut u);
+        let sv = view(&mut v);
+        let sr = view(&mut r);
         let scratch = MgScratch::new(1, n);
         resid::<true>(&su, Some(&sv), &sr, n, &A, &scratch, None);
         for i3 in 2..n {
@@ -594,10 +595,10 @@ mod tests {
             let mut sgrid = vec![0.0; nc * nc * nc];
             let scratch = MgScratch::new(team.map_or(1, Team::size), n);
             {
-                let su = unsafe { SharedMut::new(&mut u) };
-                let sv = unsafe { SharedMut::new(&mut v) };
-                let sr = unsafe { SharedMut::new(&mut r) };
-                let ss = unsafe { SharedMut::new(&mut sgrid) };
+                let su = view(&mut u);
+                let sv = view(&mut v);
+                let sr = view(&mut r);
+                let ss = view(&mut sgrid);
                 comm3::<false>(&su, n, team);
                 resid::<false>(&su, Some(&sv), &sr, n, &A, &scratch, team);
                 psinv::<false>(&sr, &su, n, &C, &scratch, team);
@@ -758,7 +759,7 @@ mod tests {
                 99.0 // ghosts must be ignored
             }
         });
-        let sr = unsafe { SharedMut::new(&mut r) };
+        let sr = view(&mut r);
         let (rnm2, rnmu) = norm2u3::<true>(&sr, n, None);
         assert!((rnm2 - 2.0).abs() < 1e-12);
         assert_eq!(rnmu, 2.0);
@@ -768,7 +769,7 @@ mod tests {
     fn zero3_clears() {
         let n = 5;
         let mut v = grid(n, |_, _, _| 7.0);
-        let s = unsafe { SharedMut::new(&mut v) };
+        let s = view(&mut v);
         zero3(&s, n, None);
         drop(s);
         assert!(v.iter().all(|&x| x == 0.0));
@@ -801,9 +802,11 @@ mod proptests {
             let mut r1 = vec![0.0; n * n * n];
             let mut r0 = vec![0.0; n * n * n];
             {
+                // SAFETY: serial runs (no team): one thread touches the grids.
                 let su = unsafe { SharedMut::new(&mut u) };
                 let sv = unsafe { SharedMut::new(&mut v) };
                 let sz = unsafe { SharedMut::new(&mut zero) };
+                // SAFETY: as above.
                 let sr1 = unsafe { SharedMut::new(&mut r1) };
                 let sr0 = unsafe { SharedMut::new(&mut r0) };
                 let scratch = MgScratch::new(1, n);
@@ -833,6 +836,7 @@ mod proptests {
             let mut r = vec![c0; nf * nf * nf];
             let mut s = vec![0.0; nc * nc * nc];
             {
+                // SAFETY: a serial run (no team): one thread touches the grids.
                 let sr = unsafe { SharedMut::new(&mut r) };
                 let ss = unsafe { SharedMut::new(&mut s) };
                 let scratch = MgScratch::new(1, nf);

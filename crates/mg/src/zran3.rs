@@ -92,6 +92,7 @@ pub fn zran3(z: &mut [f64], n: usize, nx: usize) {
         let (i1, i2, i3) = bot.pos[i];
         z[id1(n, i1, i2, i3)] = -1.0;
     }
+    // SAFETY: a serial `comm3` (no team) is the only user of the view.
     let s = unsafe { SharedMut::new(z) };
     comm3::<false>(&s, n, None);
 }

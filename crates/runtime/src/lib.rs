@@ -45,7 +45,7 @@
 //! dispatch is lock-free epoch publication, barriers are sense-reversing
 //! with bounded adaptive spinning, and the condvar park of the paper's
 //! `wait()`/`notify()` model survives as the fallback (and as the
-//! explicit `NPB_SPIN_US=0` configuration). Per-run scratch that kernels
+//! explicit `spin_us = 0` configuration). Per-run scratch that kernels
 //! reuse across regions lives in [`RankScratch`].
 //!
 //! The threads runtime is four modules along its seams:
@@ -56,7 +56,7 @@
 //! * `par` — [`Par`], the scheduled-loop glue over `sched`, and the
 //!   barrier;
 //! * `spin` — the bounded adaptive spin every waiter runs before it
-//!   parks, and the `NPB_SPIN_US` / `NPB_REGION_TIMEOUT_MS` parsers;
+//!   parks, and its default budget;
 //! * `error` — [`RegionError`], the runtime's own panic payloads, and
 //!   [`guarded_loop`], the SDC-guarded outer loop of every iterative
 //!   benchmark.
@@ -89,8 +89,8 @@ pub use npb_core::iofault::WriteFault;
 pub use par::Par;
 pub use partials::Partials;
 pub use partition::partition;
-pub use procs::{backend_from_env, parse_backend, Backend};
-pub use sched::{parse_sched, sched_from_env, OrderedSplit, Sched};
+pub use procs::Backend;
+pub use sched::{OrderedSplit, Sched};
 pub use scratch::RankScratch;
 pub use shared::SharedMut;
 pub use spin::DEFAULT_SPIN_US;

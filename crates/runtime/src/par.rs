@@ -500,6 +500,8 @@ mod tests {
             let n = 64;
             let mut a = vec![0usize; n];
             let mut b = vec![0usize; n];
+            // SAFETY: each phase writes only the rank's own `p.range`; the
+            // barrier orders the reads of `a` after every write to it.
             let sa = unsafe { SharedMut::new(&mut a) };
             let sb = unsafe { SharedMut::new(&mut b) };
             team.exec(|p| {

@@ -69,53 +69,3 @@ impl std::str::FromStr for Backend {
         }
     }
 }
-
-/// Parse the `NPB_BACKEND` environment value. A malformed value is an
-/// explicit error so the caller can warn once on stderr naming the bad
-/// value — the same contract as `NPB_REGION_TIMEOUT_MS` and
-/// `NPB_SPIN_US`: a typo must not silently change how a long batch run
-/// executes.
-pub fn parse_backend(raw: &str) -> Result<Backend, String> {
-    raw.parse::<Backend>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_BACKEND={raw:?}: expected \"threads\" or \"procs\"; \
-             the in-process threads backend stays selected"
-        )
-    })
-}
-
-/// The backend selected by the `NPB_BACKEND` environment variable, or
-/// the default ([`Backend::Threads`]) when unset. A malformed value
-/// warns once on stderr (naming the bad value) and keeps the default.
-pub fn backend_from_env() -> Backend {
-    match std::env::var("NPB_BACKEND") {
-        Ok(raw) => parse_backend(&raw).unwrap_or_else(|warning| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| eprintln!("{warning}"));
-            Backend::Threads
-        }),
-        Err(_) => Backend::Threads,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_env_parsing_matches_the_warn_once_contract() {
-        // Same parity as NPB_REGION_TIMEOUT_MS / NPB_SPIN_US: the two
-        // valid spellings parse (whitespace tolerated), and a malformed
-        // NPB_BACKEND is a loud error naming the bad value and stating
-        // the fallback — never a silent change of execution backend.
-        assert_eq!(parse_backend("threads"), Ok(Backend::Threads));
-        assert_eq!(parse_backend("procs"), Ok(Backend::Procs));
-        assert_eq!(parse_backend(" procs "), Ok(Backend::Procs), "whitespace is tolerated");
-        for bad in ["Procs", "proc", "mpi", "", "threads,procs", "1"] {
-            let err = parse_backend(bad).expect_err(&format!("{bad:?} must not parse"));
-            assert!(err.contains("NPB_BACKEND"), "warning must name the variable: {err}");
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("threads backend"), "warning must state the fallback: {err}");
-        }
-    }
-}

@@ -382,6 +382,8 @@ mod tests {
         // Tear the current bank's payload behind the slot's back: the
         // hash must veto, and with only one committed image ever there
         // is no older bank to fall back to.
+        // SAFETY: the only process on the segment, and the slot holds no
+        // view of it between calls.
         unsafe { seg.slice_f64(off + 8 + 16, 1)[0] = 9.0 };
         assert!(slot.load().is_none(), "integrity hash must reject a torn payload");
         // And a fresh save over the damage recovers the slot.

@@ -7,7 +7,7 @@
 //! runs unhindered. The per-region trace layer measures exactly when
 //! that assumption fails (per-rank max/mean imbalance), and this module
 //! closes the loop with two adaptive policies selectable per team
-//! ([`crate::Team::set_sched`], `--sched`, `NPB_SCHED`):
+//! ([`crate::Team::set_sched`], `--sched`):
 //!
 //! * [`Sched::Guided`] — chunked self-scheduling: ranks claim
 //!   exponentially decaying chunks (`remaining / (2·nparts)`, clamped to
@@ -88,34 +88,6 @@ impl std::str::FromStr for Sched {
                 "unknown scheduling policy {other:?} (expected static|guided|feedback)"
             )),
         }
-    }
-}
-
-/// Parse the `NPB_SCHED` environment value. A malformed value is an
-/// explicit error so the caller can warn once on stderr naming the bad
-/// value — the same contract as `NPB_SPIN_US` and `NPB_BACKEND`: a typo
-/// must not silently change how a long batch run executes.
-pub fn parse_sched(raw: &str) -> Result<Sched, String> {
-    raw.parse::<Sched>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_SCHED={raw:?}: expected \"static\", \"guided\" or \
-             \"feedback\"; the static schedule stays selected"
-        )
-    })
-}
-
-/// The scheduling policy selected by the `NPB_SCHED` environment
-/// variable, or the default ([`Sched::Static`]) when unset. A malformed
-/// value warns once on stderr (naming the bad value) and keeps the
-/// default.
-pub fn sched_from_env() -> Sched {
-    match std::env::var("NPB_SCHED") {
-        Ok(raw) => parse_sched(&raw).unwrap_or_else(|warning| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| eprintln!("{warning}"));
-            Sched::Static
-        }),
-        Err(_) => Sched::Static,
     }
 }
 
@@ -435,7 +407,7 @@ mod tests {
             assert_eq!(Sched::from_u8(s.as_u8()), s);
         }
         assert!("gang".parse::<Sched>().is_err());
-        let err = parse_sched("guidedd").unwrap_err();
+        let err = "guidedd".parse::<Sched>().unwrap_err();
         assert!(err.contains("guidedd") && err.contains("static"), "{err}");
     }
 

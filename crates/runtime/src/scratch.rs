@@ -72,6 +72,7 @@ mod tests {
             for t in 0..4 {
                 let scratch = &scratch;
                 s.spawn(move || {
+                    // SAFETY: thread `t` is the only one to touch slot `t`.
                     let v = unsafe { scratch.rank_mut(t) };
                     assert_eq!(v[0], t);
                     v.fill(t * 10);
@@ -87,6 +88,7 @@ mod tests {
     #[test]
     fn slots_are_cache_padded() {
         let scratch = RankScratch::new(2, |_| 0u8);
+        // SAFETY: one thread, and each borrow ends at the cast to an address.
         let a = unsafe { scratch.rank_mut(0) } as *mut u8 as usize;
         let b = unsafe { scratch.rank_mut(1) } as *mut u8 as usize;
         assert!(b.abs_diff(a) >= 128, "slots {a:#x}/{b:#x} share a padding unit");

@@ -127,6 +127,9 @@ impl<'a, T: Copy> SharedMut<'a, T> {
     #[inline(always)]
     pub fn get<const SAFE: bool>(&self, i: usize) -> T {
         self.check::<SAFE>(i);
+        // SAFETY: `i` is in bounds (checked above in the safe style; in the
+        // opt style the kernel's index arithmetic answers for it, as in
+        // Fortran), and the contract of `new` excludes a concurrent write.
         unsafe { *self.ptr.add(i) }
     }
 
@@ -134,6 +137,8 @@ impl<'a, T: Copy> SharedMut<'a, T> {
     #[inline(always)]
     pub fn set<const SAFE: bool>(&self, i: usize, v: T) {
         self.check::<SAFE>(i);
+        // SAFETY: in bounds as for `get`; the contract of `new` makes this
+        // the only access to element `i` until the next synchronization.
         unsafe {
             *self.ptr.add(i) = v;
         }
@@ -146,6 +151,7 @@ impl<'a, T: Copy> SharedMut<'a, T> {
         T: std::ops::AddAssign,
     {
         self.check::<SAFE>(i);
+        // SAFETY: as for `set`.
         unsafe {
             *self.ptr.add(i) += v;
         }
@@ -159,6 +165,7 @@ mod tests {
     #[test]
     fn single_thread_roundtrip() {
         let mut v = vec![0.0f64; 8];
+        // SAFETY: one thread.
         let s = unsafe { SharedMut::new(&mut v) };
         for i in 0..8 {
             s.set::<true>(i, i as f64);
@@ -175,6 +182,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn safe_style_checks_bounds() {
         let mut v = vec![0.0f64; 4];
+        // SAFETY: one thread.
         let s = unsafe { SharedMut::new(&mut v) };
         s.get::<true>(4);
     }
@@ -182,6 +190,7 @@ mod tests {
     #[test]
     fn rows_are_windows_onto_the_same_elements() {
         let mut v: Vec<f64> = (0..12).map(f64::from).collect();
+        // SAFETY: one thread.
         let s = unsafe { SharedMut::new(&mut v) };
         // SAFETY: single thread; the two ranges are disjoint.
         let (src, dst) = unsafe { (s.row(4, 4), s.row_mut(8, 4)) };
@@ -199,6 +208,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn row_panics_past_the_end() {
         let mut v = vec![0.0f64; 8];
+        // SAFETY: one thread; the range check panics before a borrow exists.
         let s = unsafe { SharedMut::new(&mut v) };
         let _ = unsafe { s.row(6, 3) };
     }
@@ -207,6 +217,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn row_mut_panics_past_the_end() {
         let mut v = vec![0.0f64; 8];
+        // SAFETY: one thread; the range check panics before a borrow exists.
         let s = unsafe { SharedMut::new(&mut v) };
         let _ = unsafe { s.row_mut(9, 0) };
     }
@@ -215,6 +226,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn row_length_cannot_wrap_the_check() {
         let mut v = vec![0.0f64; 8];
+        // SAFETY: one thread; the range check panics before a borrow exists.
         let s = unsafe { SharedMut::new(&mut v) };
         let _ = unsafe { s.row(1, usize::MAX) };
     }
@@ -223,6 +235,7 @@ mod tests {
     fn disjoint_concurrent_writes() {
         let n = 1024;
         let mut v = vec![0usize; n];
+        // SAFETY: each thread writes only its own partition.
         let s = unsafe { SharedMut::new(&mut v) };
         std::thread::scope(|scope| {
             for t in 0..4 {

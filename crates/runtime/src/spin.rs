@@ -1,7 +1,6 @@
 //! The spin half of spin-then-park: the bounded adaptive spin every
-//! waiter runs before parking on its condvar, and the environment
-//! settings (`NPB_SPIN_US`, `NPB_REGION_TIMEOUT_MS`) a new team starts
-//! with.
+//! waiter runs before parking on its condvar, and the budget a new team
+//! starts with.
 //!
 //! Spinning is adaptive: `spin_loop` hints with exponential backoff,
 //! degrading to `yield_now` once the backoff saturates so an
@@ -67,66 +66,6 @@ pub(crate) fn spin_wait<T>(spin_us: u64, mut ready: impl FnMut() -> Option<T>) -
     }
 }
 
-/// Parse the `NPB_REGION_TIMEOUT_MS` environment value: a non-negative
-/// integer count of milliseconds (0 = watchdog disabled).
-///
-/// A malformed value (`"5s"`, `"-1"`, ...) used to be silently swallowed,
-/// leaving the watchdog disabled with no signal that the requested safety
-/// net was never armed; it is now an explicit error so
-/// [`region_timeout_ms_from_env`] can warn.
-fn parse_region_timeout_ms(raw: &str) -> Result<u64, String> {
-    raw.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_REGION_TIMEOUT_MS={raw:?}: expected a non-negative \
-             integer count of milliseconds (e.g. 5000, not \"5s\"); the region watchdog \
-             stays DISABLED"
-        )
-    })
-}
-
-/// Parse the `NPB_SPIN_US` environment value: a non-negative integer
-/// count of microseconds (0 = pure park path, the paper's wait/notify
-/// behavior). A malformed value is an explicit error so
-/// [`spin_us_from_env`] can warn instead of silently changing the
-/// synchronization mode.
-fn parse_spin_us(raw: &str) -> Result<u64, String> {
-    raw.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "npb runtime: ignoring NPB_SPIN_US={raw:?}: expected a non-negative integer \
-             count of microseconds (0 = pure park path); the spin budget stays at the \
-             default {DEFAULT_SPIN_US} µs"
-        )
-    })
-}
-
-/// The watchdog timeout (ms, 0 = disabled) selected by
-/// `NPB_REGION_TIMEOUT_MS`. A malformed value warns once on stderr
-/// (naming the bad value) and leaves the watchdog disabled.
-pub(crate) fn region_timeout_ms_from_env() -> u64 {
-    match std::env::var("NPB_REGION_TIMEOUT_MS") {
-        Ok(raw) => parse_region_timeout_ms(&raw).unwrap_or_else(|warning| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| eprintln!("{warning}"));
-            0
-        }),
-        Err(_) => 0,
-    }
-}
-
-/// The spin budget (µs) selected by `NPB_SPIN_US`, or
-/// [`DEFAULT_SPIN_US`] when unset. A malformed value warns once on
-/// stderr (naming the bad value) and keeps the default.
-pub(crate) fn spin_us_from_env() -> u64 {
-    match std::env::var("NPB_SPIN_US") {
-        Ok(raw) => parse_spin_us(&raw).unwrap_or_else(|warning| {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| eprintln!("{warning}"));
-            DEFAULT_SPIN_US
-        }),
-        Err(_) => DEFAULT_SPIN_US,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,33 +80,5 @@ mod tests {
         });
         assert!(r.is_none());
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn region_timeout_env_parsing_accepts_integers_only() {
-        assert_eq!(parse_region_timeout_ms("5000"), Ok(5000));
-        assert_eq!(parse_region_timeout_ms(" 250 "), Ok(250), "whitespace is tolerated");
-        assert_eq!(parse_region_timeout_ms("0"), Ok(0), "0 = explicitly disabled");
-
-        // Malformed values must be loud errors naming the bad value —
-        // they used to be silently swallowed, leaving the watchdog
-        // disabled with no signal.
-        for bad in ["5s", "-1", "", "5000ms", "0x10", "1.5"] {
-            let err = parse_region_timeout_ms(bad)
-                .expect_err(&format!("{bad:?} must not parse as a timeout"));
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("DISABLED"), "warning must state the consequence: {err}");
-        }
-    }
-
-    #[test]
-    fn spin_env_parsing_accepts_integers_only() {
-        assert_eq!(parse_spin_us("100"), Ok(100));
-        assert_eq!(parse_spin_us(" 0 "), Ok(0), "0 = pure park path");
-        for bad in ["100us", "-5", "", "1.5"] {
-            let err = parse_spin_us(bad).expect_err(&format!("{bad:?} must not parse"));
-            assert!(err.contains(&format!("{bad:?}")), "warning must name the value: {err}");
-            assert!(err.contains("default"), "warning must state the fallback: {err}");
-        }
     }
 }

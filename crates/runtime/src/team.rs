@@ -25,10 +25,10 @@
 //!   the watchdog without any lock) plus one shared countdown; the master
 //!   spins on the countdown before parking.
 //!
-//! The spin budget is `NPB_SPIN_US` microseconds (or
-//! [`Team::set_spin_us`]); `0` forces the pure park path, which keeps the
-//! paper's original wait/notify behavior reachable and testable (the
-//! adaptive spin itself is [`crate::spin`]). Every waiter re-checks its
+//! The spin budget is [`crate::DEFAULT_SPIN_US`] microseconds unless
+//! [`Team::set_spin_us`] says otherwise; `0` forces the pure park path,
+//! which keeps the paper's original wait/notify behavior reachable and
+//! testable (the adaptive spin itself is [`crate::spin`]). Every waiter re-checks its
 //! wake condition under the park lock before sleeping, and every waker
 //! only takes that lock when a `SeqCst` parked-counter says someone is
 //! actually parked — the lock-free fast path pays no lock round-trip.
@@ -55,7 +55,7 @@ use crate::exchange::REDUCE_SLOTS;
 use crate::par::{Barrier, Par};
 use crate::partials::{CachePadded, Partials};
 use crate::sched::{self, Sched};
-use crate::spin::{region_timeout_ms_from_env, spin_us_from_env, spin_wait};
+use crate::spin::{spin_wait, DEFAULT_SPIN_US};
 
 /// Process exit status used by the safe watchdog ([`Team::set_region_timeout`])
 /// when a region times out. Defined in [`npb_core::exit`] (the one
@@ -309,7 +309,7 @@ impl Inner {
 /// with `wait()`/`notify()` — except that both dispatch and barriers take
 /// a lock-free spin fast path first (see the module docs), with the
 /// paper's park behavior as the fallback and as the explicit
-/// `NPB_SPIN_US=0` configuration.
+/// `spin_us = 0` configuration.
 ///
 /// # Failure model
 ///
@@ -317,7 +317,7 @@ impl Inner {
 /// worker poisons the barrier (releasing siblings blocked in
 /// [`Par::barrier`], which unwind cleanly), the region drains, and
 /// [`Team::try_exec`] reports [`RegionError::Panicked`]. A configurable
-/// watchdog ([`Team::set_region_timeout`], or `NPB_REGION_TIMEOUT_MS`)
+/// watchdog ([`Team::set_region_timeout`])
 /// bounds the master's wait and names *which* ranks never arrived before
 /// terminating the process (stuck ranks cannot be killed or safely
 /// abandoned). After a panicked region the team heals in place — same
@@ -353,14 +353,10 @@ fn spawn_worker(inner: &Arc<Inner>, tid: usize, epoch: u64) -> JoinHandle<()> {
 }
 
 impl Team {
-    /// Spawn a team of `n` persistent workers (`n >= 1`).
-    ///
-    /// If `NPB_REGION_TIMEOUT_MS` is set to a positive integer, the
-    /// (safe, process-terminating) watchdog starts enabled at that value.
-    /// If `NPB_SPIN_US` is set, it overrides the default spin budget
-    /// ([`crate::DEFAULT_SPIN_US`] µs; `0` = pure park path). A malformed
-    /// value of either leaves the default in place and warns once on
-    /// stderr naming the bad value.
+    /// Spawn a team of `n` persistent workers (`n >= 1`), with the
+    /// default spin budget ([`crate::DEFAULT_SPIN_US`] µs), no region
+    /// watchdog and the [`Sched::Static`] policy. The setters change
+    /// each between regions; nothing is read from the environment.
     pub fn new(n: usize) -> Team {
         assert!(n >= 1, "a team needs at least one worker");
         let inner = Arc::new(Inner {
@@ -378,8 +374,8 @@ impl Team {
             panicked: Mutex::new(Vec::new()),
             barrier: Barrier::new(),
             reduce: std::array::from_fn(|_| Partials::new(n)),
-            spin_us: AtomicU64::new(spin_us_from_env()),
-            sched: AtomicU8::new(sched::sched_from_env().as_u8()),
+            spin_us: AtomicU64::new(DEFAULT_SPIN_US),
+            sched: AtomicU8::new(Sched::Static.as_u8()),
             sched_ring: (0..sched::GUIDED_RING)
                 .map(|_| CachePadded::new(AtomicU64::new(sched::GUIDED_RESET)))
                 .collect(),
@@ -397,7 +393,7 @@ impl Team {
         Team {
             inner,
             workers: Mutex::new(workers),
-            timeout_ms: AtomicU64::new(region_timeout_ms_from_env()),
+            timeout_ms: AtomicU64::new(0),
             sched_resets: AtomicU64::new(0),
         }
     }
@@ -426,7 +422,7 @@ impl Team {
     }
 
     /// Set the loop scheduling policy applied by [`Par::for_chunks`] and
-    /// [`Par::ordered_split`] (`--sched` / `NPB_SCHED`; the default is
+    /// [`Par::ordered_split`] (`--sched`; the default is
     /// [`Sched::Static`], the paper's model, bit-for-bit). Reductions
     /// and every [`Par::range`] loop stay on the static partition
     /// regardless, which is what keeps verification bitwise. The setting
@@ -765,7 +761,17 @@ fn worker_loop(inner: &Inner, tid: usize, initial_epoch: u64) {
         let task = unsafe { *inner.task.get() }.expect("dispatched without a task");
         // Runnable state: execute the region body.
         let body = session.as_deref().map(|s| (s.current_region(), s.now()));
+        // The body lives until every rank has counted down `remaining`,
+        // which this one has not yet done, and no later region can have
+        // been published.
+        debug_assert!(
+            inner.remaining.load(Ordering::Acquire) > 0
+                && inner.region_epoch.load(Ordering::Acquire) == epoch,
+            "rank {tid} reached a region body after its region ended"
+        );
         let res = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: the master blocks in `try_exec`, keeping the body
+            // alive, until this rank counts down `remaining` below.
             (unsafe { &*task.0 })(tid);
         }));
         if let (Some(s), Some((region, t0))) = (session.as_deref(), body) {
@@ -1021,6 +1027,7 @@ pub(crate) mod tests {
         let n = 128;
         let compute = |team: Option<&Team>| {
             let mut out = vec![0.0f64; n];
+            // SAFETY: each rank writes only its own `p.range`.
             let s = unsafe { SharedMut::new(&mut out) };
             run_par(team, |p| {
                 for i in p.range(n) {

@@ -38,6 +38,8 @@ extern "C" fn on_signal(sig: i32) {
     let fd = PIPE_WR.load(Ordering::Relaxed);
     if fd >= 0 {
         let byte = sig as u8;
+        // SAFETY: `write(2)` is async-signal-safe, and `byte` outlives the
+        // call; a failed write only loses this one wake-up.
         unsafe {
             let _ = write(fd, &byte, 1);
         }
@@ -54,18 +56,22 @@ pub fn watch<F: Fn(i32) + Send + 'static>(callback: F) -> io::Result<()> {
         return Err(io::Error::other("signal watcher already installed"));
     }
     let mut fds = [-1i32; 2];
+    // SAFETY: `pipe(2)` writes exactly two descriptors into `fds`.
     if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
         return Err(io::Error::last_os_error());
     }
     let (rd, wr) = (fds[0], fds[1]);
     PIPE_WR.store(wr, Ordering::SeqCst);
     let handler = on_signal as extern "C" fn(i32) as usize;
+    // SAFETY: `on_signal` is an `extern "C"` function that only loads an
+    // atomic and calls `write(2)`, both async-signal-safe.
     unsafe {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);
     }
     thread::Builder::new().name("signal-watcher".into()).spawn(move || loop {
         let mut byte = 0u8;
+        // SAFETY: reads at most one byte into `byte`, which outlives the call.
         let n = unsafe { read(rd, &mut byte, 1) };
         if n == 1 {
             callback(byte as i32);
@@ -80,6 +86,7 @@ pub fn watch<F: Fn(i32) + Send + 'static>(callback: F) -> io::Result<()> {
 /// Send `sig` to `pid` (the chaos tests' SIGKILL lever). Returns
 /// whether the kernel accepted it.
 pub fn send(pid: u32, sig: i32) -> bool {
+    // SAFETY: `kill(2)` takes plain integers and touches no memory of ours.
     unsafe { kill(pid as i32, sig) == 0 }
 }
 

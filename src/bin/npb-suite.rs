@@ -221,14 +221,14 @@ fn main() {
             }
             "--spin-us" => spin_us = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
             "--sched" => {
-                let s = npb::parse_sched(&val(&mut it)).unwrap_or_else(|e| {
+                let s: npb::Sched = val(&mut it).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 });
                 sched = Some(s.label().to_string());
             }
             "--backend" => {
-                let b = npb::parse_backend(&val(&mut it)).unwrap_or_else(|e| {
+                let b: npb::Backend = val(&mut it).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 });

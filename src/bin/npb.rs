@@ -23,22 +23,20 @@
 //! every rank from the last integrity-hashed checkpoint and respawning
 //! (`--max-recoveries N` bounds the attempts, default 4; `--timeout MS`
 //! doubles as the per-round hang deadline). Results are bit-identical
-//! to `--backend threads` at the same width. `NPB_BACKEND` sets the
-//! default from the environment.
+//! to `--backend threads` at the same width.
 //!
 //! `--sched POLICY` picks the loop-scheduling policy for the team's
 //! schedulable parallel loops: `static` (default) is the deterministic
 //! rank-partitioned model, `guided` self-schedules shrinking chunks off
 //! a shared counter, `feedback` re-splits each region from its measured
 //! per-rank compute times. All three are bitwise-identical on every
-//! benchmark; only static works with `--backend procs`. `NPB_SCHED`
-//! sets the default from the environment.
+//! benchmark; only static works with `--backend procs`.
 //!
 //! `--spin-us US` sets the team's hybrid-synchronization spin budget in
 //! microseconds (waiters spin that long on the lock-free fast path
 //! before parking on a condvar); `0` forces the pure park path — the
-//! paper's `wait()`/`notify()` model. Defaults to the `NPB_SPIN_US`
-//! environment value, or the runtime's tuned default.
+//! paper's `wait()`/`notify()` model. Defaults to the runtime's tuned
+//! budget.
 //!
 //! Fault tolerance:
 //!
@@ -46,8 +44,7 @@
 //!   not complete within MS milliseconds terminates the process with exit
 //!   code 3, naming the stuck ranks (a stuck rank can be neither killed
 //!   nor safely abandoned, so the watchdog turns a silent hang into a
-//!   fast, diagnosable death; `NPB_REGION_TIMEOUT_MS` sets the same
-//!   default from the environment).
+//!   fast, diagnosable death).
 //! * `--inject KIND[:SEED]` arms one deterministic fault (worker panic,
 //!   barrier delay, a rank wedged forever, NaN corruption of a verified
 //!   quantity, or a bit flip in a state array mid-computation) before
@@ -61,7 +58,7 @@
 //!   silently wrong answer reach verification.
 //! * `--checkpoint-every K` sets the checkpoint cadence in outer
 //!   iterations (default 4). A malformed value warns once on stderr and
-//!   keeps the default, mirroring `NPB_REGION_TIMEOUT_MS`.
+//!   keeps the default.
 //! * `--json` additionally emits one machine-readable JSON object per
 //!   benchmark on stdout (name, class, style, threads, verification,
 //!   Mop/s, time, attempt count) — the structured channel the
@@ -102,9 +99,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use npb::{
-    backend_from_env, expand_flag_args, parse_backend, parse_checkpoint_every, parse_sched,
-    sched_from_env, try_run_benchmark, Class, FaultPlan, GuardConfig, RunError, RunOptions, Style,
-    TraceFormat, BENCHMARKS,
+    expand_flag_args, parse_checkpoint_every, try_run_benchmark, Backend, Class, FaultPlan,
+    GuardConfig, RunError, RunOptions, Sched, Style, TraceFormat, BENCHMARKS,
 };
 
 fn usage() -> ! {
@@ -149,9 +145,9 @@ fn main() {
     let mut class = Class::S;
     let mut style = Style::Opt;
     let mut threads = 0usize;
-    let mut backend = backend_from_env();
+    let mut backend = Backend::Threads;
     let mut max_recoveries: Option<usize> = None;
-    let mut sched = sched_from_env();
+    let mut sched = Sched::Static;
     let mut spin_us: Option<u64> = None;
     let mut timeout: Option<Duration> = None;
     let mut inject: Option<FaultPlan> = None;
@@ -194,7 +190,7 @@ fn main() {
             }
             "--threads" | "-t" => threads = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--backend" => {
-                backend = parse_backend(&val(&mut it)).unwrap_or_else(|e| {
+                backend = val(&mut it).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -203,7 +199,7 @@ fn main() {
                 max_recoveries = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
             }
             "--sched" => {
-                sched = parse_sched(&val(&mut it)).unwrap_or_else(|e| {
+                sched = val(&mut it).parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -224,8 +220,8 @@ fn main() {
             "--checkpoint-every" => match parse_checkpoint_every(&val(&mut it)) {
                 Ok(k) => guard.checkpoint_every = k,
                 Err(msg) => {
-                    // Same warn-once contract as NPB_REGION_TIMEOUT_MS:
-                    // a bad cadence must not kill a long batch run.
+                    // Warn once: a bad cadence must not kill a long
+                    // batch run.
                     static WARN_ONCE: std::sync::Once = std::sync::Once::new();
                     WARN_ONCE.call_once(|| eprintln!("npb: {msg}"));
                 }

@@ -29,9 +29,8 @@ pub use npb_core::guard::parse_checkpoint_every;
 pub use npb_core::trace::{self, TraceFormat, TraceSession};
 pub use npb_core::{BenchReport, Class, GuardConfig, GuardStats, RegionProfile, Style, Verified};
 pub use npb_runtime::{
-    backend_from_env, parse_backend, parse_sched, sched_from_env, Backend, BarrierPoisoned,
-    FaultKind, FaultPlan, InjectedFault, Par, Partials, RegionError, Sched, SharedMut, Team,
-    WATCHDOG_EXIT_CODE,
+    Backend, BarrierPoisoned, FaultKind, FaultPlan, InjectedFault, Par, Partials, RegionError,
+    Sched, SharedMut, Team, WATCHDOG_EXIT_CODE,
 };
 
 pub use npb_core::{expand_flag_args, BENCHMARKS};
@@ -81,9 +80,8 @@ impl std::error::Error for RunError {}
 /// Fault-tolerance options for [`try_run_benchmark`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'p> {
-    /// Watchdog on each parallel region's completion (overrides the
-    /// `NPB_REGION_TIMEOUT_MS` environment default). `None` keeps the
-    /// team's own default. When it fires, the process terminates with
+    /// Watchdog on each parallel region's completion (`--timeout`).
+    /// `None` leaves it off. When it fires, the process terminates with
     /// [`WATCHDOG_EXIT_CODE`] naming the stuck ranks.
     pub timeout: Option<Duration>,
     /// A deterministic fault to arm before the run (one-shot).
@@ -94,8 +92,7 @@ pub struct RunOptions<'p> {
     /// and EP ignore it.
     pub guard: GuardConfig,
     /// Spin budget, in microseconds, that the team's waiters burn before
-    /// parking on their condvars (`--spin-us`; overrides the
-    /// `NPB_SPIN_US` environment default). `Some(0)` forces the pure
+    /// parking on their condvars (`--spin-us`). `Some(0)` forces the pure
     /// park path — the paper's wait/notify model. `None` keeps the
     /// team's own default. Ignored when `threads == 0` (no team).
     pub spin_us: Option<u64>,
@@ -108,8 +105,7 @@ pub struct RunOptions<'p> {
     /// Execution backend (`--backend`): the default in-process worker
     /// threads, or [`Backend::Procs`] — one worker *process* per rank,
     /// exchanging through shared memory under a supervising parent that
-    /// survives rank death via checkpoint restart. Defaults to the
-    /// `NPB_BACKEND` environment value (threads when unset).
+    /// survives rank death via checkpoint restart.
     pub backend: Backend,
     /// Recovery budget for the procs backend (`--max-recoveries`): how
     /// many rank-death/hang recoveries the supervisor attempts before
@@ -117,7 +113,7 @@ pub struct RunOptions<'p> {
     /// the default (4). Ignored by the threads backend.
     pub max_recoveries: Option<usize>,
     /// Loop-scheduling policy for the team's schedulable regions
-    /// (`--sched`; overrides the `NPB_SCHED` environment default).
+    /// (`--sched`).
     /// [`Sched::Static`] (the default) is the deterministic
     /// rank-partitioned model; `Guided` self-schedules shrinking chunks
     /// off a shared counter; `Feedback` re-splits each region from its

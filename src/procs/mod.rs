@@ -243,8 +243,10 @@ impl SpawnSpec {
 
 /// The worker binary: this very executable (workers are the `npb`
 /// binary re-entered in `--rank` mode). `NPB_PROCS_WORKER_BIN`
-/// overrides, which is how in-process callers of the library (whose
-/// `current_exe` has no worker mode) point spawning at a real `npb`.
+/// overrides. It stays an environment variable because it belongs to
+/// no command line: in-process callers of the library, whose
+/// `current_exe` has no worker mode (`benchmark/src/main.rs` is one),
+/// point spawning at a real `npb` with it.
 fn worker_binary() -> Result<std::path::PathBuf, RunError> {
     if let Ok(p) = std::env::var("NPB_PROCS_WORKER_BIN") {
         return Ok(std::path::PathBuf::from(p));
@@ -460,7 +462,9 @@ pub(crate) struct WorkerCtx {
     fault: std::cell::Cell<Option<WorkerFault>>,
     /// Test pacing lever (`NPB_PROCS_ROUND_DELAY_MS`): an extra sleep
     /// per round so chaos tests have a window to SIGKILL a rank
-    /// mid-run (an S-class run is otherwise over in milliseconds).
+    /// mid-run (an S-class run is otherwise over in milliseconds). An
+    /// environment variable and not a flag: only `chaos_suite` sets it,
+    /// and a worker inherits it across exec untouched.
     round_delay: Option<Duration>,
 }
 

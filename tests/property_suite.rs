@@ -32,6 +32,7 @@ fn team_map_matches_serial() {
         }
         let team = Team::new(threads);
         let mut par = vec![0.0f64; n];
+        // SAFETY: each rank writes only its own `p.range`.
         let s = unsafe { SharedMut::new(&mut par) };
         team.exec(|p| {
             for i in p.range(n) {

@@ -265,3 +265,27 @@ fn driver_json_flag_emits_the_parseable_record() {
     assert_eq!(record.verified, "success");
     assert_eq!(record.attempts, 1);
 }
+
+#[test]
+fn traced_sweep_prints_the_scalability_table_and_journals_region_profiles() {
+    // One traced cell through the supervisor: the child's per-region
+    // profile must ride its JSON record into the manifest, and the suite
+    // must print the paper-style scalability table from those aggregates.
+    let manifest = tmp_manifest("trace-table");
+    let out = suite(&[
+        "cg",
+        "--class",
+        "S",
+        "--threads",
+        "2",
+        "--trace",
+        "--manifest",
+        manifest.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("speedup"), "the scalability table must print: {stdout}");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains(r#""regions":["#), "cell records must carry the profile: {text}");
+    std::fs::remove_file(&manifest).ok();
+}

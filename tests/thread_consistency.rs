@@ -4,45 +4,63 @@
 //! their timed loops, so their verification quantities reproduce
 //! bitwise at any thread count; the reduction-carrying kernels (CG, EP,
 //! MG's final norm) stay within the NPB verification tolerance.
+//!
+//! Every team here runs at both ends of the spin-then-park runtime:
+//! the tuned spin budget and the pure park path, the paper's
+//! wait/notify model.
 
 use npb::{trace, Class, Sched, Style, Team, TraceFormat, TraceSession};
+
+/// The spin budgets every team-size test runs under: the default, and
+/// `0` (waiters park at once).
+const SPINS: [u64; 2] = [npb_runtime::DEFAULT_SPIN_US, 0];
+
+fn team(n: usize, spin_us: u64) -> Team {
+    let team = Team::new(n);
+    team.set_spin_us(spin_us);
+    team
+}
 
 #[test]
 fn bt_norms_bitwise_across_team_sizes() {
     let base = npb_bt::run_raw(Class::S, Style::Opt, None);
-    for n in [1usize, 3] {
-        let team = Team::new(n);
-        let r = npb_bt::run_raw(Class::S, Style::Opt, Some(&team));
-        assert_eq!(r.xcr, base.xcr, "{n} threads");
-        assert_eq!(r.xce, base.xce, "{n} threads");
+    for spin in SPINS {
+        for n in [1usize, 3] {
+            let r = npb_bt::run_raw(Class::S, Style::Opt, Some(&team(n, spin)));
+            assert_eq!(r.xcr, base.xcr, "{n} threads, spin {spin}");
+            assert_eq!(r.xce, base.xce, "{n} threads, spin {spin}");
+        }
     }
 }
 
 #[test]
 fn lu_pipelined_wavefront_bitwise_across_team_sizes() {
     let base = npb_lu::run_raw(Class::S, Style::Opt, None);
-    let team = Team::new(3);
-    let r = npb_lu::run_raw(Class::S, Style::Opt, Some(&team));
-    assert_eq!(r.xcr, base.xcr);
-    assert_eq!(r.xci, base.xci);
+    for spin in SPINS {
+        let r = npb_lu::run_raw(Class::S, Style::Opt, Some(&team(3, spin)));
+        assert_eq!(r.xcr, base.xcr, "spin {spin}");
+        assert_eq!(r.xci, base.xci, "spin {spin}");
+    }
 }
 
 #[test]
 fn ft_checksums_bitwise_across_team_sizes() {
     let base = npb_ft::run_raw(Class::S, Style::Opt, None);
-    let team = Team::new(4);
-    let r = npb_ft::run_raw(Class::S, Style::Opt, Some(&team));
-    assert_eq!(r.sums, base.sums);
+    for spin in SPINS {
+        let r = npb_ft::run_raw(Class::S, Style::Opt, Some(&team(4, spin)));
+        assert_eq!(r.sums, base.sums, "spin {spin}");
+    }
 }
 
 #[test]
 fn cg_zeta_within_tolerance_across_team_sizes() {
     let base = npb_cg::run_raw(Class::S, Style::Opt, None);
-    for n in [2usize, 5] {
-        let team = Team::new(n);
-        let r = npb_cg::run_raw(Class::S, Style::Opt, Some(&team));
-        let rel = ((r.zeta - base.zeta) / base.zeta).abs();
-        assert!(rel < 1e-12, "{n} threads: rel = {rel}");
+    for spin in SPINS {
+        for n in [2usize, 5] {
+            let r = npb_cg::run_raw(Class::S, Style::Opt, Some(&team(n, spin)));
+            let rel = ((r.zeta - base.zeta) / base.zeta).abs();
+            assert!(rel < 1e-12, "{n} threads, spin {spin}: rel = {rel}");
+        }
     }
 }
 
@@ -70,32 +88,38 @@ fn every_benchmark_reproduces_across_serial_and_1_2_4_threads() {
     let ep0 = npb_ep::run_raw(c, s, None);
     assert!(npb_is::run(c, s, None).verified.is_success());
 
-    for n in [1usize, 2, 4] {
-        let team = Team::new(n);
-        let t = Some(&team);
+    for spin in SPINS {
+        for n in [1usize, 2, 4] {
+            let team = team(n, spin);
+            let t = Some(&team);
 
-        let bt = npb_bt::run_raw(c, s, t);
-        assert_eq!((bt.xcr, bt.xce), (bt0.xcr, bt0.xce), "BT t{n}");
-        let sp = npb_sp::run_raw(c, s, t);
-        assert_eq!((sp.xcr, sp.xce), (sp0.xcr, sp0.xce), "SP t{n}");
-        let lu = npb_lu::run_raw(c, s, t);
-        assert_eq!((lu.xcr, lu.xce, lu.xci), (lu0.xcr, lu0.xce, lu0.xci), "LU t{n}");
-        let ft = npb_ft::run_raw(c, s, t);
-        assert_eq!(ft.sums, ft0.sums, "FT t{n}");
-        let cg = npb_cg::run_raw(c, s, t);
-        assert_eq!(cg.zeta, cg0.zeta, "CG t{n}");
+            let bt = npb_bt::run_raw(c, s, t);
+            assert_eq!((bt.xcr, bt.xce), (bt0.xcr, bt0.xce), "BT t{n} spin {spin}");
+            let sp = npb_sp::run_raw(c, s, t);
+            assert_eq!((sp.xcr, sp.xce), (sp0.xcr, sp0.xce), "SP t{n} spin {spin}");
+            let lu = npb_lu::run_raw(c, s, t);
+            assert_eq!(
+                (lu.xcr, lu.xce, lu.xci),
+                (lu0.xcr, lu0.xce, lu0.xci),
+                "LU t{n} spin {spin}"
+            );
+            let ft = npb_ft::run_raw(c, s, t);
+            assert_eq!(ft.sums, ft0.sums, "FT t{n} spin {spin}");
+            let cg = npb_cg::run_raw(c, s, t);
+            assert_eq!(cg.zeta, cg0.zeta, "CG t{n} spin {spin}");
 
-        // IS verifies exactly (integer ranks + partial checks).
-        assert!(npb_is::run(c, s, t).verified.is_success(), "IS t{n}");
+            // IS verifies exactly (integer ranks + partial checks).
+            assert!(npb_is::run(c, s, t).verified.is_success(), "IS t{n} spin {spin}");
 
-        // Order-sensitive reductions: NPB tolerance, not bitwise.
-        let mg = npb_mg::run_raw(c, s, t);
-        let rel = ((mg.rnm2 - mg0.rnm2) / mg0.rnm2).abs();
-        assert!(rel < 1e-12, "MG t{n}: rel = {rel}");
-        let ep = npb_ep::run_raw(c, s, t);
-        assert_eq!(ep.q, ep0.q, "EP t{n}: annulus counts are exact integers");
-        assert!(((ep.sx - ep0.sx) / ep0.sx).abs() < 1e-12, "EP t{n} sx");
-        assert!(((ep.sy - ep0.sy) / ep0.sy).abs() < 1e-12, "EP t{n} sy");
+            // Order-sensitive reductions: NPB tolerance, not bitwise.
+            let mg = npb_mg::run_raw(c, s, t);
+            let rel = ((mg.rnm2 - mg0.rnm2) / mg0.rnm2).abs();
+            assert!(rel < 1e-12, "MG t{n} spin {spin}: rel = {rel}");
+            let ep = npb_ep::run_raw(c, s, t);
+            assert_eq!(ep.q, ep0.q, "EP t{n} spin {spin}: annulus counts are exact integers");
+            assert!(((ep.sx - ep0.sx) / ep0.sx).abs() < 1e-12, "EP t{n} spin {spin} sx");
+            assert!(((ep.sy - ep0.sy) / ep0.sy).abs() < 1e-12, "EP t{n} spin {spin} sy");
+        }
     }
 }
 
@@ -103,7 +127,7 @@ fn every_benchmark_reproduces_across_serial_and_1_2_4_threads() {
 /// a numerical result.
 ///
 /// The hybrid runtime's two extremes — the pure park path
-/// (`NPB_SPIN_US=0`, the paper's wait/notify model) and an effectively
+/// (`spin_us = 0`, the paper's wait/notify model) and an effectively
 /// always-spin budget — schedule the same rank-ordered work over the
 /// same cached partitions, so every benchmark must produce **bitwise**
 /// identical verification quantities under both, at every team size.
@@ -118,8 +142,7 @@ fn spin_and_park_paths_are_bit_identical_for_every_benchmark() {
     const ALWAYS_SPIN_US: u64 = 200_000;
     for n in [1usize, 2, 4] {
         let run = |spin_us: u64| {
-            let team = Team::new(n);
-            team.set_spin_us(spin_us);
+            let team = team(n, spin_us);
             let t = Some(&team);
             let bt = npb_bt::run_raw(c, s, t);
             let sp = npb_sp::run_raw(c, s, t);
@@ -162,12 +185,15 @@ fn spin_and_park_paths_are_bit_identical_for_every_benchmark() {
 fn tracing_off_on_and_folded_are_bit_identical_for_every_benchmark() {
     let c = Class::S;
     let s = Style::Opt;
-    for n in [0usize, 1, 2, 4] {
+    for (n, spin) in [0usize, 1, 2, 4].into_iter().flat_map(|n| SPINS.map(|spin| (n, spin))) {
+        if n == 0 && spin != SPINS[0] {
+            continue; // no team, nothing waits
+        }
         // Runs the whole suite, interleaving an explicit randlc stream
         // so a recorder that touched the generator would shift the
         // final seed. Returns every verification quantity + that seed.
         let run_all = |traced: Option<TraceFormat>| {
-            let team = (n > 0).then(|| Team::new(n));
+            let team = (n > 0).then(|| team(n, spin));
             let t = team.as_ref();
             let session = traced.map(|_| {
                 let session = TraceSession::new(n.max(1));
@@ -217,8 +243,8 @@ fn tracing_off_on_and_folded_are_bit_identical_for_every_benchmark() {
         let off = run_all(None);
         let json = run_all(Some(TraceFormat::Json));
         let folded = run_all(Some(TraceFormat::Folded));
-        assert_eq!(off, json, "tracing on (json) perturbed a result at t{n}");
-        assert_eq!(off, folded, "tracing on (folded) perturbed a result at t{n}");
+        assert_eq!(off, json, "tracing on (json) perturbed a result at t{n}, spin {spin}");
+        assert_eq!(off, folded, "tracing on (folded) perturbed a result at t{n}, spin {spin}");
     }
 }
 
@@ -226,11 +252,16 @@ fn tracing_off_on_and_folded_are_bit_identical_for_every_benchmark() {
 fn one_team_can_serve_many_benchmarks_in_sequence() {
     // The persistent master-worker team survives across whole benchmark
     // runs, as the paper's long-lived Java threads do.
-    let team = Team::new(2);
-    let a = npb_mg::run(Class::S, Style::Opt, Some(&team));
-    let b = npb_is::run(Class::S, Style::Opt, Some(&team));
-    let c = npb_cg::run(Class::S, Style::Safe, Some(&team));
-    assert!(a.verified.is_success() && b.verified.is_success() && c.verified.is_success());
+    for spin in SPINS {
+        let team = team(2, spin);
+        let a = npb_mg::run(Class::S, Style::Opt, Some(&team));
+        let b = npb_is::run(Class::S, Style::Opt, Some(&team));
+        let c = npb_cg::run(Class::S, Style::Safe, Some(&team));
+        assert!(
+            a.verified.is_success() && b.verified.is_success() && c.verified.is_success(),
+            "spin {spin}"
+        );
+    }
 }
 
 /// Scheduling-policy equivalence: static, guided and feedback must be
@@ -249,9 +280,9 @@ fn one_team_can_serve_many_benchmarks_in_sequence() {
 fn sched_policies_are_bit_identical_for_every_benchmark() {
     let c = Class::S;
     let s = Style::Opt;
-    for n in [1usize, 2, 4] {
+    for (n, spin) in [1usize, 2, 4].into_iter().flat_map(|n| SPINS.map(|spin| (n, spin))) {
         let run = |policy: Sched| {
-            let team = Team::new(n);
+            let team = team(n, spin);
             team.set_sched(policy);
             let t = Some(&team);
             let bt = npb_bt::run(c, s, t);
@@ -265,14 +296,14 @@ fn sched_policies_are_bit_identical_for_every_benchmark() {
             let reports = [&bt, &sp, &lu, &ft, &cg, &mg, &ep, &is];
             assert!(
                 reports.iter().all(|r| r.verified.is_success()),
-                "{policy:?} t{n}: every benchmark must verify"
+                "{policy:?} t{n} spin {spin}: every benchmark must verify"
             );
             reports.map(|r| r.result_sig.expect("every benchmark reports a result_sig"))
         };
         let stat = run(Sched::Static);
         let guided = run(Sched::Guided);
         let feedback = run(Sched::Feedback);
-        assert_eq!(stat, guided, "guided diverged from static at t{n}");
-        assert_eq!(stat, feedback, "feedback diverged from static at t{n}");
+        assert_eq!(stat, guided, "guided diverged from static at t{n}, spin {spin}");
+        assert_eq!(stat, feedback, "feedback diverged from static at t{n}, spin {spin}");
     }
 }
