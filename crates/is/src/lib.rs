@@ -24,18 +24,46 @@ use npb_runtime::{run_par, Exchange, SharedMut, Team};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
+///
+/// Key `i` takes draws `4i+1 ..= 4i+4` of the one NPB stream. The keys
+/// are cut into four contiguous runs, each with its own copy of the
+/// generator jumped to its first draw, and the runs advance in lockstep
+/// so that their four multiply chains overlap. Every key still adds the
+/// same four draws in the same order (onto `0.0`, which adds nothing), so
+/// the sequence is bit-identical to the one-stream loop.
 pub fn create_seq(p: &IsParams) -> Vec<i32> {
-    let mut rng = Randlc::new(SEED_DEFAULT);
     let k = (p.max_key / 4) as f64;
-    (0..p.num_keys)
-        .map(|_| {
-            let mut x = rng.next_f64();
-            x += rng.next_f64();
-            x += rng.next_f64();
-            x += rng.next_f64();
-            (k * x) as i32
-        })
-        .collect()
+    let mut keys = vec![0i32; p.num_keys];
+    let run = p.num_keys.div_ceil(4).max(1);
+    let mut g: [Randlc; 4] = std::array::from_fn(|l| {
+        let mut g = Randlc::new(SEED_DEFAULT);
+        g.jump(4 * (l * run) as u64);
+        g
+    });
+    let mut runs = keys.chunks_mut(run);
+    let mut next = || runs.next().unwrap_or_default();
+    let (s0, s1, s2, s3) = (next(), next(), next(), next());
+    // Runs never get longer, so the last one's length is the lockstep span.
+    let common = s3.len();
+    for (((a, b), c), d) in s0.iter_mut().zip(&mut *s1).zip(&mut *s2).zip(s3) {
+        let mut x = [0.0; 4];
+        for _ in 0..4 {
+            for (x, g) in x.iter_mut().zip(&mut g) {
+                *x += g.next_f64();
+            }
+        }
+        [*a, *b, *c, *d] = x.map(|x| (k * x) as i32);
+    }
+    for (out, g) in [s0, s1, s2].into_iter().zip(&mut g) {
+        for key in &mut out[common..] {
+            let mut x = 0.0;
+            for _ in 0..4 {
+                x += g.next_f64();
+            }
+            *key = (k * x) as i32;
+        }
+    }
+    keys
 }
 
 /// `is.c`'s iteration markers for `iteration`, written into `keys`;
@@ -130,26 +158,95 @@ pub fn prefix_and_check(
 }
 
 /// Full verification (NPB `full_verify`): scatter `keys` to the ranked
-/// positions the cumulative `counts` give and check the result is
-/// sorted and a permutation of the input.
+/// positions the cumulative `counts` give — each key decrements its
+/// value's count and lands in the slot it frees — and check the result
+/// is sorted and a permutation of the input.
+///
+/// The permutation check is exact: after the scatter each `counts[k]`
+/// must have fallen to `counts[k-1]` (to 0 at `k = 0`), which holds if
+/// and only if `counts` is the cumulative histogram of `keys`. Then the
+/// keys of value `k` filled exactly `counts[k-1]..counts[k]`. This also
+/// rejects a wrong count at a value no key takes, which the histogram
+/// compare it replaces let through. A key outside `0..counts.len()`, or
+/// a count that sends a slot out of range, fails verification rather
+/// than panicking.
 pub fn full_verify(keys: &[i32], counts: &[i32]) -> bool {
-    let mut counts = counts.to_vec();
-    let mut sorted = vec![0i32; keys.len()];
-    for &k in keys {
-        counts[k as usize] -= 1;
-        sorted[counts[k as usize] as usize] = k;
-    }
+    let Some((sorted, left)) = scatter(keys, counts) else {
+        return false;
+    };
     let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
-    // Permutation check: histogram equality with the input.
-    let mut h1 = vec![0i64; counts.len()];
-    let mut h2 = vec![0i64; counts.len()];
+    let exact = left.iter().eq(std::iter::once(&0).chain(counts).take(left.len()));
+    is_sorted && exact
+}
+
+/// High-bit buckets of [`scatter`]'s partition: at class A each
+/// bucket's writes stay inside a ≈ 128 KB window of `sorted`.
+const VERIFY_BUCKETS: usize = 1 << 8;
+
+/// [`full_verify`]'s scatter: `sorted` and the decremented counts, or
+/// `None` as soon as the keys and `counts` are seen to disagree.
+///
+/// Scattering straight from `keys` misses cache and TLB on nearly every
+/// write at class A (32 MB of `sorted`). So the keys are first split,
+/// stably, by their high bits into [`VERIFY_BUCKETS`] runs of `sorted`
+/// itself — one sequential write stream each — and the scatter then
+/// goes bucket by bucket: copy the bucket's run aside, and scatter it
+/// back into that same window. The keys of one value meet their count in
+/// key order, so each lands in the slot the key-order scatter gives it.
+///
+/// The windows are where `counts` puts each bucket, and the split checks
+/// them: it fails if a bucket holds more keys than its window, and since
+/// the windows add up to the key count, none can hold fewer. When
+/// `counts` is right, every slot of a bucket falls inside its window; a
+/// slot outside it fails the check, so no write ever reaches a bucket
+/// that is still waiting to be scattered.
+fn scatter(keys: &[i32], counts: &[i32]) -> Option<(Vec<i32>, Vec<i32>)> {
+    let (n, mk) = (keys.len(), counts.len());
+    let top = mk.saturating_sub(1);
+    let shift = (usize::BITS - top.leading_zeros()).saturating_sub(VERIFY_BUCKETS.ilog2());
+    let buckets = (top >> shift) + 1;
+    // `at[b]..at[b + 1]`: bucket `b`'s window of `sorted`, the count of
+    // keys below its first value.
+    let below = |v: usize| if v == 0 { Some(0) } else { usize::try_from(counts[v - 1]).ok() };
+    let at: Vec<usize> =
+        (0..=buckets).map(|b| below((b << shift).min(mk))).collect::<Option<_>>()?;
+    if at[buckets] != n || at.windows(2).any(|w| w[0] > w[1]) {
+        return None;
+    }
+    let mut sorted = vec![0i32; n];
+    let mut next = at.clone();
     for &k in keys {
-        h1[k as usize] += 1;
+        if k < 0 || k as usize >= mk {
+            return None;
+        }
+        let b = k as usize >> shift;
+        let slot = next[b];
+        if slot == at[b + 1] {
+            return None;
+        }
+        sorted[slot] = k;
+        next[b] = slot + 1;
     }
-    for &k in &sorted {
-        h2[k as usize] += 1;
+    // No bucket overflowed and the windows add up to the `n` keys, so
+    // every bucket filled its window exactly.
+
+    let mut left = counts.to_vec();
+    let mut run = Vec::with_capacity(at.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0));
+    for w in at.windows(2) {
+        let window = w[0] as i64..w[1] as i64;
+        run.clear();
+        run.extend_from_slice(&sorted[w[0]..w[1]]);
+        for &k in &run {
+            let c = &mut left[k as usize];
+            let slot = i64::from(*c) - 1;
+            if !window.contains(&slot) {
+                return None;
+            }
+            *c = slot as i32;
+            sorted[slot as usize] = k;
+        }
     }
-    is_sorted && h1 == h2
+    Some((sorted, left))
 }
 
 /// One full IS benchmark instance (keys + working storage).
@@ -346,6 +443,164 @@ mod tests {
         assert!(!b.full_verify());
     }
 
+    /// The code the two rewrites replaced, kept to test them against.
+    mod oracle {
+        use super::*;
+
+        /// The one-stream key generator: key `i` is draws `4i+1 ..= 4i+4`.
+        pub fn create_seq(p: &IsParams) -> Vec<i32> {
+            let mut rng = Randlc::new(SEED_DEFAULT);
+            let k = (p.max_key / 4) as f64;
+            (0..p.num_keys)
+                .map(|_| {
+                    let mut x = rng.next_f64();
+                    x += rng.next_f64();
+                    x += rng.next_f64();
+                    x += rng.next_f64();
+                    (k * x) as i32
+                })
+                .collect()
+        }
+
+        /// The per-key scatter in key order, and its verdict: sorted, and
+        /// the same histogram as the input. Panics on an out-of-range slot.
+        pub fn full_verify(keys: &[i32], counts: &[i32]) -> (Vec<i32>, bool) {
+            let mut counts = counts.to_vec();
+            let mut sorted = vec![0i32; keys.len()];
+            for &k in keys {
+                counts[k as usize] -= 1;
+                sorted[counts[k as usize] as usize] = k;
+            }
+            let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
+            let mut h1 = vec![0i64; counts.len()];
+            let mut h2 = vec![0i64; counts.len()];
+            for &k in keys {
+                h1[k as usize] += 1;
+            }
+            for &k in &sorted {
+                h2[k as usize] += 1;
+            }
+            (sorted, is_sorted && h1 == h2)
+        }
+    }
+
+    /// The keys and cumulative counts of one ranking pass at `class`.
+    fn ranked(class: Class) -> IsBench {
+        let mut b = IsBench::new(class);
+        let mut hists = vec![0i32; b.params().max_key];
+        b.rank::<false>(1, None, &mut hists);
+        b
+    }
+
+    #[test]
+    fn lane_keys_equal_the_one_stream_keys() {
+        for class in [Class::S, Class::W] {
+            let p = IsParams::for_class(class);
+            assert!(create_seq(&p) == oracle::create_seq(&p), "class {class:?}");
+        }
+        // Key counts that four lanes do not split evenly, down to runs
+        // shorter than the lane count.
+        for num_keys in [0, 1, 2, 3, 5, 6, 7, 9, 13, 1023, 4097] {
+            let p = IsParams { num_keys, ..IsParams::for_class(Class::S) };
+            assert_eq!(create_seq(&p), oracle::create_seq(&p), "{num_keys} keys");
+        }
+    }
+
+    #[test]
+    fn bucketed_scatter_equals_the_per_key_scatter() {
+        for class in [Class::S, Class::W] {
+            let b = ranked(class);
+            let (sorted, _) = scatter(&b.keys_snapshot, &b.counts).expect("in range");
+            let (want, ok) = oracle::full_verify(&b.keys_snapshot, &b.counts);
+            assert!(ok && sorted == want, "class {class:?}");
+        }
+    }
+
+    /// Seeded corruptions of counts at values some key takes, small
+    /// enough that the per-key scatter stays in range: both checks
+    /// reject every one, and accept the counts as ranked.
+    #[test]
+    fn verdicts_agree_with_the_oracle_on_occupied_values() {
+        let b = ranked(Class::S);
+        let (keys, n) = (&b.keys_snapshot, b.keys_snapshot.len() as i32);
+        assert!(full_verify(keys, &b.counts) && oracle::full_verify(keys, &b.counts).1);
+        let mut rng = Randlc::new(SEED_DEFAULT);
+        let mut tried = 0;
+        while tried < 64 {
+            let k = 1 + (rng.next_f64() * (b.counts.len() - 1) as f64) as usize;
+            let taken = b.counts[k] - b.counts[k - 1];
+            let delta = [-2, -1, 1, 2][(rng.next_f64() * 4.0) as usize];
+            let c = b.counts[k] + delta;
+            if taken == 0 || c - taken < 0 || c > n {
+                continue;
+            }
+            let mut counts = b.counts.clone();
+            counts[k] = c;
+            assert!(!oracle::full_verify(keys, &counts).1, "oracle, counts[{k}] {delta:+}");
+            assert!(!full_verify(keys, &counts), "counts[{k}] {delta:+}");
+            tried += 1;
+        }
+    }
+
+    /// The tightening: a wrong count at a value no key takes is never read
+    /// by the scatter, so the sorted array and its histogram are intact
+    /// and the histogram compare accepts it. The exact check rejects it,
+    /// because that count did not fall to its predecessor's.
+    #[test]
+    fn a_wrong_count_at_an_empty_value_fails_only_the_exact_check() {
+        let b = ranked(Class::S);
+        // Keys are a sum of four uniforms, so the far tails are empty
+        // (value 1 holds the first iteration's marker).
+        let k = (1..b.counts.len()).find(|&k| b.counts[k] == b.counts[k - 1]).unwrap();
+        assert!(k < 16, "first empty value {k}");
+        let mut counts = b.counts.clone();
+        counts[k] += 7;
+        assert!(oracle::full_verify(&b.keys_snapshot, &counts).1);
+        assert!(!full_verify(&b.keys_snapshot, &counts));
+    }
+
+    /// A count that moves a slot past its bucket's window stops the
+    /// scatter there, although the slot is inside the array: the window
+    /// after it still holds keys waiting to be scattered.
+    #[test]
+    fn a_slot_outside_its_bucket_window_stops_the_scatter() {
+        let b = ranked(Class::S);
+        let mk = b.params().max_key;
+        let width = mk / VERIFY_BUCKETS;
+        // The lowest value of a middle bucket, and the bucket's window.
+        let k = mk / 2;
+        let (lo, hi) = (b.counts[k - 1], b.counts[k + width - 1]);
+        assert!(b.counts[k] > lo && (hi as usize) < b.keys_snapshot.len());
+        let mut counts = b.counts.clone();
+        counts[k] += hi - lo;
+        assert!(scatter(&b.keys_snapshot, &counts).is_none());
+    }
+
+    /// Counts that send a slot out of range fail verification; the
+    /// per-key scatter indexed out of bounds on both.
+    #[test]
+    fn out_of_range_counts_fail_instead_of_panicking() {
+        let b = ranked(Class::S);
+        let mk = b.params().max_key;
+        let mut counts = b.counts.clone();
+        counts[mk / 2] = 0; // slot -1
+        assert!(!full_verify(&b.keys_snapshot, &counts));
+        // The top value holds the first iteration's other marker.
+        assert_eq!(b.keys_snapshot.iter().max(), Some(&(mk as i32 - 1)));
+        let mut counts = b.counts.clone();
+        counts[mk - 1] += 5; // slots past the end
+        assert!(!full_verify(&b.keys_snapshot, &counts));
+        // Counts that give the top value's bucket no room, and a count
+        // past the key count.
+        assert!(!full_verify(&[0, 1, 2, 3], &[1, 2, 4, 4]));
+        assert!(!full_verify(&[0, 1, 2, 3], &[9, 2, 3, 4]));
+        let mut keys = b.keys_snapshot.clone();
+        keys[3] = mk as i32;
+        assert!(!full_verify(&keys, &b.counts));
+        keys[3] = -1;
+        assert!(!full_verify(&keys, &b.counts));
+    }
+
     #[test]
     fn report_runs() {
         let rep = run(Class::S, Style::Opt, None);
@@ -377,17 +632,11 @@ mod proptests {
             }
             assert_eq!(counts[mk - 1] as usize, keys.len(), "case {case}");
             assert!(counts.windows(2).all(|w| w[0] <= w[1]));
-            // Scatter to ranked positions.
-            let mut c = counts.clone();
-            let mut sorted = vec![0i32; keys.len()];
-            for &k in &keys {
-                c[k as usize] -= 1;
-                sorted[c[k as usize] as usize] = k;
-            }
-            assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "case {case}");
+            let (sorted, _) = scatter(&keys, &counts).expect("exact counts scatter in range");
             let mut expect = keys.clone();
             expect.sort_unstable();
             assert_eq!(sorted, expect, "case {case}");
+            assert!(full_verify(&keys, &counts), "case {case}");
         }
     }
 

@@ -85,12 +85,26 @@ impl MgState {
 
     /// Reset `u` to zero and regenerate the right-hand side.
     pub fn reset(&mut self) {
+        self.zero_grids();
+        let nf = self.sizes[self.lt - 1];
+        zran3(&mut self.v, nf, self.p.nx);
+    }
+
+    /// Zero `u` and `r` on every level.
+    fn zero_grids(&mut self) {
         for lev in 0..self.lt {
             self.u[lev].fill(0.0);
             self.r[lev].fill(0.0);
         }
-        let nf = self.sizes[self.lt - 1];
-        zran3(&mut self.v, nf, self.p.nx);
+    }
+
+    /// `mg.f`'s untimed warm-up: reset, then one residual, V-cycle and
+    /// residual. It reads `v` and never writes it.
+    fn warm_up<const SAFE: bool>(&mut self, team: Option<&Team>) {
+        self.reset();
+        self.resid_finest::<SAFE>(team);
+        self.mg3p::<SAFE>(team);
+        self.resid_finest::<SAFE>(team);
     }
 
     /// Make sure the per-rank stencil scratch matches `team`'s width
@@ -210,24 +224,22 @@ impl MgState {
     }
 
     /// Full benchmark under the in-computation SDC guard: one untimed
-    /// warm-up cycle, reset, then the timed
-    /// `resid + nit × (mg3P + resid) + norm` section of `mg.f`. The state
-    /// a V-cycle carries into the next iteration is exactly the finest
-    /// `u` and `r` grids: every coarse level is rebuilt from them (the
-    /// downward restriction rewrites `r[lev<finest]`, `zero3`+`interp`
-    /// rewrite `u[lev<finest]`) and `v` is constant after `reset` — so
-    /// the finest pair is what the guard watches and restores.
+    /// warm-up cycle, `u` and `r` zeroed, then the timed
+    /// `resid + nit × (mg3P + resid) + norm` section of `mg.f`. `mg.f`
+    /// regenerates `v` with `zran3` before the timed section as well;
+    /// nothing writes `v` after `reset`, so here the warm-up's `v` stands.
+    /// The state a V-cycle carries into the next iteration is exactly the
+    /// finest `u` and `r` grids: every coarse level is rebuilt from them
+    /// (the downward restriction rewrites `r[lev<finest]`, `zero3`+`interp`
+    /// rewrite `u[lev<finest]`) and `v` is constant — so the finest pair
+    /// is what the guard watches and restores.
     pub fn run_guarded<const SAFE: bool>(
         &mut self,
         team: Option<&Team>,
         gcfg: &GuardConfig,
     ) -> MgOutcome {
-        self.reset();
-        self.resid_finest::<SAFE>(team);
-        self.mg3p::<SAFE>(team);
-        self.resid_finest::<SAFE>(team);
-
-        self.reset();
+        self.warm_up::<SAFE>(team);
+        self.zero_grids();
         // Timed section starts here: drop the warm-up cycle's spans so
         // the profile covers exactly what `secs` covers.
         trace::reset();
@@ -351,6 +363,24 @@ mod tests {
         // Class S converges at roughly 4-5x per cycle (0.027 -> 5.3e-5
         // over four cycles); require at least a 2x drop from one.
         assert!(r1 < r0 * 0.5, "one cycle: {r0} -> {r1}");
+    }
+
+    /// What `run_guarded` relies on to skip `mg.f`'s second `zran3`: the
+    /// warm-up leaves `v` bit for bit as a fresh `zran3` makes it.
+    #[test]
+    fn warm_up_leaves_v_as_zran3_made_it() {
+        for class in [Class::S, Class::W] {
+            let mut st = MgState::new(class);
+            st.warm_up::<false>(None);
+            let nf = st.sizes[st.lt - 1];
+            let mut fresh = vec![0.0; nf * nf * nf];
+            zran3(&mut fresh, nf, st.p.nx);
+            assert!(st.v.iter().any(|&x| x != 0.0));
+            assert!(
+                st.v.iter().map(|x| x.to_bits()).eq(fresh.iter().map(|x| x.to_bits())),
+                "{class:?}"
+            );
+        }
     }
 
     #[test]

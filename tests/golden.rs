@@ -70,6 +70,18 @@ const CLASS_W: &[Row] = &[
 ];
 
 #[rustfmt::skip]
+const CLASS_A: &[Row] = &[
+    // The class-A cells of the benchmark's memory-bound workload: IS.A
+    // ranks 2^23 keys (32 MB each of keys, snapshot and the sorted array
+    // full verification scatters), CG.A builds a 14,000-row sparse
+    // matrix. As at classes S and W, two ranks reproduce the serial bits.
+    ("cg A",             "54df160e90678231", Sig),
+    ("cg A --threads 2", "54df160e90678231", Sig),
+    ("is A",             "b089f4b7eaaa7395", Sig),
+    ("is A --threads 2", "b089f4b7eaaa7395", Sig),
+];
+
+#[rustfmt::skip]
 const CLASS_S: &[Row] = &[
     // Class S, serially, on two ranks, and on two ranks in the safe style
     // on the pure park path (the paper's wait/notify model). The five
@@ -313,6 +325,11 @@ fn check_section(section: &[Row]) {
 #[test]
 fn class_w_and_ft_a_rows_reproduce_their_pinned_signatures() {
     check_section(CLASS_W);
+}
+
+#[test]
+fn class_a_rows_reproduce_their_pinned_signatures() {
+    check_section(CLASS_A);
 }
 
 #[test]
