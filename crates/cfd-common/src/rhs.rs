@@ -38,7 +38,7 @@ use npb_runtime::{run_par, SharedMut, Team};
 
 /// The `[plus, centre, minus]` rows of one grid along a direction, cut to
 /// the columns of the output line.
-type Tri<'a> = [&'a [f64]; 3];
+pub type Tri<'a> = [&'a [f64]; 3];
 
 /// What tells one direction's terms from another's.
 struct Dir {
@@ -56,17 +56,22 @@ struct Dir {
 /// and last two interior points along a direction drop the neighbours
 /// they do not have.
 #[derive(Clone, Copy)]
-enum Form {
+pub enum Form {
+    /// Position 1: no neighbour behind.
     First,
+    /// Position 2: one neighbour behind.
     Second,
+    /// Two neighbours each side.
     Interior,
+    /// Position `n - 3`: one neighbour ahead.
     SecondLast,
+    /// Position `n - 2`: no neighbour ahead.
     Last,
 }
 
 impl Form {
     /// The form at position `p` of an extent-`n` direction (`n >= 6`).
-    fn at(p: usize, n: usize) -> Form {
+    pub fn at(p: usize, n: usize) -> Form {
         match p {
             1 => Form::First,
             2 => Form::Second,
@@ -87,14 +92,14 @@ fn accumulate<const SAFE: bool>(out: &mut [f64], term: impl Fn(usize) -> f64) {
 
 /// The second difference `g(+1) - 2 g(0) + g(-1)` at column `x`.
 #[inline(always)]
-fn d2<const SAFE: bool>([p, c, m]: Tri, x: usize) -> f64 {
+pub fn d2<const SAFE: bool>([p, c, m]: Tri, x: usize) -> f64 {
     ld::<_, SAFE>(p, x) - 2.0 * ld::<_, SAFE>(c, x) + ld::<_, SAFE>(m, x)
 }
 
 /// `t` cut to the `n` columns of the output line, which is what lets the
 /// bounds checks of a loop over `0..n` fold.
 #[inline(always)]
-fn cut(t: Tri, n: usize) -> Tri {
+pub fn cut(t: Tri, n: usize) -> Tri {
     t.map(|r| &r[..n])
 }
 
@@ -191,7 +196,7 @@ fn diss_term(form: Form, dssp: f64, g: impl Fn(isize) -> f64) -> f64 {
 /// nearest one it does. Matching outside the loop hands each loop a
 /// constant form.
 #[inline(never)]
-fn diss_row<const SAFE: bool>(
+pub fn diss_row<const SAFE: bool>(
     out: &mut [f64],
     form: Form,
     u: &[f64],
@@ -222,7 +227,7 @@ fn diss_row<const SAFE: bool>(
 /// Dissipation along ξ, where the form goes by column: `out` is a whole
 /// line and `u[at..]` the row under it.
 #[inline(never)]
-fn diss_columns<const SAFE: bool>(out: &mut [f64], u: &[f64], at: usize, dssp: f64) {
+pub fn diss_columns<const SAFE: bool>(out: &mut [f64], u: &[f64], at: usize, dssp: f64) {
     let nx = out.len();
     let row = &u[at..][..nx];
     let ends =
@@ -236,7 +241,7 @@ fn diss_columns<const SAFE: bool>(out: &mut [f64], u: &[f64], at: usize, dssp: f
 
 /// De-interleave an m-fastest row: `lines[m][i] = row[5 i + m]`.
 #[inline(never)]
-fn split5<const SAFE: bool>(row: &[f64], lines: &mut [&mut [f64]; 5]) {
+pub fn split5<const SAFE: bool>(row: &[f64], lines: &mut [&mut [f64]; 5]) {
     let [l0, l1, l2, l3, l4] = lines;
     let n = l0.len();
     let row = &row[..5 * n];
@@ -252,7 +257,7 @@ fn split5<const SAFE: bool>(row: &[f64], lines: &mut [&mut [f64]; 5]) {
 /// interior columns scaled by `dt`, the two end columns (still the
 /// forcing they were gathered as) as they are.
 #[inline(never)]
-fn join5<const SAFE: bool>(row: &mut [f64], lines: &[&mut [f64]; 5], dt: f64) {
+pub fn join5<const SAFE: bool>(row: &mut [f64], lines: &[&mut [f64]; 5], dt: f64) {
     let [l0, l1, l2, l3, l4] = lines;
     let n = l0.len();
     let (row, lines) = (&mut row[..5 * n], [&l0[..n], &l1[..n], &l2[..n], &l3[..n], &l4[..n]]);
@@ -301,7 +306,7 @@ fn point_row<const SAFE: bool, const SPEED: bool>(
 
 /// The rows of `g` one `step` either side of the `w` points from `a`.
 #[inline(always)]
-fn tri(g: &[f64], a: usize, step: usize, w: usize) -> Tri<'_> {
+pub fn tri(g: &[f64], a: usize, step: usize, w: usize) -> Tri<'_> {
     [&g[a + step..][..w], &g[a..][..w], &g[a - step..][..w]]
 }
 

@@ -21,8 +21,8 @@ pub use norms::{error, l2norm, pintgr};
 pub use params::{reference, LuParams, LuRefs, OMEGA};
 pub use rhs::LuFields;
 
-use npb_cfd_common::Consts;
-use npb_core::{trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
+use npb_cfd_common::{idx5, Consts};
+use npb_core::{ld, st, trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
 use npb_runtime::{guarded_loop, run_par, SharedMut, Team};
 
 /// LU benchmark instance.
@@ -77,14 +77,12 @@ impl LuState {
             let rsd = unsafe { SharedMut::new(&mut self.fields.rsd) };
             run_par(team, |par| {
                 par.for_chunks_in(1, n - 1, |ks| {
-                    for k in ks {
-                        for j in 1..n - 1 {
-                            for i in 1..n - 1 {
-                                let base = npb_cfd_common::idx5(n, n, 0, i, j, k);
-                                for m in 0..5 {
-                                    rsd.set::<SAFE>(base + m, dt * rsd.get::<SAFE>(base + m));
-                                }
-                            }
+                    for (j, k) in ks.flat_map(|k| (1..n - 1).map(move |j| (j, k))) {
+                        // SAFETY: the interior of row `(j, k)`, in a plane of
+                        // this rank's chunk; the only view of it.
+                        let row = unsafe { rsd.row_mut(idx5(n, n, 0, 1, j, k), 5 * (n - 2)) };
+                        for x in 0..row.len() {
+                            st::<_, SAFE>(row, x, dt * ld::<_, SAFE>(row, x));
                         }
                     }
                 });
@@ -110,17 +108,18 @@ impl LuState {
             let u = unsafe { SharedMut::new(&mut self.fields.u) };
             run_par(team, |par| {
                 par.for_chunks_in(1, n - 1, |ks| {
-                    for k in ks {
-                        for j in 1..n - 1 {
-                            for i in 1..n - 1 {
-                                let base = npb_cfd_common::idx5(n, n, 0, i, j, k);
-                                for m in 0..5 {
-                                    u.add::<SAFE>(
-                                        base + m,
-                                        tmp * npb_core::ld::<_, SAFE>(rsd, base + m),
-                                    );
-                                }
-                            }
+                    for (j, k) in ks.flat_map(|k| (1..n - 1).map(move |j| (j, k))) {
+                        let (at, len) = (idx5(n, n, 0, 1, j, k), 5 * (n - 2));
+                        // SAFETY: the interior of row `(j, k)`, in a plane of
+                        // this rank's chunk; the only view of it.
+                        let row = unsafe { u.row_mut(at, len) };
+                        let r = &rsd[at..][..len];
+                        for x in 0..len {
+                            st::<_, SAFE>(
+                                row,
+                                x,
+                                ld::<_, SAFE>(row, x) + tmp * ld::<_, SAFE>(r, x),
+                            );
                         }
                     }
                 });

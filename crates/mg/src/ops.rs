@@ -360,8 +360,10 @@ pub fn norm2u3<const SAFE: bool>(r: &SharedMut<f64>, n: usize, team: Option<&Tea
         let mut m = 0.0f64;
         for i3 in p.range_of(2, n) {
             for i2 in 2..n {
-                for i1 in 2..n {
-                    let v = r.get::<SAFE>(id(i1, i2, i3));
+                // SAFETY: nothing writes `r` in this region.
+                let row = unsafe { r.row(id(2, i2, i3), n - 2) };
+                for i1 in 0..n - 2 {
+                    let v = ld::<_, SAFE>(row, i1);
                     s += v * v;
                     m = m.max(v.abs());
                 }
