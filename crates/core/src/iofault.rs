@@ -42,6 +42,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
+use crate::json::json_escape;
 use crate::random::Randlc;
 
 /// Probability that any single durable operation trips an armed fault.
@@ -141,16 +142,14 @@ impl IoFaultPlan {
             }
         })
     }
-
-    /// An explicit plan (CLI flag) if given, else the ambient env plan.
-    pub fn resolve(explicit: Option<IoFaultPlan>) -> Option<IoFaultPlan> {
-        explicit.or_else(IoFaultPlan::from_env)
-    }
 }
 
-/// FNV-1a 64 over the surface name: mixes the per-surface stream apart
-/// from every other surface armed with the same seed.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64, the workspace's one byte hash. It mixes each surface's
+/// fault stream apart from every other surface armed with the same
+/// seed, and it is the content address of an `npbd` job: hermetic and
+/// stable across processes, which a journal that outlives the daemon
+/// requires.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -191,15 +190,6 @@ impl FaultInjector {
         let state =
             (plan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ fnv1a64(surface.as_bytes())) | 1;
         FaultInjector { plan, rng: Randlc::from_state(state), ops: 0, stuck: false }
-    }
-
-    pub fn kind(&self) -> IoFaultKind {
-        self.plan.kind
-    }
-
-    /// Durable ops observed so far (writes + syncs), for diagnostics.
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 
     /// Draw one deviate; true when this op trips.
@@ -293,8 +283,10 @@ impl IoDegraded {
     /// (or for stderr when they cannot).
     pub fn json(&self) -> String {
         format!(
-            "{{\"ev\":\"io-degraded\",\"surface\":\"{}\",\"op\":\"{}\",\"error\":{:?}}}",
-            self.surface, self.op, self.error
+            "{{\"ev\":\"io-degraded\",\"surface\":\"{}\",\"op\":\"{}\",\"error\":\"{}\"}}",
+            self.surface,
+            self.op,
+            json_escape(&self.error)
         )
     }
 }
@@ -310,9 +302,9 @@ impl std::fmt::Display for IoDegraded {
     }
 }
 
-/// A durable append-only file with optional fault injection: the drop-in
-/// carrier for the journal/manifest/checkpoint write paths. Without an
-/// armed plan it is a zero-branch passthrough to [`File`].
+/// A file with optional fault injection: the carrier under
+/// [`crate::log::AppendLog`] and the trace export. Without an armed plan
+/// it is a zero-branch passthrough to [`File`].
 #[derive(Debug)]
 pub struct FaultFile {
     file: File,
@@ -322,10 +314,6 @@ pub struct FaultFile {
 impl FaultFile {
     pub fn new(file: File, surface: &str, plan: Option<IoFaultPlan>) -> FaultFile {
         FaultFile { file, injector: plan.map(|p| FaultInjector::new(p, surface)) }
-    }
-
-    pub fn armed(&self) -> bool {
-        self.injector.is_some()
     }
 
     pub fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
@@ -358,76 +346,12 @@ impl FaultFile {
         }
         self.file.sync_data()
     }
-
-    /// One durable JSONL record: write + flush + fsync. The record and
-    /// its newline go down as ONE write — one durable op, so a tripped
-    /// injection fails (or tears) the whole record instead of landing
-    /// the bytes and failing only the line terminator. The failure
-    /// contract of every journal in the stack hangs off this: an error
-    /// here may have torn at most this one record.
-    pub fn append_record(&mut self, record: &str) -> io::Result<()> {
-        let mut line = String::with_capacity(record.len() + 1);
-        line.push_str(record);
-        line.push('\n');
-        self.write_all(line.as_bytes())?;
-        self.flush()?;
-        self.sync_data()
-    }
-}
-
-/// A generic `Write` adapter with the same injection semantics, for
-/// durable paths that stream through `io::Write` (trace export).
-pub struct FaultWriter<W: Write> {
-    inner: W,
-    injector: Option<FaultInjector>,
-}
-
-impl<W: Write> FaultWriter<W> {
-    pub fn new(inner: W, surface: &str, plan: Option<IoFaultPlan>) -> FaultWriter<W> {
-        FaultWriter { inner, injector: plan.map(|p| FaultInjector::new(p, surface)) }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FaultWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(inj) = &mut self.injector {
-            match inj.on_write(buf.len()) {
-                WriteFault::Pass => {}
-                WriteFault::Fail(e) => return Err(e),
-                WriteFault::Short(n, e) => {
-                    let kept = self.inner.write(&buf[..n]).unwrap_or(0);
-                    let _ = self.inner.flush();
-                    // A torn streaming write surfaces the error on the
-                    // *next* call if anything landed, per Write's
-                    // short-write contract; nothing landed → fail now.
-                    if kept > 0 {
-                        return Ok(kept);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
-    use std::path::PathBuf;
-
-    fn temp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("npb-iofault-{}-{name}", std::process::id()))
-    }
+    use crate::json::Json;
 
     #[test]
     fn plan_parse_grammar() {
@@ -440,6 +364,13 @@ mod tests {
         assert_eq!(IoFaultPlan::parse("fsync-fail:0").unwrap().kind, IoFaultKind::FsyncFail);
         assert!(IoFaultPlan::parse("ebadf:1").is_err(), "unknown kind rejected");
         assert!(IoFaultPlan::parse("enospc:x").is_err(), "non-integer seed rejected");
+    }
+
+    #[test]
+    fn fnv_is_the_reference_function() {
+        // Reference vectors for 64-bit FNV-1a.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
@@ -492,107 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_file_enospc_loses_at_most_the_inflight_record() {
-        let path = temp("enospc");
-        let _ = fs::remove_file(&path);
-        let plan = IoFaultPlan { kind: IoFaultKind::Enospc, seed: 42 };
-        let file = fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
-        let mut ff = FaultFile::new(file, "test", Some(plan));
-        let mut landed = 0usize;
-        let mut failed = false;
-        for i in 0..64 {
-            match ff.append_record(&format!("{{\"n\":{i}}}")) {
-                Ok(()) => landed += 1,
-                Err(e) => {
-                    failed = true;
-                    assert!(e.to_string().contains("injected"), "error names the injection");
-                    break;
-                }
-            }
-        }
-        assert!(failed, "the armed writer must trip within 64 records");
-        // Every *completed* record survives whole; a torn prefix of the
-        // failed record is allowed but no full bogus line is.
-        let text = fs::read_to_string(&path).unwrap();
-        let whole: Vec<&str> = text.lines().filter(|l| l.ends_with('}')).collect();
-        assert_eq!(whole.len(), landed, "completed records all reached the disk");
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fault_file_short_write_tears_exactly_one_record() {
-        let path = temp("short");
-        let _ = fs::remove_file(&path);
-        let plan = IoFaultPlan { kind: IoFaultKind::ShortWrite, seed: 5 };
-        let file = fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
-        let mut ff = FaultFile::new(file, "test", Some(plan));
-        let record = "{\"payload\":\"0123456789abcdef0123456789abcdef\"}";
-        let mut errs = 0usize;
-        for _ in 0..64 {
-            if ff.append_record(record).is_err() {
-                errs += 1;
-                if errs == 1 {
-                    break;
-                }
-            }
-        }
-        assert_eq!(errs, 1, "short-write trips");
-        let text = fs::read_to_string(&path).unwrap();
-        // The torn prefix (if it is the record write that tore, not the
-        // newline) is strictly shorter than the record and unparseable
-        // as a full line; every earlier line is whole.
-        for line in text.lines().take(text.lines().count().saturating_sub(1)) {
-            assert_eq!(line, record, "earlier records are untouched");
-        }
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fsync_fail_lets_writes_through_but_fails_sync() {
-        let path = temp("fsync");
-        let _ = fs::remove_file(&path);
-        let plan = IoFaultPlan { kind: IoFaultKind::FsyncFail, seed: 9 };
-        let file = fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
-        let mut ff = FaultFile::new(file, "test", Some(plan));
-        let mut tripped = false;
-        for i in 0..64 {
-            match ff.append_record(&format!("{{\"n\":{i}}}")) {
-                Ok(()) => {}
-                Err(e) => {
-                    tripped = true;
-                    assert!(e.to_string().contains("fsync"), "the failure is the sync: {e}");
-                    break;
-                }
-            }
-        }
-        assert!(tripped, "fsync-fail trips within 64 records");
-        // Sticky: once durability is gone it stays gone.
-        let err = ff.append_record("{\"again\":true}");
-        assert!(err.is_err(), "fsync failure is sticky");
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
     fn io_degraded_is_structured() {
-        let d = IoDegraded::new("journal", "sync", &io::Error::other("injected fsync failure"));
-        assert!(d.json().contains("\"ev\":\"io-degraded\""));
-        assert!(d.json().contains("\"surface\":\"journal\""));
+        // The error text goes through the workspace's JSON escaping, so
+        // a control character in it still makes a record that parses.
+        let text = "injected fsync failure: bad \u{1b} byte, é";
+        let d = IoDegraded::new("journal", "sync", &io::Error::other(text));
+        let v = Json::parse(&d.json()).expect("the io-degraded record is valid JSON");
+        assert_eq!(v.get_str("ev"), Some("io-degraded"));
+        assert_eq!(v.get_str("surface"), Some("journal"));
+        assert_eq!(v.get_str("error"), Some(text));
         assert!(d.to_string().contains("at most the in-flight record is lost"));
-    }
-
-    #[test]
-    fn unarmed_fault_file_is_a_passthrough_control() {
-        // The unguarded control: no plan, no injection, every record
-        // lands — documents that injection is opt-in.
-        let path = temp("control");
-        let _ = fs::remove_file(&path);
-        let file = fs::OpenOptions::new().create(true).append(true).open(&path).unwrap();
-        let mut ff = FaultFile::new(file, "test", None);
-        assert!(!ff.armed());
-        for i in 0..128 {
-            ff.append_record(&format!("{{\"n\":{i}}}")).expect("unarmed writer never fails");
-        }
-        assert_eq!(fs::read_to_string(&path).unwrap().lines().count(), 128);
-        let _ = fs::remove_file(&path);
     }
 }

@@ -1,20 +1,44 @@
-//! A minimal hand-rolled JSON reader.
+//! The workspace's one JSON codec: [`json_escape`] on the write side,
+//! [`Json`] on the read side, one inverting the other.
 //!
-//! The workspace is hermetic (zero registry dependencies), so the
-//! supervisor cannot lean on serde. This module is the read side of the
-//! harness's two JSON channels — the `npb --json` result line a child
-//! prints on stdout, and the append-only run-manifest journal — both of
-//! which are *produced* by this workspace, so the parser only needs to
-//! be a small, strict subset of JSON: objects, arrays, strings with the
-//! standard escapes, f64 numbers, booleans and null. It still rejects
-//! malformed input loudly rather than guessing, because a manifest line
-//! torn by a mid-write crash must be detected (and skipped) on resume.
+//! The workspace is hermetic (zero registry dependencies), so there is
+//! no serde. Every JSON text it reads is one it wrote: [`crate::log`]
+//! replays the run manifest and the `npbd` job journal through it,
+//! `npb-harness` reads the `npb --json` result line a child prints on
+//! stdout, and `npb-service` parses its wire protocol with it. So the
+//! parser only needs a small, strict subset of JSON: objects, arrays,
+//! strings with the standard escapes, f64 numbers, booleans and null.
+//! It still rejects malformed input loudly rather than guessing,
+//! because a record torn by a mid-write crash must be detected (and
+//! skipped) on replay.
 //!
-//! The write side is [`npb_core::report::json_escape`] plus plain
-//! `format!` calls; keeping the serializer trivial is what makes the
-//! journal crash-safe (one `write` + `flush` per record, no framing).
+//! The write side is [`json_escape`] plus plain `format!` calls; keeping
+//! the serializer trivial is what lets a record go down as one write.
 
 use std::collections::BTreeMap;
+
+/// Escape `s` for inclusion inside a JSON string literal.
+///
+/// This is the single JSON-string escaper of the workspace:
+/// `BenchReport::to_json`, the run manifest, the `npbd` journal and wire
+/// replies all write through it, and [`Json::parse`] inverts exactly
+/// this escaping. Control characters use `\u00XX`, everything else
+/// passes through as UTF-8.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,9 +347,9 @@ mod tests {
 
     #[test]
     fn roundtrips_the_writer_escaping() {
-        // The reader must invert npb-core's json_escape exactly.
+        // The reader must invert json_escape exactly.
         let nasty = "quote\" back\\ slash/ newline\n tab\t ctrl\u{1} high\u{7f} é ✓";
-        let doc = format!("{{\"s\":\"{}\"}}", npb_core::report::json_escape(nasty));
+        let doc = format!("{{\"s\":\"{}\"}}", json_escape(nasty));
         assert_eq!(Json::parse(&doc).unwrap().get_str("s"), Some(nasty));
     }
 
@@ -377,5 +401,18 @@ mod tests {
         let v = Json::parse(r#"{"t":1.5e-3,"u":-2E2}"#).unwrap();
         assert_eq!(v.get_num("t"), Some(0.0015));
         assert_eq!(v.get_num("u"), Some(-200.0));
+    }
+
+    #[test]
+    fn json_escape_handles_every_class() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b"), "a\\\"b");
+        assert_eq!(json_escape("a\\b"), "a\\\\b");
+        assert_eq!(json_escape("nl\n cr\r tab\t"), "nl\\n cr\\r tab\\t");
+        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
+        assert_eq!(json_escape("é ✓"), "é ✓");
+        // Escaping is idempotent-safe under composition: escaping the
+        // escaped form escapes the introduced backslashes, not more.
+        assert_eq!(json_escape("\\n"), "\\\\n");
     }
 }

@@ -21,6 +21,11 @@
 //!   monitors), iteration-level checkpoint/rollback, and the
 //!   deterministic bit-flip hook,
 //! * [`report`] — the standard NPB result banner,
+//! * [`json`] — the workspace's one JSON codec: the escaper every record
+//!   is written through and the reader that inverts it,
+//! * [`log`] — the one durable log: append-only JSONL records, one
+//!   fsync'd write each, replayed under one torn-tail rule (the run
+//!   manifest and the `npbd` job journal are views of it),
 //! * [`trace`] — the `npb-trace` observability layer: per-rank span
 //!   recording (compute / barrier spin / barrier park / dispatch),
 //!   named phase scopes, and JSON / folded-stack profile export,
@@ -39,7 +44,9 @@ pub mod cli;
 pub mod exit;
 pub mod guard;
 pub mod iofault;
+pub mod json;
 pub mod lane;
+pub mod log;
 pub mod random;
 pub mod report;
 pub mod rlimit;
@@ -55,7 +62,7 @@ pub use guard::{
     arm_bitflip, bitflip_armed, state_hash, ArmedBitFlip, GuardAction, GuardConfig, GuardStats,
     IterationGuard, SdcGuard,
 };
-pub use iofault::{FaultFile, FaultInjector, FaultWriter, IoDegraded, IoFaultKind, IoFaultPlan};
+pub use iofault::{FaultFile, FaultInjector, IoDegraded, IoFaultKind, IoFaultPlan};
 pub use random::{ipow46, randlc, vranlc, Randlc, A_DEFAULT, SEED_DEFAULT};
 pub use report::{BenchReport, RegionProfile};
 pub use rlimit::ResourceLimits;

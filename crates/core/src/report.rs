@@ -15,28 +15,9 @@ pub struct RegionProfile {
     pub imbalance: f64,
 }
 
-/// Escape `s` for inclusion inside a JSON string literal.
-///
-/// This is the single JSON-string escaper of the workspace (the build is
-/// hermetic, so there is no serde): `BenchReport::to_json` and the
-/// suite supervisor's run manifest both write through it, and the
-/// harness's hand-rolled reader inverts exactly this escaping. Control
-/// characters use `\u00XX`, everything else passes through as UTF-8.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Kept at this path for the callers that name it here; the escaper
+/// lives in [`crate::json`] beside the reader that inverts it.
+pub use crate::json::json_escape;
 
 /// A stable fingerprint of the measuring host, recorded beside every
 /// `benchmark/` run: performance numbers are only comparable within one
@@ -449,18 +430,5 @@ mod tests {
             "{\"name\":\"CG\",\"class\":\"S\",\"style\":\"opt\",\"threads\":4,\
              \"interrupted\":true,\"signal\":15}"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_every_class() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("nl\n cr\r tab\t"), "nl\\n cr\\r tab\\t");
-        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
-        assert_eq!(json_escape("é ✓"), "é ✓");
-        // Escaping is idempotent-safe under composition: escaping the
-        // escaped form escapes the introduced backslashes, not more.
-        assert_eq!(json_escape("\\n"), "\\\\n");
     }
 }

@@ -21,8 +21,6 @@
 //!   deadline kills and foreign signals;
 //! * [`manifest`] — the crash-safe append-only JSONL run journal that
 //!   `npb-suite --resume` continues from;
-//! * [`json`] — the hand-rolled JSON reader (the workspace is hermetic:
-//!   no serde, no registry dependencies);
 //! * [`table`] — the paper-style scalability table, with explicit
 //!   `base-missing` rows instead of silently rebased speedups.
 //!
@@ -30,15 +28,15 @@
 //! library; `benchmark/` drives [`run_cell`] directly.
 
 pub mod backoff;
-pub mod json;
 pub mod manifest;
 pub mod outcome;
 pub mod supervisor;
 pub mod table;
 
 pub use backoff::Backoff;
-pub use json::Json;
 pub use manifest::{read_manifest, Cell, CellOutcome, CellStatus, Manifest, ResumeState};
+/// The JSON reader, kept at this path for the callers that name it here.
+pub use npb_core::json::Json;
 pub use outcome::{classify_exit, AttemptOutcome, ChildReport, Disposition};
 pub use supervisor::{ladder, run_cell, run_sweep, SuiteConfig, SweepResult};
 pub use table::render_scalability;

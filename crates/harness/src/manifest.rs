@@ -1,11 +1,8 @@
-//! The crash-safe run manifest: an append-only JSONL journal.
-//!
-//! Every record is one JSON object on one line, written with a single
-//! `write` + `flush` — there is no framing to corrupt and no state to
-//! rewrite, so a supervisor killed at any instant (the acceptance
-//! criterion SIGKILLs it mid-sweep) loses at most the line being
-//! written. On `--resume` the reader tolerates exactly that: a torn
-//! final line is counted and skipped, never misread.
+//! The crash-safe run manifest: the suite supervisor's records over
+//! [`npb_core::log`], which owns the durable record format and the
+//! torn-tail rule. A supervisor killed at any instant (the acceptance
+//! criterion SIGKILLs it mid-sweep) loses at most the record in flight,
+//! and `--resume` reads back the rest.
 //!
 //! Three record kinds share the file, tagged by `"event"`:
 //!
@@ -19,15 +16,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use npb_core::iofault::{FaultFile, IoFaultPlan};
-use npb_core::report::json_escape;
+use npb_core::iofault::IoFaultPlan;
+use npb_core::json::{json_escape, Json};
+use npb_core::log::{self, AppendLog};
 use npb_core::{Class, RegionProfile, Style};
 
-use crate::json::Json;
 use crate::outcome::{parse_regions, parse_strings, AttemptOutcome};
 
 /// One point of the sweep: a (benchmark, class, style, threads) cell,
@@ -159,14 +154,13 @@ pub struct CellOutcome {
     pub sched: String,
 }
 
-/// Append-only journal writer. Rides a [`FaultFile`] so `--io-inject`
-/// can prove the resume contract under a hostile disk: a failed append
-/// loses at most the in-flight record, the supervisor surfaces a
-/// structured `io-degraded` error, and `--resume` against the surviving
-/// prefix completes the sweep.
+/// The manifest writer, over an [`AppendLog`] so `--io-inject` can prove
+/// the resume contract under a hostile disk: a failed append loses at
+/// most the in-flight record, the supervisor surfaces a structured
+/// `io-degraded` error, and `--resume` against the surviving prefix
+/// completes the sweep.
 pub struct Manifest {
-    file: FaultFile,
-    path: PathBuf,
+    log: AppendLog,
 }
 
 impl Manifest {
@@ -177,39 +171,22 @@ impl Manifest {
 
     /// Create with an optional deterministic fault-injection plan.
     pub fn create_with(path: &Path, inject: Option<IoFaultPlan>) -> std::io::Result<Manifest> {
-        let file = File::create(path)?;
-        Ok(Manifest { file: FaultFile::new(file, "manifest", inject), path: path.to_path_buf() })
+        Ok(Manifest { log: AppendLog::create(path, "manifest", inject)? })
     }
 
-    /// Open an existing manifest for appending (resume).
+    /// Open a manifest for appending (resume).
     pub fn append(path: &Path) -> std::io::Result<Manifest> {
         Manifest::append_with(path, None)
     }
 
     /// Append with an optional deterministic fault-injection plan.
     pub fn append_with(path: &Path, inject: Option<IoFaultPlan>) -> std::io::Result<Manifest> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Manifest { file: FaultFile::new(file, "manifest", inject), path: path.to_path_buf() })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn line(&mut self, record: String) -> std::io::Result<()> {
-        // One write, one fsync: the line is durable before the
-        // supervisor advances, so neither SIGKILLing the supervisor nor
-        // a power-loss-shaped machine death can lose an acknowledged
-        // record. (flush alone only reaches the kernel's page cache;
-        // sync_data pushes the appended bytes to the device, which is
-        // the durability the `npbd` job journal's "no accepted job is
-        // ever lost" contract needs.)
-        self.file.append_record(&record)
+        Ok(Manifest { log: AppendLog::open(path, "manifest", inject)? })
     }
 
     /// Journal the start of a supervisor invocation.
     pub fn run_header(&mut self, cells: usize, seed: u64, resumed: bool) -> std::io::Result<()> {
-        self.line(format!(
+        self.log.record(&format!(
             "{{\"event\":\"run\",\"cells\":{cells},\"seed\":{seed},\"resumed\":{resumed}}}"
         ))
     }
@@ -223,7 +200,7 @@ impl Manifest {
         outcome: &AttemptOutcome,
         elapsed_ms: u64,
     ) -> std::io::Result<()> {
-        self.line(format!(
+        self.log.record(&format!(
             "{{\"event\":\"attempt\",{},\"attempt\":{attempt},\"run_threads\":{threads},\
              \"outcome\":\"{}\",\"elapsed_ms\":{elapsed_ms}}}",
             cell.json_fields(),
@@ -252,7 +229,7 @@ impl Manifest {
         if !out.sched.is_empty() {
             extra.push_str(&format!(",\"sched\":\"{}\"", json_escape(&out.sched)));
         }
-        self.line(format!(
+        self.log.record(&format!(
             "{{\"event\":\"cell\",{},\"outcome\":\"{}\",\"attempts\":{},\"kills\":{},\
              \"final_threads\":{},\"final_class\":\"{}\",\"recoveries\":{}{extra}}}",
             out.cell.json_fields(),
@@ -279,22 +256,12 @@ pub struct ResumeState {
     pub torn_lines: usize,
 }
 
-/// Read a manifest back for `--resume`.
+/// Read a manifest back for `--resume`. A missing manifest is an error:
+/// resuming names a run that must exist.
 pub fn read_manifest(path: &Path) -> std::io::Result<ResumeState> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut state = ResumeState::default();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = match Json::parse(&line) {
-            Ok(v) => v,
-            Err(_) => {
-                state.torn_lines += 1;
-                continue;
-            }
-        };
+    let replay = log::replay(path)?;
+    let mut state = ResumeState { torn_lines: replay.torn, ..ResumeState::default() };
+    for v in replay.records {
         if v.get_str("event") != Some("cell") {
             continue;
         }
@@ -344,6 +311,7 @@ pub fn read_manifest(path: &Path) -> std::io::Result<ResumeState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -465,6 +433,53 @@ mod tests {
         drop(m);
         let state = read_manifest(&path).unwrap();
         assert_eq!(state.completed.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_resume_after_a_torn_tail_reads_every_record_it_wrote() {
+        let path = tmp("torn-resume");
+        let mut m = Manifest::create(&path).unwrap();
+        m.cell(&outcome("EP", CellStatus::Verified)).unwrap();
+        m.cell(&outcome("CG", CellStatus::Verified)).unwrap();
+        drop(m);
+        // The CG record's `\n` never landed.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end()).unwrap();
+        let first = read_manifest(&path).unwrap();
+        assert_eq!((first.completed.len(), first.torn_lines), (1, 1));
+
+        let mut m = Manifest::append(&path).unwrap();
+        m.run_header(2, 7, true).unwrap();
+        m.cell(&outcome("MG", CellStatus::Verified)).unwrap();
+        drop(m);
+        let second = read_manifest(&path).unwrap();
+        assert_eq!(second.torn_lines, 0, "the reopen cut the torn tail");
+        let mut want = first.completed;
+        want.insert(cell("MG", 4).key());
+        assert_eq!(second.completed, want, "the record written after reopen reads back");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_unterminated_tail_is_torn_even_when_it_parses_or_is_not_utf8() {
+        let path = tmp("tails");
+        let mut m = Manifest::create(&path).unwrap();
+        m.cell(&outcome("EP", CellStatus::Verified)).unwrap();
+        m.cell(&outcome("CG", CellStatus::Verified)).unwrap();
+        drop(m);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (ep, cg) = text.split_once('\n').unwrap();
+        for tail in [cg.trim_end().as_bytes(), &[0xff, 0xfe]] {
+            std::fs::write(&path, [format!("{ep}\n").as_bytes(), tail].concat()).unwrap();
+            let state = read_manifest(&path).expect("a torn tail is not an error");
+            assert_eq!(
+                (state.completed.len(), state.torn_lines),
+                (1, 1),
+                "tail {:?}",
+                String::from_utf8_lossy(tail)
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,10 +11,9 @@ use std::process::ExitStatus;
 use std::time::Duration;
 
 use npb_core::exit::{USAGE_EXIT_CODE, WATCHDOG_EXIT_CODE};
+use npb_core::json::Json;
 use npb_core::rlimit::{SIGABRT, SIGKILL, SIGXCPU};
 use npb_core::RegionProfile;
-
-use crate::json::Json;
 
 /// What one child process attempt produced, as observed from outside.
 #[derive(Debug, Clone, PartialEq)]

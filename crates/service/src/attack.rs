@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use npb_core::json::Json;
+
 use crate::client::Client;
 use crate::server::Addr;
 
@@ -240,12 +242,12 @@ fn run_client(
                 (Some("rejected"), Some("draining")) => local.rejected_draining += 1,
                 (Some("rejected"), _) => local.rejected_other += 1,
                 (Some("accepted"), _) => {
-                    if reply.get("dedup") == Some(&npb_harness::Json::Bool(true)) {
+                    if reply.get("dedup") == Some(&Json::Bool(true)) {
                         local.deduped += 1;
                     }
                 }
                 (Some("done"), _) => {
-                    if reply.get("from_cache") == Some(&npb_harness::Json::Bool(true)) {
+                    if reply.get("from_cache") == Some(&Json::Bool(true)) {
                         local.cache_hits += 1;
                     }
                     if reply.get_str("disposition") == Some("verified") {
@@ -445,7 +447,7 @@ mod tests {
         assert_eq!(h.count(), 11);
         assert_eq!(h.max_us, 1_000_000);
         // Report JSON parses and carries the percentiles.
-        let v = npb_harness::Json::parse(&h.to_json()).unwrap();
+        let v = Json::parse(&h.to_json()).unwrap();
         assert_eq!(v.get_uint("count"), Some(11));
         assert!(v.get_uint("p99_us").unwrap() >= 8192);
     }
@@ -455,7 +457,7 @@ mod tests {
         let h = Histogram::default();
         assert_eq!(h.percentile_us(99.0), 0);
         assert_eq!(h.mean_us(), 0);
-        assert!(npb_harness::Json::parse(&h.to_json()).is_ok());
+        assert!(Json::parse(&h.to_json()).is_ok());
     }
 
     #[test]
@@ -503,7 +505,7 @@ mod tests {
             saturation_clients: Some(4),
             wall_secs: 1.25,
         };
-        let v = npb_harness::Json::parse(&report.to_json(&cfg)).unwrap();
+        let v = Json::parse(&report.to_json(&cfg)).unwrap();
         assert_eq!(v.get_str("bench"), Some("service"));
         assert_eq!(v.get_uint("saturation_clients"), Some(4));
         assert_eq!(v.get_uint("sent"), Some(32));

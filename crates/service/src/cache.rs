@@ -18,9 +18,8 @@
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 
-use npb_core::report::json_escape;
+use npb_core::json::{json_escape, Json};
 use npb_harness::manifest::CellOutcome;
-use npb_harness::Json;
 
 use crate::proto::JobSpec;
 

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-use npb_harness::Json;
+use npb_core::json::Json;
 
 use crate::server::Addr;
 

@@ -22,33 +22,28 @@
 //! * `shutdown` — clean exit; jobs after this line belong to a later
 //!   daemon incarnation in the same journal file.
 //!
-//! The reader mirrors the run manifest's torn-tail rule: a record is
-//! real only once its `\n` hit the disk, so a power-loss-truncated tail
-//! (including truncation *inside* a `\uXXXX` escape) is counted and
-//! skipped, never trusted.
+//! The durable record format and the torn-tail rule are
+//! [`npb_core::log`]'s; this module formats and interprets the records.
 
-use std::fs::{File, OpenOptions};
-use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use npb_core::iofault::{FaultFile, IoFaultPlan};
-use npb_harness::Json;
+use npb_core::iofault::IoFaultPlan;
+use npb_core::log::{self, AppendLog};
 
 use crate::cache::JobResult;
 use crate::proto::JobSpec;
 
-/// Append-only journal writer. One `write + flush + fsync` per record:
-/// a record the daemon acted on is a record that survives power loss.
+/// The journal writer, over an [`AppendLog`]: a record the daemon acted
+/// on is a record that survives power loss.
 ///
-/// The writer rides a [`FaultFile`], so `--io-inject` can prove the
-/// failure contract: a write/sync error here may have torn at most the
-/// in-flight record, and the daemon's answer is the structured
-/// seal-and-drain path, never a panic (the journal is the daemon's
-/// source of truth; a journal that cannot promise durability must stop
-/// accepting work it could not replay).
+/// Under `--io-inject` the log proves the failure contract: a
+/// write/sync error here may have torn at most the in-flight record,
+/// and the daemon's answer is the structured seal-and-drain path, never
+/// a panic (the journal is the daemon's source of truth; a journal that
+/// cannot promise durability must stop accepting work it could not
+/// replay).
 pub struct JobJournal {
-    file: FaultFile,
-    path: PathBuf,
+    log: AppendLog,
 }
 
 impl JobJournal {
@@ -60,26 +55,17 @@ impl JobJournal {
     /// Open with an optional deterministic fault-injection plan
     /// (`--io-inject` on the daemon command line).
     pub fn open_with(path: &Path, inject: Option<IoFaultPlan>) -> std::io::Result<JobJournal> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JobJournal { file: FaultFile::new(file, "journal", inject), path: path.to_path_buf() })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn line(&mut self, record: &str) -> std::io::Result<()> {
-        self.file.append_record(record)
+        Ok(JobJournal { log: AppendLog::open(path, "journal", inject)? })
     }
 
     pub fn daemon(&mut self, pid: u32, capacity: u64, workers: usize) -> std::io::Result<()> {
-        self.line(&format!(
+        self.log.record(&format!(
             "{{\"ev\":\"daemon\",\"pid\":{pid},\"capacity\":{capacity},\"workers\":{workers}}}"
         ))
     }
 
     pub fn accepted(&mut self, spec: &JobSpec, seq: u64) -> std::io::Result<()> {
-        self.line(&format!(
+        self.log.record(&format!(
             "{{\"ev\":\"accepted\",\"job\":\"{}\",\"seq\":{seq},{}}}",
             spec.job_id(),
             spec.json_fields()
@@ -87,19 +73,20 @@ impl JobJournal {
     }
 
     pub fn started(&mut self, job_id: &str) -> std::io::Result<()> {
-        self.line(&format!("{{\"ev\":\"started\",\"job\":\"{job_id}\"}}"))
+        self.log.record(&format!("{{\"ev\":\"started\",\"job\":\"{job_id}\"}}"))
     }
 
     pub fn done(&mut self, job_id: &str, result: &JobResult) -> std::io::Result<()> {
-        self.line(&format!("{{\"ev\":\"done\",\"job\":\"{job_id}\",{}}}", result.json_fields()))
+        self.log
+            .record(&format!("{{\"ev\":\"done\",\"job\":\"{job_id}\",{}}}", result.json_fields()))
     }
 
     pub fn drain(&mut self) -> std::io::Result<()> {
-        self.line("{\"ev\":\"drain\"}")
+        self.log.record("{\"ev\":\"drain\"}")
     }
 
     pub fn shutdown(&mut self, jobs_done: u64) -> std::io::Result<()> {
-        self.line(&format!("{{\"ev\":\"shutdown\",\"jobs_done\":{jobs_done}}}"))
+        self.log.record(&format!("{{\"ev\":\"shutdown\",\"jobs_done\":{jobs_done}}}"))
     }
 }
 
@@ -125,19 +112,13 @@ pub struct Recovery {
 /// skipped); a missing file is an empty recovery, so `--resume` against
 /// a fresh path just starts fresh.
 pub fn recover(path: &Path) -> std::io::Result<Recovery> {
-    let text = match File::open(path) {
-        Ok(mut f) => {
-            // Raw-read so a crash mid-UTF-8 sequence is a torn line,
-            // not a hard error.
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            String::from_utf8_lossy(&bytes).into_owned()
-        }
+    let replay = match log::replay(path) {
+        Ok(r) => r,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Recovery::default()),
         Err(e) => return Err(e),
     };
 
-    let mut rec = Recovery::default();
+    let mut rec = Recovery { torn_lines: replay.torn, ..Recovery::default() };
     // Acceptance order, keyed by job id; a `done` flips the slot to
     // terminal. Jobs are identified by content address, so a re-accept
     // of an already-terminal job (later incarnation, cache disabled)
@@ -146,17 +127,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
     let mut specs: std::collections::HashMap<String, JobSpec> = std::collections::HashMap::new();
     let mut open: std::collections::HashSet<String> = std::collections::HashSet::new();
 
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(_) => {
-                rec.torn_lines += 1;
-                continue;
-            }
-        };
+    for v in replay.records {
         match v.get_str("ev") {
             Some("accepted") => {
                 let (Some(id), Ok(spec)) = (v.get_str("job"), JobSpec::from_json(&v)) else {
@@ -203,6 +174,7 @@ mod tests {
     use crate::proto::JobPolicy;
     use npb_core::{Class, Style};
     use std::fs;
+    use std::path::PathBuf;
 
     fn spec(bench: &str, threads: usize) -> JobSpec {
         JobSpec {
@@ -321,6 +293,65 @@ mod tests {
                 .map(|l| format!("{l}\n"))
                 .collect();
             fs::write(&path, clean).unwrap();
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_reopen_after_a_torn_tail_keeps_the_recovery_and_reads_the_next_record() {
+        let path = temp("torn-reopen");
+        let _ = fs::remove_file(&path);
+        let (a, b) = (spec("EP", 2), spec("CG", 2));
+        {
+            let mut j = JobJournal::open(&path).unwrap();
+            j.accepted(&a, 0).unwrap();
+            j.done(&a.job_id(), &result("verified")).unwrap();
+        }
+        // The `done` record's `\n` never landed.
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.trim_end()).unwrap();
+        let first = recover(&path).unwrap();
+        {
+            let mut j = JobJournal::open(&path).unwrap();
+            j.daemon(5678, 8, 2).unwrap();
+            j.accepted(&b, 1).unwrap();
+        }
+        let second = recover(&path).unwrap();
+        let ids = |r: &Recovery| r.pending.iter().map(|s| s.job_id()).collect::<Vec<_>>();
+        assert_eq!(ids(&first), vec![a.job_id()], "an unterminated done is torn");
+        assert_eq!(ids(&second), vec![a.job_id(), b.job_id()], "the new accept reads back");
+        assert_eq!(first.seeds.len(), second.seeds.len(), "both recoveries agree on seeds");
+        assert_eq!((first.torn_lines, second.torn_lines), (1, 0), "the reopen cut the tail");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_unterminated_tail_is_torn_even_when_it_parses_or_is_not_utf8() {
+        let path = temp("tails");
+        let (a, b) = (spec("EP", 2), spec("CG", 2));
+        let done = format!(
+            "{{\"ev\":\"done\",\"job\":\"{}\",{}}}",
+            b.job_id(),
+            result("verified").json_fields()
+        );
+        for tail in [done.as_bytes(), &[0xff, 0xfe]] {
+            let _ = fs::remove_file(&path);
+            {
+                let mut j = JobJournal::open(&path).unwrap();
+                j.accepted(&a, 0).unwrap();
+                j.accepted(&b, 1).unwrap();
+            }
+            let mut bytes = fs::read(&path).unwrap();
+            bytes.extend_from_slice(tail);
+            fs::write(&path, &bytes).unwrap();
+            let rec = recover(&path).expect("a torn tail is not an error");
+            assert_eq!(
+                (rec.pending.len(), rec.torn_lines),
+                (2, 1),
+                "tail {:?}",
+                String::from_utf8_lossy(tail)
+            );
+            assert!(rec.seeds.is_empty(), "tail {:?}", String::from_utf8_lossy(tail));
         }
         let _ = fs::remove_file(&path);
     }

@@ -37,5 +37,6 @@ pub use cache::{InFlightJob, JobResult, ResultCache};
 pub use client::Client;
 pub use exec::{run_job, ExecConfig};
 pub use journal::{recover, JobJournal, Recovery};
-pub use proto::{fnv1a64, JobPolicy, JobSpec, Request};
+pub use npb_core::iofault::fnv1a64;
+pub use proto::{JobPolicy, JobSpec, Request};
 pub use server::{serve, Addr, ServerConfig};

@@ -23,21 +23,9 @@
 
 use std::fmt;
 
-use npb_core::report::json_escape;
+use npb_core::iofault::fnv1a64;
+use npb_core::json::{json_escape, Json};
 use npb_core::{Class, Style, BENCHMARKS};
-use npb_harness::Json;
-
-/// FNV-1a 64-bit — the content address of a job. Hermetic (no hash
-/// crates) and stable across runs/processes, which a journal that
-/// outlives the daemon requires.
-pub fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Per-job fault policy: every fault-tolerance knob the CLI exposes per
 /// *invocation*, carried per *request* instead. Part of the job's
@@ -143,7 +131,7 @@ impl JobSpec {
     /// The job id shown on the wire and in the journal: the hex form of
     /// the content address.
     pub fn job_id(&self) -> String {
-        format!("{:016x}", fnv1a64(&self.canonical_key()))
+        format!("{:016x}", fnv1a64(self.canonical_key().as_bytes()))
     }
 
     /// The spec's fields as a JSON-object fragment (no braces), shared
@@ -497,13 +485,6 @@ mod tests {
         let r = Json::parse(&rejected("draining", "")).unwrap();
         assert_eq!(r.get_str("reason"), Some("draining"));
         assert_eq!(r.get("detail"), None);
-    }
-
-    #[test]
-    fn fnv_is_the_reference_function() {
-        // Reference vectors for 64-bit FNV-1a.
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64("a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     /// Seeded fuzz: 10 000 hostile request lines — truncated JSON,

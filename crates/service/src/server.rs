@@ -570,7 +570,8 @@ impl Conn {
 /// run several daemons in one process pass `false` and use the `drain`
 /// op instead.
 pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
-    let mut journal = JobJournal::open_with(&cfg.journal_path, cfg.io_inject)?;
+    // Replay before opening for append: the open cuts a torn tail, and
+    // the torn count printed here is the one the replay saw.
     let cache = ResultCache::default();
     let mut pending = Vec::new();
     if cfg.resume {
@@ -586,6 +587,7 @@ pub fn serve(cfg: ServerConfig, install_signals: bool) -> std::io::Result<()> {
             rec.torn_lines
         );
     }
+    let mut journal = JobJournal::open_with(&cfg.journal_path, cfg.io_inject)?;
     // The daemon header is best-effort: a journal that is already
     // failing at startup is the hostile-host case, and the daemon's
     // answer is seal-and-drain, not refusing to exist. The failure is

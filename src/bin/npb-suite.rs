@@ -313,7 +313,8 @@ fn main() {
     }
 
     // Resume: learn which cells the journal already completed, then
-    // keep appending to the same file.
+    // keep appending to the same file (read first: the append cuts the
+    // torn tail the read counted).
     let (mut manifest, resume) = if let Some(path) = resume_path {
         let state = read_manifest(&path).unwrap_or_else(|e| {
             fail(&format!("--resume {}: {e}", path.display()));

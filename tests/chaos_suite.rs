@@ -16,7 +16,7 @@ use npb::{
     try_run_benchmark, Class, FaultKind, FaultPlan, GuardConfig, RegionError, RunError, RunOptions,
     Sched, Style, Team, Verified,
 };
-use npb_harness::json::Json;
+use npb_core::json::Json;
 
 /// Run `f` on a helper thread; fail (instead of deadlocking the whole
 /// suite) if it does not complete within `secs`.

@@ -17,7 +17,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use npb_harness::json::Json;
+use npb_core::json::Json;
 
 /// What a row checks beyond exit 0, `"verified":"success"` and its
 /// signature.

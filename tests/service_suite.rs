@@ -22,6 +22,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use npb_core::json::Json;
 use npb_service::client::Client;
 use npb_service::journal::recover;
 use npb_service::server::Addr;
@@ -118,14 +119,14 @@ fn submit_cache_hit_and_dedupe() {
     // Cold submit: accepted, executed, verified.
     let replies = d.client().submit(&submit_line(",\"threads\":2,\"seed\":11")).unwrap();
     assert_eq!(replies[0].get_str("status"), Some("accepted"));
-    assert_eq!(replies[0].get("dedup"), Some(&npb_harness::Json::Bool(false)));
+    assert_eq!(replies[0].get("dedup"), Some(&Json::Bool(false)));
     assert_eq!(replies[1].get_str("disposition"), Some("verified"));
-    assert_eq!(replies[1].get("from_cache"), Some(&npb_harness::Json::Bool(false)));
+    assert_eq!(replies[1].get("from_cache"), Some(&Json::Bool(false)));
 
     // Identical submit: served from cache, no second execution.
     let replies = d.client().submit(&submit_line(",\"threads\":2,\"seed\":11")).unwrap();
     assert_eq!(replies.len(), 1, "cache hits skip the accepted line: {replies:?}");
-    assert_eq!(replies[0].get("from_cache"), Some(&npb_harness::Json::Bool(true)));
+    assert_eq!(replies[0].get("from_cache"), Some(&Json::Bool(true)));
     assert_eq!(replies[0].get_str("disposition"), Some("verified"));
 
     // A *different* job (new seed) submitted concurrently from several
@@ -144,7 +145,7 @@ fn submit_cache_hit_and_dedupe() {
         let replies = h.join().unwrap();
         let terminal = replies.last().unwrap();
         assert_eq!(terminal.get_str("disposition"), Some("verified"), "{replies:?}");
-        if replies[0].get("dedup") == Some(&npb_harness::Json::Bool(true)) {
+        if replies[0].get("dedup") == Some(&Json::Bool(true)) {
             dedup_count += 1;
         }
     }
@@ -431,7 +432,7 @@ fn chaos_sigkill_resume_loses_no_accepted_job() {
         .client()
         .submit(&submit_line(",\"threads\":2,\"deadline_ms\":10000,\"seed\":0"))
         .unwrap();
-    assert_eq!(replies[0].get("from_cache"), Some(&npb_harness::Json::Bool(true)), "{replies:?}");
+    assert_eq!(replies[0].get("from_cache"), Some(&Json::Bool(true)), "{replies:?}");
 
     assert_eq!(d2.drain_and_wait(), 0);
 
@@ -443,7 +444,7 @@ fn chaos_sigkill_resume_loses_no_accepted_job() {
 
     // The attack report landed with histogram + saturation point.
     let report = std::fs::read_to_string(&bench_out).unwrap();
-    let v = npb_harness::Json::parse(report.trim()).unwrap();
+    let v = Json::parse(report.trim()).unwrap();
     assert_eq!(v.get_str("bench"), Some("service"));
     assert!(v.get("latency").is_some(), "latency histogram present: {report}");
     assert!(v.get("saturation_clients").is_some(), "saturation point recorded: {report}");
@@ -467,7 +468,7 @@ fn attack_without_out_prints_the_report_on_stdout() {
         .output()
         .expect("run npb-attack");
     assert!(out.status.success(), "{out:?}");
-    let report = npb_harness::Json::parse(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    let report = Json::parse(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
     assert_eq!(report.get_uint("sent"), Some(1), "{report:?}");
     assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "npb-attack wrote into its cwd");
     std::fs::remove_dir(&cwd).ok();

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use npb::{try_run_benchmark, Class, RunOptions, Style, TraceFormat, BENCHMARKS};
-use npb_harness::json::Json;
+use npb_core::json::Json;
 
 /// Serializes tests that install the process-global trace session.
 static LOCK: Mutex<()> = Mutex::new(());
