@@ -60,7 +60,7 @@ pub enum SpanKind {
     Compute = 0,
     /// Barrier wait burned on the lock-free spin path.
     BarrierSpin = 1,
-    /// Barrier wait spent parked on the condvar (the paper's `wait()`).
+    /// Barrier wait spent asleep on the futex gate (the paper's `wait()`).
     BarrierPark = 2,
     /// Worker wait for region dispatch while a session was active.
     Dispatch = 3,

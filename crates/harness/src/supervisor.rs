@@ -272,7 +272,7 @@ pub fn run_cell(
                         manifest,
                         CellOutcome {
                             cell: cell.clone(),
-                            status: CellStatus::Failed(outcome_tag(&outcome)),
+                            status: CellStatus::Failed(outcome.tag()),
                             attempts,
                             kills,
                             final_threads: rung,
@@ -299,7 +299,7 @@ pub fn run_cell(
                         manifest,
                         CellOutcome {
                             cell: cell.clone(),
-                            status: CellStatus::Failed(outcome_tag(&outcome)),
+                            status: CellStatus::Failed(outcome.tag()),
                             attempts,
                             kills,
                             final_threads: rung,
@@ -371,23 +371,6 @@ fn finish(manifest: Option<&mut Manifest>, outcome: CellOutcome) -> std::io::Res
         m.cell(&outcome)?;
     }
     Ok(outcome)
-}
-
-/// The static tag for a failed attempt, for `CellStatus::Failed`.
-fn outcome_tag(outcome: &AttemptOutcome) -> &'static str {
-    match outcome {
-        AttemptOutcome::VerificationFailed(_) => "verification-failed",
-        AttemptOutcome::RegionFailed => "region-failed",
-        AttemptOutcome::UsageError => "usage-error",
-        AttemptOutcome::SpawnFailed(_) => "spawn-failed",
-        AttemptOutcome::WatchdogExit => "watchdog-exit",
-        AttemptOutcome::DeadlineKilled { .. } => "deadline-killed",
-        AttemptOutcome::Signaled(_) => "signaled",
-        AttemptOutcome::OomKilled(_) => "oom-killed",
-        AttemptOutcome::CpuLimit => "cpu-limit",
-        AttemptOutcome::UnknownExit(_) => "unknown-exit",
-        AttemptOutcome::Verified(_) => "verified",
-    }
 }
 
 fn relay_stderr(cell: &Cell, outcome: &AttemptOutcome, stderr: &str) {

@@ -11,8 +11,8 @@
 //!
 //! This crate reproduces exactly that state machine:
 //!
-//! * [`Team`] — a persistent set of worker threads blocked on a condition
-//!   variable between parallel regions; [`Team::exec`] is the paper's
+//! * [`Team`] — a persistent set of worker threads blocked on a futex
+//!   gate between parallel regions; [`Team::exec`] is the paper's
 //!   master dispatch (`notify_all`) followed by the master blocking until
 //!   all workers report done;
 //! * [`Par`] — the per-thread context inside a region: thread id, static
@@ -43,10 +43,11 @@
 //!
 //! The synchronization hot paths are hybrid **spin-then-park**: region
 //! dispatch is lock-free epoch publication, barriers are sense-reversing
-//! with bounded adaptive spinning, and the condvar park of the paper's
-//! `wait()`/`notify()` model survives as the fallback (and as the
-//! explicit `spin_us = 0` configuration). Per-run scratch that kernels
-//! reuse across regions lives in [`RankScratch`].
+//! with bounded adaptive spinning, and the sleep of the paper's
+//! `wait()`/`notify()` model — one futex gate per waiting place —
+//! survives as the fallback (and as the explicit `spin_us = 0`
+//! configuration). Per-run scratch that kernels reuse across regions
+//! lives in [`RankScratch`].
 //!
 //! The threads runtime is four modules along its seams:
 //!
@@ -55,8 +56,8 @@
 //!   ([`Team::try_exec`]), in-place healing and the worker loop;
 //! * `par` — [`Par`], the scheduled-loop glue over `sched`, and the
 //!   barrier;
-//! * `spin` — the bounded adaptive spin every waiter runs before it
-//!   parks, and its default budget;
+//! * `wait` — spin-then-park: the bounded adaptive spin, its default
+//!   budget, and the futex `Gate` every waiter sleeps on;
 //! * `error` — [`RegionError`], the runtime's own panic payloads, and
 //!   [`guarded_loop`], the SDC-guarded outer loop of every iterative
 //!   benchmark.
@@ -77,8 +78,8 @@ pub mod procs;
 mod sched;
 mod scratch;
 mod shared;
-mod spin;
 mod team;
+mod wait;
 
 pub use error::{escalate_corruption, guarded_loop, BarrierPoisoned, InjectedFault, RegionError};
 pub use exchange::Exchange;
@@ -93,5 +94,5 @@ pub use procs::Backend;
 pub use sched::{OrderedSplit, Sched};
 pub use scratch::RankScratch;
 pub use shared::SharedMut;
-pub use spin::DEFAULT_SPIN_US;
 pub use team::{run_par, Team, WATCHDOG_EXIT_CODE};
+pub use wait::DEFAULT_SPIN_US;

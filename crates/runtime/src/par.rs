@@ -2,17 +2,14 @@
 //! partition, scheduled loops) and the team's [`Barrier`].
 //!
 //! The barrier is sense-reversing: arrival is one `fetch_add`; the last
-//! rank resets the count and advances an atomic generation word, which
-//! waiting ranks spin on (within the team's budget, see [`crate::spin`])
-//! before falling back to the condvar. Every waiter re-checks its wake
-//! condition under the park lock before sleeping, and the releasing rank
-//! only takes that lock when a `SeqCst` parked-counter says someone is
-//! actually parked — the lock-free fast path pays no lock round-trip.
+//! rank resets the count, advances an atomic generation word and opens
+//! the barrier's futex gate. Waiting ranks spin on the word (within the
+//! team's budget) and then sleep on the gate; [`crate::wait`] argues why
+//! no wake is lost.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use npb_core::trace::{SpanKind, TraceSession};
@@ -21,8 +18,8 @@ use crate::error::BarrierPoisoned;
 use crate::exchange::{Exchange, REDUCE_SLOTS};
 use crate::partition;
 use crate::sched::{self, OrderedSplit, Sched};
-use crate::spin::spin_wait;
-use crate::team::{lock, Inner};
+use crate::team::Inner;
+use crate::wait::Gate;
 
 /// The team barrier's shared words (see the module docs for the
 /// protocol). One per team, reused by every crossing of every region.
@@ -35,10 +32,8 @@ pub(crate) struct Barrier {
     /// Set when any worker's body unwinds; waiters unwind instead of
     /// blocking for a sibling that will never arrive.
     poisoned: AtomicBool,
-    /// Number of waiters parked on `cv`.
-    parked: AtomicUsize,
-    park: Mutex<()>,
-    cv: Condvar,
+    /// Waiters sleep here; the last arriver and `poison` open it.
+    gate: Gate,
 }
 
 impl Barrier {
@@ -47,9 +42,7 @@ impl Barrier {
             gen: AtomicU64::new(0),
             count: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
-            parked: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
+            gate: Gate::new(),
         }
     }
 
@@ -61,13 +54,10 @@ impl Barrier {
         self.poisoned.store(false, Ordering::Relaxed);
     }
 
-    /// Poison the barrier and release every waiter, spinning or parked.
+    /// Poison the barrier and release every waiter, spinning or asleep.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        // Cold path: always take the lock so a waiter past its parked
-        // re-check cannot miss the wake.
-        let _g = lock(&self.park);
-        self.cv.notify_all();
+        self.gate.open();
     }
 }
 
@@ -342,11 +332,11 @@ impl<'t> Par<'t> {
     ///
     /// Sense-reversing barrier: arrival is a single `fetch_add`, the last
     /// rank advances the generation word, and waiters spin on it within
-    /// the team's budget before parking on the condvar; a no-op on the
-    /// serial path. Panic-safe: if any sibling's region body unwinds, the
-    /// barrier is poisoned and every waiter — spinning or parked —
-    /// unwinds (with a [`BarrierPoisoned`] payload) instead of blocking
-    /// forever on a rank that will never arrive.
+    /// the team's budget before sleeping on the barrier's futex gate; a
+    /// no-op on the serial path. Panic-safe: if any sibling's region body
+    /// unwinds, the barrier is poisoned and every waiter — spinning or
+    /// asleep — unwinds (with a [`BarrierPoisoned`] payload) instead of
+    /// blocking forever on a rank that will never arrive.
     pub fn barrier(&self) {
         let Some(inner) = self.team else { return };
         if let Some(delay) = inner.take_delay_fault(self.tid) {
@@ -366,68 +356,44 @@ impl<'t> Par<'t> {
             // reset can never race a next-crossing arrival.
             bar.count.store(0, Ordering::Relaxed);
             bar.gen.store(gen.wrapping_add(1), Ordering::SeqCst);
-            if bar.parked.load(Ordering::SeqCst) != 0 {
-                let _g = lock(&bar.park);
-                bar.cv.notify_all();
-            }
+            bar.gate.open();
             return;
         }
         // Waiter: the generation advancing means release; poison without
         // a generation advance means a sibling died mid-region.
-        let released = |gen_now: u64, poisoned: bool| -> Option<bool> {
-            if gen_now != gen {
+        let probe = || {
+            if bar.gen.load(Ordering::SeqCst) != gen {
                 return Some(true);
             }
-            if poisoned {
-                return Some(false);
-            }
-            None
+            bar.poisoned.load(Ordering::SeqCst).then_some(false)
         };
-        let probe =
-            || released(bar.gen.load(Ordering::Acquire), bar.poisoned.load(Ordering::Acquire));
         // When tracing, split the wait into its spin and park parts so
         // the profile distinguishes burned-CPU waiting from parked
         // waiting (the paper's `wait()` cost). `self.trace` is None when
         // tracing is off, so the disabled path reads no clock.
         let tr = self.trace.map(|s| (s, s.current_region(), s.now()));
-        let ok = match spin_wait(inner.spin_us.load(Ordering::Relaxed), probe) {
-            Some(ok) => {
-                if let Some((s, region, t0)) = tr {
-                    // SAFETY: this thread is rank `tid` of the region,
-                    // sole writer of its own lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierSpin, t0, s.now()) };
-                }
-                ok
-            }
-            None => {
-                let park_t0 = tr.map(|(s, region, t0)| {
-                    let now = s.now();
-                    // SAFETY: as above — rank-owned lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierSpin, t0, now) };
-                    now
-                });
-                // Park path; same SeqCst publish/re-check handshake as
-                // dispatch (see Inner::wait_for_dispatch).
-                let mut g = lock(&bar.park);
-                bar.parked.fetch_add(1, Ordering::SeqCst);
-                let ok = loop {
-                    if let Some(ok) = released(
-                        bar.gen.load(Ordering::SeqCst),
-                        bar.poisoned.load(Ordering::SeqCst),
-                    ) {
-                        break ok;
-                    }
-                    g = bar.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                };
-                bar.parked.fetch_sub(1, Ordering::Relaxed);
-                drop(g);
-                if let (Some((s, region, _)), Some(t0)) = (tr, park_t0) {
-                    // SAFETY: as above — rank-owned lane.
-                    unsafe { s.record(self.tid, region, SpanKind::BarrierPark, t0, s.now()) };
-                }
-                ok
+        let mut park_t0 = None;
+        let on_park = || {
+            if let Some((s, region, t0)) = tr {
+                let now = s.now();
+                // SAFETY: this thread is rank `tid` of the region, sole
+                // writer of its own lane.
+                unsafe { s.record(self.tid, region, SpanKind::BarrierSpin, t0, now) };
+                park_t0 = Some(now);
             }
         };
+        let ok = bar
+            .gate
+            .wait(inner.spin_us.load(Ordering::Relaxed), None, probe, on_park)
+            .expect("a wait without a deadline returns only a value");
+        if let Some((s, region, t0)) = tr {
+            let (kind, t0) = match park_t0 {
+                None => (SpanKind::BarrierSpin, t0),
+                Some(t) => (SpanKind::BarrierPark, t),
+            };
+            // SAFETY: as above — rank-owned lane.
+            unsafe { s.record(self.tid, region, kind, t0, s.now()) };
+        }
         if !ok {
             std::panic::panic_any(BarrierPoisoned);
         }
@@ -478,11 +444,12 @@ impl Exchange for Par<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::team::lock;
     use crate::team::tests::{for_both_modes, TRACE_TESTS};
     use crate::{RegionError, SharedMut, Team};
     use npb_core::trace;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn serial_context() {

@@ -7,31 +7,26 @@
 //! # Hybrid spin-then-park synchronization
 //!
 //! The paper attributes much of Java's scalability gap to the
-//! `wait()`/`notify()` round-trips around every parallel region. The
-//! seed of this crate reproduced that cost literally: dispatch took a
-//! mutex and `notify_all`, every barrier crossing parked on a condvar.
-//! Both hot paths are now lock-free:
+//! `wait()`/`notify()` round-trips around every parallel region. Here
+//! every wait takes no lock: it spins on an atomic word and then sleeps
+//! on a futex gate ([`crate::wait`]), and the thread that changes the
+//! word opens the gate.
 //!
 //! * **Dispatch** is epoch-based: the master writes the region body into
-//!   a slot, bumps an atomic *region epoch*, and workers observe the new
-//!   epoch with acquire loads. The mutex + condvar pair survives only as
-//!   the fallback park path for workers whose bounded spin budget
-//!   expires between regions.
+//!   a slot, bumps an atomic *region epoch* and opens the `dispatch`
+//!   gate; workers observe the new epoch with `SeqCst` loads.
 //! * **Barriers** are sense-reversing (see [`crate::par`]): arrival is
-//!   one `fetch_add`; the last rank resets the count and advances an
-//!   atomic generation word, which waiting ranks spin on before falling
-//!   back to the condvar.
+//!   one `fetch_add`; the last rank resets the count, advances an atomic
+//!   generation word and opens the barrier's gate.
 //! * **Completion** is a per-rank cache-padded *done-epoch* word (read by
 //!   the watchdog without any lock) plus one shared countdown; the master
-//!   spins on the countdown before parking.
+//!   waits for the countdown on the `done` gate, under the watchdog
+//!   deadline, and the rank that counts it to zero opens the gate.
 //!
 //! The spin budget is [`crate::DEFAULT_SPIN_US`] microseconds unless
-//! [`Team::set_spin_us`] says otherwise; `0` forces the pure park path,
-//! which keeps the paper's original wait/notify behavior reachable and
-//! testable (the adaptive spin itself is [`crate::spin`]). Every waiter re-checks its
-//! wake condition under the park lock before sleeping, and every waker
-//! only takes that lock when a `SeqCst` parked-counter says someone is
-//! actually parked — the lock-free fast path pays no lock round-trip.
+//! [`Team::set_spin_us`] says otherwise; `0` sleeps at once, which keeps
+//! the paper's original wait/notify behavior reachable and testable. Why
+//! no wake is lost is argued once, on the gate.
 //!
 //! # One team, one width, for life
 //!
@@ -44,7 +39,7 @@
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,7 +50,7 @@ use crate::exchange::REDUCE_SLOTS;
 use crate::par::{Barrier, Par};
 use crate::partials::{CachePadded, Partials};
 use crate::sched::{self, Sched};
-use crate::spin::{spin_wait, DEFAULT_SPIN_US};
+use crate::wait::{Gate, DEFAULT_SPIN_US};
 
 /// Process exit status used by the safe watchdog ([`Team::set_region_timeout`])
 /// when a region times out. Defined in [`npb_core::exit`] (the one
@@ -106,41 +101,30 @@ pub(crate) struct Inner {
     pub(crate) n: usize,
     /// Region epoch: the master publishes a region by writing [`Inner::task`]
     /// and then bumping this word (`SeqCst`); workers observe the bump
-    /// with acquire loads. Replaces the seed's lock-and-`notify_all`
-    /// dispatch on the fast path.
+    /// with `SeqCst` loads, as the dispatch gate requires.
     region_epoch: AtomicU64,
     /// Set once, on team shutdown; observed by the same loads that watch
-    /// [`Inner::region_epoch`], so an idle drop never takes the dispatch
-    /// lock unless a worker is actually parked.
+    /// [`Inner::region_epoch`].
     shutdown: AtomicBool,
+    /// Workers sleep here between regions — the paper's `wait()`. Opened
+    /// by region publication and by shutdown.
+    dispatch: Gate,
     /// The current region's body. Written by the master strictly before
     /// the `region_epoch` bump that publishes it, and cleared only after
     /// every rank has completed — so the epoch's release/acquire edge
     /// orders every access (see the `Sync` impl below).
     task: UnsafeCell<Option<TaskPtr>>,
-    /// Ranks that have not yet finished the current region. The master
-    /// spins on this reaching zero before parking on `done_cv`.
+    /// Ranks that have not yet finished the current region; the master
+    /// waits for zero.
     remaining: AtomicUsize,
+    /// The master sleeps here while workers run — the paper's master
+    /// "controls the synchronization of the workers". Opened by the rank
+    /// that counts `remaining` down to zero.
+    done: Gate,
     /// Per-rank completion epochs, cache-padded so rank completions never
     /// false-share: rank `t` stores the region epoch it finished. The
     /// watchdog computes stuck ranks from these without any lock.
     done_epochs: Vec<CachePadded<AtomicU64>>,
-    /// Number of workers parked on `work_cv` (maintained under `park`,
-    /// readable without it). The master only takes the park lock to
-    /// notify when this is nonzero.
-    parked_workers: AtomicUsize,
-    /// 1 while the master is parked on `done_cv`; the last-finishing rank
-    /// only takes the park lock to notify when set.
-    master_parked: AtomicUsize,
-    /// Park-path lock for both condvars below. Carries no state of its
-    /// own — all dispatch state lives in the atomics above.
-    park: Mutex<()>,
-    /// Workers park here when their spin budget expires between regions —
-    /// the paper's `wait()`.
-    work_cv: Condvar,
-    /// The master parks here while workers run — the paper's master
-    /// "controls the synchronization of the workers".
-    done_cv: Condvar,
     /// Ranks whose body panicked this region (cold path only).
     panicked: Mutex<Vec<usize>>,
     /// The [`Par::barrier`] words.
@@ -255,50 +239,19 @@ impl Inner {
             .then(|| Duration::from_millis(self.fault_delay_ms.load(Ordering::Relaxed)))
     }
 
-    /// Signal shutdown through the worker wake path: the flag is seen by
-    /// spinning workers without any lock, and the dispatch lock is taken
-    /// only if some worker is actually parked — so dropping an idle,
-    /// still-spinning team never pays the lock round-trip.
-    fn signal_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if self.parked_workers.load(Ordering::SeqCst) != 0 {
-            let _g = lock(&self.park);
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// Wait (spin, then park) for a region epoch different from `seen`,
-    /// or shutdown.
+    /// Wait (spin, then sleep on the `dispatch` gate) for a region epoch
+    /// different from `seen`, or shutdown.
     fn wait_for_dispatch(&self, seen: u64) -> Dispatch {
         let probe = || {
-            if self.shutdown.load(Ordering::Acquire) {
+            if self.shutdown.load(Ordering::SeqCst) {
                 return Some(Dispatch::Shutdown);
             }
-            let e = self.region_epoch.load(Ordering::Acquire);
+            let e = self.region_epoch.load(Ordering::SeqCst);
             (e != seen).then_some(Dispatch::Region(e))
         };
-        if let Some(d) = spin_wait(self.spin_us.load(Ordering::Relaxed), probe) {
-            return d;
-        }
-        // Park path. Publishing `parked_workers` with SeqCst and then
-        // re-probing (also SeqCst) pairs with the master's SeqCst epoch
-        // bump followed by its SeqCst read of `parked_workers`: one side
-        // always sees the other, so the wake cannot be missed.
-        let mut g = lock(&self.park);
-        self.parked_workers.fetch_add(1, Ordering::SeqCst);
-        let d = loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break Dispatch::Shutdown;
-            }
-            let e = self.region_epoch.load(Ordering::SeqCst);
-            if e != seen {
-                break Dispatch::Region(e);
-            }
-            g = self.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        };
-        self.parked_workers.fetch_sub(1, Ordering::Relaxed);
-        drop(g);
-        d
+        self.dispatch
+            .wait(self.spin_us.load(Ordering::Relaxed), None, probe, || {})
+            .expect("a wait without a deadline returns only a value")
     }
 }
 
@@ -306,10 +259,9 @@ impl Inner {
 ///
 /// Workers are spawned once and then switched between blocked and
 /// runnable states per parallel region, as the paper's Java port does
-/// with `wait()`/`notify()` — except that both dispatch and barriers take
-/// a lock-free spin fast path first (see the module docs), with the
-/// paper's park behavior as the fallback and as the explicit
-/// `spin_us = 0` configuration.
+/// with `wait()`/`notify()` — except that every wait spins first (see
+/// the module docs), with the paper's sleep as the fallback and as the
+/// explicit `spin_us = 0` configuration.
 ///
 /// # Failure model
 ///
@@ -363,14 +315,11 @@ impl Team {
             n,
             region_epoch: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            dispatch: Gate::new(),
             task: UnsafeCell::new(None),
             remaining: AtomicUsize::new(0),
+            done: Gate::new(),
             done_epochs: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            parked_workers: AtomicUsize::new(0),
-            master_parked: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             panicked: Mutex::new(Vec::new()),
             barrier: Barrier::new(),
             reduce: std::array::from_fn(|_| Partials::new(n)),
@@ -405,7 +354,7 @@ impl Team {
 
     /// Set the spin budget, in microseconds, that every waiter on this
     /// team (workers awaiting dispatch, barrier waiters, the master
-    /// awaiting completion) burns before parking on its condvar.
+    /// awaiting completion) burns before sleeping on its futex gate.
     ///
     /// `0` disables spinning entirely — the pure park path, which is the
     /// paper's Java `wait()`/`notify()` model and the behavior of this
@@ -516,7 +465,7 @@ impl Team {
     /// Run `f` on every worker as one parallel region.
     ///
     /// The master publishes the task by bumping the region epoch, wakes
-    /// any parked workers, and blocks (spin, then park) until all have
+    /// any sleeping workers, and blocks (spin, then sleep) until all have
     /// finished — the paper's master–worker protocol with the lock-free
     /// fast path described in the module docs. Panicking wrapper over
     /// [`Team::try_exec`]: a failed region panics here with the
@@ -596,9 +545,8 @@ impl Team {
         }
 
         // Lock-free publication: write the task slot, then bump the
-        // epoch. The SeqCst store both releases the task write to the
-        // workers' acquire loads and orders against the parked-workers
-        // read below (the Dekker handshake with a parking worker).
+        // epoch. The SeqCst store releases the task write to the
+        // workers' loads of the epoch.
         // SAFETY: no worker reads the slot until the epoch bump below,
         // and `remaining == 0` proved the previous region fully drained.
         unsafe {
@@ -607,51 +555,14 @@ impl Team {
         inner.remaining.store(inner.n, Ordering::Relaxed);
         let epoch = inner.region_epoch.load(Ordering::Relaxed).wrapping_add(1);
         inner.region_epoch.store(epoch, Ordering::SeqCst);
-        if inner.parked_workers.load(Ordering::SeqCst) != 0 {
-            // Taking the park lock before notifying closes the race with
-            // a worker that re-checked the epoch and is entering wait().
-            let _g = lock(&inner.park);
-            inner.work_cv.notify_all();
-        }
+        inner.dispatch.open();
 
-        // Await completion: spin (bounded by both the spin budget and
-        // the watchdog deadline), then park on done_cv.
         let timeout_ms = self.timeout_ms.load(Ordering::Relaxed);
         let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
         let spin_us = inner.spin_us.load(Ordering::Relaxed);
-        let spin_us = match deadline {
-            // Never spin past the watchdog deadline: the park loop owns
-            // timeout handling.
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now()).as_micros() as u64;
-                spin_us.min(left)
-            }
-            None => spin_us,
-        };
-        let done =
-            spin_wait(spin_us, || (inner.remaining.load(Ordering::Acquire) == 0).then_some(()))
-                .is_some();
-        if !done {
-            let mut g = lock(&inner.park);
-            inner.master_parked.store(1, Ordering::SeqCst);
-            while inner.remaining.load(Ordering::SeqCst) != 0 {
-                match deadline {
-                    None => g = inner.done_cv.wait(g).unwrap_or_else(|e| e.into_inner()),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            drop(g);
-                            self.watchdog_exit(timeout_ms, epoch);
-                        }
-                        let (g2, _) = inner
-                            .done_cv
-                            .wait_timeout(g, d - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        g = g2;
-                    }
-                }
-            }
-            inner.master_parked.store(0, Ordering::Relaxed);
+        let drained = || (inner.remaining.load(Ordering::SeqCst) == 0).then_some(());
+        if inner.done.wait(spin_us, deadline, drained, || {}).is_none() {
+            self.watchdog_exit(timeout_ms, epoch);
         }
 
         // SAFETY: every rank completed (remaining drained to zero with
@@ -723,10 +634,8 @@ impl Team {
 
 impl Drop for Team {
     fn drop(&mut self) {
-        // Shutdown rides the worker wake path: spinning workers see the
-        // flag without any lock, so dropping an idle team skips the
-        // dispatch-lock round-trip entirely.
-        self.inner.signal_shutdown();
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.dispatch.open();
         let workers = self.workers.get_mut().unwrap_or_else(|e| e.into_inner());
         for h in workers.drain(..) {
             let _ = h.join();
@@ -740,7 +649,7 @@ fn worker_loop(inner: &Inner, tid: usize, initial_epoch: u64) {
         // Tracing is one Relaxed bool when off; when on, stamp the wait
         // start so the dispatch latency becomes a span.
         let wait_t0 = trace::enabled().then(Instant::now);
-        // Blocked state: spin on the region epoch, then park.
+        // Blocked state: spin on the region epoch, then sleep.
         let epoch = match inner.wait_for_dispatch(seen) {
             Dispatch::Shutdown => return,
             Dispatch::Region(e) => e,
@@ -792,7 +701,7 @@ fn worker_loop(inner: &Inner, tid: usize, initial_epoch: u64) {
             Err(payload) => !payload.is::<BarrierPoisoned>(),
         };
         if res.is_err() {
-            // Poison the barrier so siblings in it — spinning or parked —
+            // Poison the barrier so siblings in it — spinning or asleep —
             // unwind instead of waiting forever for this rank.
             inner.barrier.poison();
         }
@@ -800,14 +709,10 @@ fn worker_loop(inner: &Inner, tid: usize, initial_epoch: u64) {
             lock(&inner.panicked).push(tid);
         }
         // Completion: publish this rank's done epoch for the watchdog,
-        // then count down; the last rank wakes the master only if it is
-        // actually parked (SeqCst pairs with the master's parked store).
+        // then count down; the last rank opens the master's gate.
         inner.done_epochs[tid].store(epoch, Ordering::Release);
-        if inner.remaining.fetch_sub(1, Ordering::SeqCst) == 1
-            && inner.master_parked.load(Ordering::SeqCst) != 0
-        {
-            let _g = lock(&inner.park);
-            inner.done_cv.notify_all();
+        if inner.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            inner.done.open();
         }
     }
 }
@@ -1056,8 +961,8 @@ pub(crate) mod tests {
     #[test]
     fn drop_of_idle_team_is_prompt_even_while_spinning() {
         // The shutdown signal rides the worker wake path: spinning
-        // workers observe the flag without the dispatch lock, parked
-        // workers get the condvar notify. Run the whole create → exec →
+        // workers observe the flag, sleeping workers are woken by the
+        // dispatch gate. Run the whole create → exec →
         // drop cycle on a guarded thread so a missed wake fails the test
         // instead of hanging the suite, and assert the drop itself stays
         // far below any park/retry timescale.
@@ -1078,6 +983,39 @@ pub(crate) mod tests {
             tx.send(()).unwrap();
         });
         rx.recv_timeout(Duration::from_secs(30)).expect("team drop deadlocked");
+    }
+
+    /// Spin budgets of a few µs run out just as the wake arrives, so
+    /// every region crosses the spin→sleep boundary in dispatch, in the
+    /// barriers and in the master's join — with a watchdog deadline too,
+    /// which puts the master's sleep on a timed futex wait. A lost wake
+    /// hangs the guarded thread and fails the test instead of the suite.
+    #[test]
+    fn spin_to_park_races_lose_no_wakeup() {
+        const REGIONS: usize = 800;
+        crate::wait::tests::guarded(Duration::from_secs(60), || {
+            for n in [2, 3, 4] {
+                for spin_us in [0, 1, 3] {
+                    for timeout in [None, Some(Duration::from_secs(600))] {
+                        let team = Team::new(n);
+                        team.set_spin_us(spin_us);
+                        team.set_region_timeout(timeout);
+                        let bad = AtomicUsize::new(0);
+                        for _ in 0..REGIONS {
+                            team.exec(|p| {
+                                p.barrier();
+                                let sum = crate::Exchange::all_sum(&p, p.tid() as f64);
+                                if sum != (n * (n - 1) / 2) as f64 {
+                                    bad.fetch_add(1, Ordering::Relaxed);
+                                }
+                                p.barrier();
+                            });
+                        }
+                        assert_eq!(bad.load(Ordering::Relaxed), 0, "n={n} spin_us={spin_us}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

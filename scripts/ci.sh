@@ -33,9 +33,11 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-echo "== one durable log (npb_core::log opens every append) =="
+echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate) =="
 grep -rnE --include='*.rs' 'append\(true\)|append_record' crates src | grep -v '^crates/core/src/log.rs:' \
     && { echo "a durable append outside crates/core/src/log.rs (listed above)" >&2; exit 1; }
+grep -rn --include='*.rs' Condvar crates/runtime \
+    && { echo "a Condvar in crates/runtime: sleep on wait::Gate instead (listed above)" >&2; exit 1; }
 
 echo "== tier-1: build =="
 cargo build --release

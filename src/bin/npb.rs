@@ -34,7 +34,7 @@
 //!
 //! `--spin-us US` sets the team's hybrid-synchronization spin budget in
 //! microseconds (waiters spin that long on the lock-free fast path
-//! before parking on a condvar); `0` forces the pure park path — the
+//! before sleeping on a futex gate); `0` forces the pure park path — the
 //! paper's `wait()`/`notify()` model. Defaults to the runtime's tuned
 //! budget.
 //!

@@ -92,7 +92,7 @@ pub struct RunOptions<'p> {
     /// and EP ignore it.
     pub guard: GuardConfig,
     /// Spin budget, in microseconds, that the team's waiters burn before
-    /// parking on their condvars (`--spin-us`). `Some(0)` forces the pure
+    /// sleeping on their futex gates (`--spin-us`). `Some(0)` forces the pure
     /// park path — the paper's wait/notify model. `None` keeps the
     /// team's own default. Ignored when `threads == 0` (no team).
     pub spin_us: Option<u64>,

@@ -64,7 +64,7 @@ fn injected_panic_mid_barrier_is_reported_and_team_recovers_at_full_width() {
 fn injected_panic_mid_barrier_poisons_spinning_waiters() {
     // Same failure as above, but with an effectively unbounded spin
     // budget: the victim's siblings are burning the lock-free spin phase
-    // of the barrier, not parked on the condvar, when poisoning must
+    // of the barrier, not asleep on its futex gate, when poisoning must
     // reach them.
     guarded(60, || {
         let team = Team::new(4);
