@@ -22,10 +22,12 @@
 //!   the arithmetic), and [`ResidualSentinel`] (flags a residual that
 //!   explodes relative to the accepted history — catches in-body
 //!   corruption in kernels that produce a per-iteration residual).
-//! * [`CheckpointStore`] — a double-buffered in-memory snapshot of the
-//!   benchmark's mutable state, saved every `k` outer iterations. Each
-//!   snapshot carries its own checksum; a rollback that finds the newest
-//!   snapshot corrupted falls back to the older one.
+//! * The rollback image — a [`Checkpoint`] over [`HeapBanks`] (surface
+//!   `checkpoint`), committed every `k` outer iterations. Its two banks
+//!   are hash-checked at restore, so a rollback that finds the newest
+//!   image corrupted or torn falls back to the older one; the commit
+//!   protocol is the one every procs rank slot uses
+//!   ([`crate::ckpt`]).
 //! * [`SdcGuard`] — the per-run orchestrator:
 //!   [`SdcGuard::begin`] at the top of each iteration (applies any armed
 //!   deterministic bit flip, then runs the detection stack and decides
@@ -54,6 +56,8 @@
 
 use std::cell::Cell;
 
+use crate::ckpt::{Checkpoint, HeapBanks};
+use crate::iofault::{IoDegraded, IoFaultPlan};
 use crate::timer::timed;
 
 /// Default checkpoint period (outer iterations per snapshot).
@@ -261,10 +265,16 @@ pub trait IterationGuard {
 /// the hash. Exact integer compare: recomputing over unchanged memory
 /// always matches, so there are no false positives.
 pub fn state_hash(arrays: &[&[f64]]) -> u64 {
-    let mut h: u64 = arrays.len() as u64;
-    for a in arrays {
-        h = h.wrapping_mul(HASH_MULTIPLIER).wrapping_add(a.len() as u64);
-        for &v in *a {
+    arrays.iter().fold(arrays.len() as u64, |h, a| hash_array(h, &[a]))
+}
+
+/// Fold one array of [`state_hash`], given as consecutive `parts`, into
+/// the running hash `h`: its length, then every element's bit pattern.
+pub(crate) fn hash_array(h: u64, parts: &[&[f64]]) -> u64 {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut h = h.wrapping_mul(HASH_MULTIPLIER).wrapping_add(len as u64);
+    for part in parts {
+        for &v in *part {
             h = h.wrapping_mul(HASH_MULTIPLIER).wrapping_add(v.to_bits());
         }
     }
@@ -405,187 +415,10 @@ impl IterationGuard for ResidualSentinel {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint store
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-struct Snapshot {
-    /// Iteration a restore from this snapshot resumes at.
-    resume: usize,
-    arrays: Vec<Vec<f64>>,
-    /// Integrity hash of `arrays` at save time, so a rollback never
-    /// restores a checkpoint that was itself corrupted in memory.
-    hash: u64,
-}
-
-/// Double-buffered in-memory checkpoint store: the two most recent
-/// snapshots of the benchmark's mutable state. Two buffers, not one, so
-/// that a corruption landing *inside* the newest snapshot (caught by its
-/// integrity hash at restore time) still leaves a rollback target.
-///
-/// The store is a durable path in the fault-injection sense: with
-/// `--io-inject` / `NPB_IO_INJECT` armed, saves can fail (`enospc`,
-/// `eio` — the snapshot is dropped whole) or tear (`short-write` — a
-/// prefix of the state lands under a full-state hash). The written
-/// contract: a failed save loses at most that one checkpoint, a torn
-/// save is *never restorable* (the integrity hash rejects it and
-/// [`CheckpointStore::restore`] falls back to the older buffer), and
-/// both surface as structured `io-degraded` diagnostics, never a panic.
-#[derive(Debug)]
-pub struct CheckpointStore {
-    bufs: [Option<Snapshot>; 2],
-    /// Buffer the next save overwrites (the older of the two).
-    next: usize,
-    /// Snapshots taken over the run's lifetime.
-    count: usize,
-    /// Ambient fault injection (`NPB_IO_INJECT`), per-store stream.
-    injector: Option<crate::iofault::FaultInjector>,
-    /// Saves lost or torn by injection.
-    degraded: usize,
-}
-
-impl Default for CheckpointStore {
-    /// Arms from the ambient `NPB_IO_INJECT` plan (set by the driver's
-    /// `--io-inject` flag), so the checkpoint path is injectable without
-    /// threading a plan through every benchmark's guard construction.
-    fn default() -> CheckpointStore {
-        CheckpointStore::with_inject(crate::iofault::IoFaultPlan::from_env())
-    }
-}
-
-impl CheckpointStore {
-    /// A store with an explicit injection plan (tests; `None` disarms).
-    pub fn with_inject(plan: Option<crate::iofault::IoFaultPlan>) -> CheckpointStore {
-        CheckpointStore {
-            bufs: [None, None],
-            next: 0,
-            count: 0,
-            injector: plan.map(|p| crate::iofault::FaultInjector::new(p, "checkpoint")),
-            degraded: 0,
-        }
-    }
-
-    /// Snapshot `arrays` as the state a resume-at-`resume` restart needs.
-    pub fn save(&mut self, resume: usize, arrays: &[&[f64]]) {
-        let hash = state_hash(arrays);
-        // How much of the state actually lands: everything normally; a
-        // prefix under an injected short write; nothing when the write
-        // fails outright.
-        let total: usize = arrays.iter().map(|a| a.len()).sum();
-        let mut kept = total;
-        if let Some(inj) = &mut self.injector {
-            match inj.on_write(total * std::mem::size_of::<f64>()) {
-                crate::iofault::WriteFault::Pass => {}
-                crate::iofault::WriteFault::Fail(e) => {
-                    // The save is lost whole — the store still holds the
-                    // previous snapshots, so at most this checkpoint's
-                    // worth of progress is re-computed after a rollback.
-                    self.degraded += 1;
-                    eprintln!(
-                        "npb: {}",
-                        crate::iofault::IoDegraded::new("checkpoint", "write", &e)
-                    );
-                    return;
-                }
-                crate::iofault::WriteFault::Short(_, e) => {
-                    // The torn-commit case: a prefix lands under the
-                    // full-state hash. restore()'s integrity check must
-                    // reject it — "never restorable-but-torn".
-                    kept = total / 2;
-                    self.degraded += 1;
-                    eprintln!(
-                        "npb: {}",
-                        crate::iofault::IoDegraded::new("checkpoint", "write", &e)
-                    );
-                }
-            }
-        }
-        let slot = &mut self.bufs[self.next];
-        // Rebuild the slot from scratch when a torn save changes the
-        // layout; reuse the old buffers otherwise to avoid reallocating
-        // every period.
-        match slot {
-            Some(snap) if snap.arrays.len() == arrays.len() && kept == total => {
-                for (dst, src) in snap.arrays.iter_mut().zip(arrays) {
-                    dst.clear();
-                    dst.extend_from_slice(src);
-                }
-                snap.resume = resume;
-                snap.hash = hash;
-            }
-            _ => {
-                let mut remaining = kept;
-                let torn: Vec<Vec<f64>> = arrays
-                    .iter()
-                    .map(|a| {
-                        let take = a.len().min(remaining);
-                        remaining -= take;
-                        a[..take].to_vec()
-                    })
-                    .collect();
-                *slot = Some(Snapshot { resume, arrays: torn, hash });
-            }
-        }
-        self.next = 1 - self.next;
-        self.count += 1;
-    }
-
-    /// Snapshots taken so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Saves lost or torn by fault injection (`io-degraded` events).
-    pub fn degraded(&self) -> usize {
-        self.degraded
-    }
-
-    /// Restore the newest intact snapshot into `arrays`, returning the
-    /// iteration to resume at. A snapshot whose integrity hash no longer
-    /// matches is discarded (and the older buffer tried instead);
-    /// `None` means no intact checkpoint remains.
-    pub fn restore(&mut self, arrays: &mut [&mut [f64]]) -> Option<usize> {
-        loop {
-            // Newest intact candidate = the valid snapshot with the
-            // largest resume iteration.
-            let idx = match (&self.bufs[0], &self.bufs[1]) {
-                (Some(a), Some(b)) => {
-                    if a.resume >= b.resume {
-                        0
-                    } else {
-                        1
-                    }
-                }
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (None, None) => return None,
-            };
-            let snap = self.bufs[idx].as_ref().expect("chosen slot is occupied");
-            let views: Vec<&[f64]> = snap.arrays.iter().map(|a| a.as_slice()).collect();
-            if state_hash(&views) != snap.hash {
-                // The checkpoint itself was corrupted: discard, fall
-                // back to the double buffer's other half.
-                self.bufs[idx] = None;
-                continue;
-            }
-            assert_eq!(
-                snap.arrays.len(),
-                arrays.len(),
-                "checkpoint layout must match the live state"
-            );
-            for (dst, src) in arrays.iter_mut().zip(&snap.arrays) {
-                dst.copy_from_slice(src);
-            }
-            return Some(snap.resume);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The orchestrator
 // ---------------------------------------------------------------------
 
-/// Per-run SDC guard: owns the monitor stack, the checkpoint store and
+/// Per-run SDC guard: owns the monitor stack, the rollback image and
 /// the armed bit-flip fault, and drives the detection → rollback →
 /// escalate state machine from the two calls the guarded outer loop
 /// (`npb_runtime::guarded_loop`) makes each iteration
@@ -593,7 +426,8 @@ impl CheckpointStore {
 pub struct SdcGuard {
     cfg: GuardConfig,
     guards: Vec<Box<dyn IterationGuard>>,
-    store: CheckpointStore,
+    /// Sized by [`SdcGuard::init`]; `None` while the guard is dormant.
+    ckpt: Option<Checkpoint<HeapBanks>>,
     /// Armed fault, resolved to its victim iteration. Claimed from the
     /// thread-local at construction even when detection is disabled, so
     /// the unguarded control run corrupts identically.
@@ -629,7 +463,7 @@ impl SdcGuard {
                 Box::new(FiniteScan),
                 Box::new(ResidualSentinel::default()),
             ],
-            store: CheckpointStore::default(),
+            ckpt: None,
             fault,
             tainted: None,
             detections: None,
@@ -649,7 +483,12 @@ impl SdcGuard {
             for g in &mut self.guards {
                 g.record(0, arrays, None);
             }
-            self.store.save(0, arrays);
+            // Armed from the ambient `NPB_IO_INJECT` plan (which
+            // `--io-inject` exports), so the checkpoint path is
+            // injectable without threading a plan through every guard.
+            let len = arrays.iter().map(|a| a.len()).sum();
+            let ckpt = Checkpoint::new(HeapBanks::new(len), IoFaultPlan::from_env(), "checkpoint");
+            commit(self.ckpt.insert(ckpt), 0, arrays);
         });
         self.overhead_s += dt;
     }
@@ -701,8 +540,9 @@ impl SdcGuard {
         // A rollback is a real consumer of wall clock; record it as a
         // trace span so recoveries are visible in the profile.
         let span = crate::trace::master_span(crate::trace::SpanKind::Rollback);
-        match self.store.restore(arrays) {
-            Some(resume) => {
+        match self.ckpt.as_mut().and_then(|c| c.restore(arrays)) {
+            Some(round) => {
+                let resume = round as usize;
                 drop(span);
                 self.recoveries += 1;
                 let views: Vec<&[f64]> = arrays.iter().map(|a| &a[..]).collect();
@@ -742,7 +582,9 @@ impl SdcGuard {
             // Never checkpoint state that failed its own screen; the
             // failure becomes a detection at the next begin().
             if tainted.is_none() && (it + 1) % self.cfg.checkpoint_every == 0 {
-                self.store.save(it + 1, arrays);
+                if let Some(ckpt) = &mut self.ckpt {
+                    commit(ckpt, it + 1, arrays);
+                }
             }
             self.tainted = tainted;
         });
@@ -753,9 +595,20 @@ impl SdcGuard {
     pub fn stats(&self) -> GuardStats {
         GuardStats {
             recoveries: self.recoveries,
-            checkpoint_count: self.store.count(),
+            checkpoint_count: self.ckpt.as_ref().map_or(0, Checkpoint::commits),
             checkpoint_overhead_s: self.overhead_s,
         }
+    }
+}
+
+/// Commit the state a resume-at-`resume` restart needs. A commit the
+/// injected I/O fault refused or tore costs at most that checkpoint
+/// (restore's hash check vetoes a torn image), so it is reported as
+/// `io-degraded`, never a panic.
+fn commit(ckpt: &mut Checkpoint<HeapBanks>, resume: usize, arrays: &[&[f64]]) {
+    let round = u32::try_from(resume).expect("iteration counts fit in u32");
+    if let Err(e) = ckpt.commit(round, arrays) {
+        eprintln!("npb: {}", IoDegraded::new("checkpoint", "write", &e));
     }
 }
 
@@ -832,103 +685,6 @@ mod tests {
         g.record(3, &views(&a), Some(1.0e150)); // exponent-field corruption
         assert!(g.check(3, &views(&a)).is_err());
         assert!(g.screen(&views(&a), Some(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn checkpoint_restore_returns_newest_intact() {
-        let mut store = CheckpointStore::default();
-        let s0 = vec![vec![1.0f64; 6]];
-        let s4 = vec![vec![2.0f64; 6]];
-        store.save(0, &views(&s0));
-        store.save(4, &views(&s4));
-        assert_eq!(store.count(), 2);
-        let mut live = [vec![9.0f64; 6]];
-        let mut slices: Vec<&mut [f64]> = live.iter_mut().map(|v| v.as_mut_slice()).collect();
-        assert_eq!(store.restore(&mut slices), Some(4));
-        assert_eq!(live[0], s4[0]);
-    }
-
-    #[test]
-    fn corrupted_newest_checkpoint_falls_back_to_older() {
-        // The double buffer's reason to exist: corrupt the newest
-        // snapshot in place and the restore must reject it (hash
-        // mismatch) and hand back the older one.
-        let mut store = CheckpointStore::default();
-        let s0 = vec![vec![1.0f64; 4]];
-        let s2 = vec![vec![2.0f64; 4]];
-        store.save(0, &views(&s0));
-        store.save(2, &views(&s2));
-        let newest = store.bufs.iter_mut().flatten().find(|s| s.resume == 2).unwrap();
-        newest.arrays[0][1] = 7.0;
-        let mut live = [vec![0.0f64; 4]];
-        let mut slices: Vec<&mut [f64]> = live.iter_mut().map(|v| v.as_mut_slice()).collect();
-        assert_eq!(store.restore(&mut slices), Some(0));
-        // No checkpoints at all: nothing to restore.
-        let mut empty_store = CheckpointStore::default();
-        assert_eq!(empty_store.restore(&mut slices), None);
-        drop(slices);
-        assert_eq!(live[0], s0[0]);
-    }
-
-    #[test]
-    fn injected_write_failure_loses_at_most_the_inflight_checkpoint() {
-        use crate::iofault::{IoFaultKind, IoFaultPlan};
-        // enospc: some save eventually fails; the store must keep the
-        // previous snapshots and the next restore must return the
-        // newest save that *landed* — at most one checkpoint of
-        // progress is lost, never silently the whole rollback target.
-        let plan = IoFaultPlan { kind: IoFaultKind::Enospc, seed: 42 };
-        let mut store = CheckpointStore::with_inject(Some(plan));
-        let mut landed: Vec<usize> = Vec::new();
-        for i in 0..16usize {
-            let state = vec![vec![i as f64; 4]];
-            let before = store.degraded();
-            store.save(i, &views(&state));
-            if store.degraded() == before {
-                landed.push(i);
-            }
-        }
-        assert!(store.degraded() > 0, "enospc:42 must trip within 16 saves");
-        assert!(!landed.is_empty(), "some saves land before the disk fills");
-        let mut live = [vec![0.0f64; 4]];
-        let mut slices: Vec<&mut [f64]> = live.iter_mut().map(|v| v.as_mut_slice()).collect();
-        let restored = store.restore(&mut slices).expect("a landed snapshot survives");
-        assert_eq!(restored, *landed.last().unwrap(), "newest *landed* save wins");
-        drop(slices);
-        assert_eq!(live[0], vec![restored as f64; 4]);
-    }
-
-    #[test]
-    fn torn_checkpoint_is_never_restorable() {
-        use crate::iofault::{FaultInjector, IoFaultKind, IoFaultPlan, WriteFault};
-        // short-write: a torn save lands a prefix under a full-state
-        // hash. The restore must reject it (integrity check) and fall
-        // back to the previous committed snapshot — "never
-        // restorable-but-torn", the composition contract with level 3.
-        let plan = IoFaultPlan { kind: IoFaultKind::ShortWrite, seed: 5 };
-        // Replicate the injector to find the first tripping save, so
-        // the test asserts exact behaviour instead of probabilities.
-        let mut probe = FaultInjector::new(plan, "checkpoint");
-        let trip = (0..64)
-            .position(|_| matches!(probe.on_write(4 * 8), WriteFault::Short(..)))
-            .expect("short-write trips");
-        let mut store = CheckpointStore::with_inject(Some(plan));
-        for i in 0..=trip {
-            let state = vec![vec![i as f64; 4]];
-            store.save(i, &views(&state));
-        }
-        assert_eq!(store.degraded(), 1, "exactly the predicted save tore");
-        assert_eq!(store.count(), trip + 1, "the torn save still occupied a slot");
-        let mut live = [vec![0.0f64; 4]];
-        let mut slices: Vec<&mut [f64]> = live.iter_mut().map(|v| v.as_mut_slice()).collect();
-        if trip == 0 {
-            assert_eq!(store.restore(&mut slices), None, "only save tore: nothing restorable");
-        } else {
-            let restored = store.restore(&mut slices).expect("older committed snapshot");
-            assert_eq!(restored, trip - 1, "hash check rejected the torn slot");
-            drop(slices);
-            assert_eq!(live[0], vec![(trip - 1) as f64; 4]);
-        }
     }
 
     /// Drive a synthetic guarded loop: state is one array the "kernel"

@@ -39,6 +39,7 @@
 
 pub mod access;
 pub mod child;
+pub mod ckpt;
 pub mod class;
 pub mod cli;
 pub mod exit;

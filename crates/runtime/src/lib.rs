@@ -84,9 +84,6 @@ mod wait;
 pub use error::{escalate_corruption, guarded_loop, BarrierPoisoned, InjectedFault, RegionError};
 pub use exchange::Exchange;
 pub use inject::{FaultKind, FaultPlan};
-// The environmental (I/O) fault taxonomy is npb-core's; the procs
-// checkpoint slots accept its faults at commit time.
-pub use npb_core::iofault::WriteFault;
 pub use par::Par;
 pub use partials::Partials;
 pub use partition::partition;

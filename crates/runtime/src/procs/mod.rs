@@ -10,8 +10,9 @@
 //! * [`sys`] — the in-tree `extern "C"` shims (`memfd_create`, `mmap`,
 //!   the futex syscall); the build stays hermetic, no libc crate.
 //! * [`shm`] — the [`ShmSegment`] every rank maps, its deterministic
-//!   [`ShmLayout`], and the per-rank integrity-hashed [`CkptSlot`]s
-//!   (one writer each — recovery I/O never contends).
+//!   [`ShmLayout`], and [`ShmBanks`], the per-rank checkpoint slot an
+//!   `npb_core::ckpt` image commits into (one writer each — recovery
+//!   I/O never contends).
 //! * [`barrier`] — the sense-reversing barrier generalized to a
 //!   cross-process futex [`ProcBarrier`] whose timeouts are the
 //!   parent's rank-death detection points.
@@ -34,7 +35,7 @@ pub mod supervise;
 pub mod sys;
 
 pub use barrier::ProcBarrier;
-pub use shm::{ckpt_slot_bytes, header, CkptSlot, ShmLayout, ShmSegment};
+pub use shm::{ckpt_slot_bytes, header, ShmBanks, ShmLayout, ShmSegment};
 pub use supervise::{describe_exit, RankProc, RankSet};
 
 /// Which execution backend runs a benchmark's parallel width.

@@ -1,7 +1,8 @@
 //! The shared-memory segment of the `procs` backend: one `memfd`
 //! mapping shared by the parent and every worker rank, carrying the
-//! barrier words, per-rank status, per-rank integrity-hashed checkpoint
-//! slots, and the benchmark's exchange areas.
+//! barrier words, per-rank status, per-rank checkpoint slots (the
+//! [`ShmBanks`] store of an `npb_core::ckpt` image), and the
+//! benchmark's exchange areas.
 //!
 //! ## Segment layout
 //!
@@ -24,7 +25,7 @@
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use npb_core::guard::state_hash;
+use npb_core::ckpt::BankStore;
 
 use super::sys;
 
@@ -206,26 +207,23 @@ impl Drop for ShmSegment {
     }
 }
 
-/// One rank's checkpoint slot: a double-buffered `(round, payload,
-/// hash)` record with a flip-word commit protocol, exactly one writer
-/// (the owning rank).
+/// A procs checkpoint slot as the [`BankStore`] under a
+/// [`Checkpoint`](npb_core::ckpt::Checkpoint): the [`ckpt_slot_bytes`]
+/// reservation at `off`. The flip word and each bank's round are
+/// shared atomics; the hash and the payload are plain words reached
+/// through [`ShmSegment::slice_f64`].
 ///
-/// Two banks alternate: a commit writes round/hash/payload into the
-/// *non-current* bank, then flips the `which` word. A crash mid-write
-/// leaves `which` pointing at the previous intact image — a torn
-/// commit never destroys the last committed round. The integrity hash
-/// (the PR-3 hash over payload + round) backstops the flip word: if
-/// the current bank is torn *despite* a completed flip (a short write
-/// the storage lied about, or PR-8 fault injection), [`CkptSlot::load`]
-/// rejects it and falls back to the other bank — recovery restores
-/// from the previous committed round instead of round 0.
-pub struct CkptSlot<'a> {
+/// Contract: a slot has one writer (its rank, or the parent for its
+/// own slot), and every read and every restore (which repoints the
+/// flip word) runs as that writer or with that writer dead, as the
+/// parent's recovery kills every rank before it reads a slot.
+pub struct ShmBanks<'a> {
     seg: &'a ShmSegment,
     off: usize,
     payload_len: usize,
 }
 
-/// Slot layout: `which` u32 (+ pad to 8), then two banks of
+/// Slot layout: the flip word u32 (+ pad to 8), then two banks of
 /// (round u32, pad u32, hash u64, payload f64s).
 pub const fn ckpt_slot_bytes(payload_len: usize) -> usize {
     8 + 2 * ckpt_bank_bytes(payload_len)
@@ -235,114 +233,61 @@ const fn ckpt_bank_bytes(payload_len: usize) -> usize {
     16 + 8 * payload_len
 }
 
-impl<'a> CkptSlot<'a> {
-    /// View the slot at byte offset `off` (from [`ckpt_slot_bytes`]-sized
-    /// reservations; must be 8-aligned).
-    pub fn at(seg: &'a ShmSegment, off: usize, payload_len: usize) -> CkptSlot<'a> {
+impl<'a> ShmBanks<'a> {
+    /// The slot at byte offset `off` of `seg`, from a
+    /// [`ckpt_slot_bytes`]-sized reservation (8-aligned).
+    pub fn at(seg: &'a ShmSegment, off: usize, payload_len: usize) -> ShmBanks<'a> {
         assert!(off % 8 == 0, "checkpoint slot must be 8-aligned");
-        CkptSlot { seg, off, payload_len }
+        ShmBanks { seg, off, payload_len }
     }
 
-    /// The flip word: 0 = never committed, 1/2 = bank 0/1 is current.
-    fn which(&self) -> &AtomicU32 {
-        self.seg.atomic_u32(self.off)
+    fn bank_off(&self, bank: usize) -> usize {
+        self.off + 8 + bank * ckpt_bank_bytes(self.payload_len)
+    }
+}
+
+impl BankStore for ShmBanks<'_> {
+    fn flip(&self) -> u32 {
+        self.seg.atomic_u32(self.off).load(Ordering::SeqCst)
     }
 
-    fn bank_off(&self, bank: u32) -> usize {
-        self.off + 8 + bank as usize * ckpt_bank_bytes(self.payload_len)
+    fn set_flip(&mut self, flip: u32) {
+        self.seg.atomic_u32(self.off).store(flip, Ordering::SeqCst);
     }
 
-    fn hash_of(&self, round: u32, payload: &[f64]) -> u64 {
-        let round = [f64::from(round)];
-        state_hash(&[&round[..], payload])
-    }
-
-    /// Commit a checkpoint: progress through `round` rounds, with the
-    /// rank's `payload` of resumable state.
-    pub fn save(&self, round: u32, payload: &[f64]) {
-        let _ = self.save_faulted(round, payload, crate::WriteFault::Pass);
-    }
-
-    /// [`CkptSlot::save`] under an injected write fault ([`WriteFault`],
-    /// PR-8): `Fail` refuses the commit outright (the previous image
-    /// stays current — nothing written), `Short(n, _)` commits a *torn*
-    /// image — only `n/8` payload elements land in the target bank but
-    /// the full-state hash is stamped and the flip word advances, the
-    /// exact lie a failing disk tells. Either fault surfaces as `Err`;
-    /// the caller journals the degradation and keeps computing (the
-    /// hash check quarantines the torn bank at restore time).
-    pub fn save_faulted(
-        &self,
-        round: u32,
-        payload: &[f64],
-        fault: crate::WriteFault,
-    ) -> io::Result<()> {
-        assert_eq!(payload.len(), self.payload_len);
-        let keep = match fault {
-            crate::WriteFault::Pass => payload.len(),
-            crate::WriteFault::Fail(e) => return Err(e),
-            crate::WriteFault::Short(n, _) => (n / 8).min(payload.len()),
-        };
-        let target = match self.which().load(Ordering::SeqCst) {
-            1 => 1,
-            _ => 0,
-        };
-        let b = self.bank_off(target);
-        // SAFETY: this rank is the slot's only writer, and it writes
-        // the non-current bank; readers honor the flip-word protocol.
-        unsafe {
-            self.seg.slice_f64(b + 8, 1)[0] = f64::from_bits(self.hash_of(round, payload));
-            self.seg.slice_f64(b + 16, keep).copy_from_slice(&payload[..keep]);
-        }
-        self.seg.atomic_u32(b).store(round, Ordering::SeqCst);
-        self.which().store(target + 1, Ordering::SeqCst);
-        match fault {
-            crate::WriteFault::Short(_, e) => Err(e),
-            _ => Ok(()),
-        }
-    }
-
-    /// Read one bank back, if its image hash-checks.
-    fn load_bank(&self, bank: u32) -> Option<(u32, Vec<f64>)> {
+    fn head(&self, bank: usize) -> (u32, u64) {
         let b = self.bank_off(bank);
-        let round = self.seg.atomic_u32(b).load(Ordering::SeqCst);
-        // SAFETY: the recovery protocol (writer dead or idle) makes
-        // this a stable snapshot; the hash check backstops.
-        let (stored, payload) = unsafe {
-            let h = self.seg.slice_f64(b + 8, 1)[0].to_bits();
-            (h, self.seg.slice_f64(b + 16, self.payload_len).to_vec())
-        };
-        (stored == self.hash_of(round, &payload)).then_some((round, payload))
+        // SAFETY: the slot contract: no other process writes the slot
+        // while its writer runs here or is dead.
+        let hash = unsafe { self.seg.slice_f64(b + 8, 1)[0] }.to_bits();
+        (self.seg.atomic_u32(b).load(Ordering::SeqCst), hash)
     }
 
-    /// Read back the newest hash-valid committed checkpoint: the
-    /// current bank, or — if that image is torn — the previous one.
-    /// `None` means "restart this rank from round 0".
-    pub fn load(&self) -> Option<(u32, Vec<f64>)> {
-        let which = self.which().load(Ordering::SeqCst);
-        if which == 0 {
-            return None;
-        }
-        let cur = which - 1;
-        self.load_bank(cur).or_else(|| self.load_bank(1 - cur))
+    fn set_head(&mut self, bank: usize, round: u32, hash: u64) {
+        let b = self.bank_off(bank);
+        // SAFETY: the slot contract: this process is the slot's one
+        // writer.
+        unsafe { self.seg.slice_f64(b + 8, 1)[0] = f64::from_bits(hash) };
+        self.seg.atomic_u32(b).store(round, Ordering::SeqCst);
     }
 
-    /// Invalidate the slot (fresh run).
-    pub fn clear(&self) {
-        self.which().store(0, Ordering::SeqCst);
-        // Poison both banks' hashes so a stale image can never
-        // hash-check against a later incarnation's rounds.
-        for bank in 0..2 {
-            let b = self.bank_off(bank);
-            // SAFETY: single writer; readers see which == 0 anyway.
-            unsafe { self.seg.slice_f64(b + 8, 1)[0] = f64::from_bits(!0u64) };
-        }
+    fn payload(&self, bank: usize) -> &[f64] {
+        // SAFETY: as in `head`; the view is bounded by `&self`.
+        unsafe { self.seg.slice_f64(self.bank_off(bank) + 16, self.payload_len) }
+    }
+
+    fn payload_mut(&mut self, bank: usize) -> &mut [f64] {
+        // SAFETY: as in `set_head`; `&mut self` makes the view the only
+        // one this process holds.
+        unsafe { self.seg.slice_f64(self.bank_off(bank) + 16, self.payload_len) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use npb_core::ckpt::{Checkpoint, HeapBanks};
+    use npb_core::iofault::{FaultInjector, IoFaultKind, IoFaultPlan, WriteFault};
 
     #[test]
     fn layout_is_deterministic_and_aligned() {
@@ -370,60 +315,167 @@ mod tests {
         sys::close_fd(plain);
     }
 
-    #[test]
-    fn checkpoint_slot_round_trips_and_rejects_corruption() {
-        let mut lay = ShmLayout::new(1);
-        let off = lay.alloc(ckpt_slot_bytes(3));
-        let seg = ShmSegment::create(lay.segment_len(), 1).unwrap();
-        let slot = CkptSlot::at(&seg, off, 3);
-        assert!(slot.load().is_none(), "fresh slot is empty");
-        slot.save(7, &[1.5, -2.0, 4096.0]);
-        assert_eq!(slot.load(), Some((7, vec![1.5, -2.0, 4096.0])));
-        // Tear the current bank's payload behind the slot's back: the
-        // hash must veto, and with only one committed image ever there
-        // is no older bank to fall back to.
-        // SAFETY: the only process on the segment, and the slot holds no
-        // view of it between calls.
-        unsafe { seg.slice_f64(off + 8 + 16, 1)[0] = 9.0 };
-        assert!(slot.load().is_none(), "integrity hash must reject a torn payload");
-        // And a fresh save over the damage recovers the slot.
-        slot.save(8, &[0.0, 0.0, 1.0]);
-        assert_eq!(slot.load().map(|(r, _)| r), Some(8));
-        slot.clear();
-        assert!(slot.load().is_none());
+    /// Every case runs once over each bank store: the guard's heap
+    /// buffer, then a slot of a real memfd segment. A row is
+    /// `test_name: case(payload_len, injection plan)`.
+    macro_rules! on_both_stores {
+        ($($test:ident: $case:ident($len:expr, $plan:expr);)*) => {$(
+            #[test]
+            fn $test() {
+                cases::$case(Checkpoint::new(HeapBanks::new($len), $plan, SURFACE), $plan);
+                let mut lay = ShmLayout::new(1);
+                let off = lay.alloc(ckpt_slot_bytes($len));
+                let seg = ShmSegment::create(lay.segment_len(), 1).unwrap();
+                cases::$case(Checkpoint::new(ShmBanks::at(&seg, off, $len), $plan, SURFACE), $plan);
+            }
+        )*};
     }
 
-    #[test]
-    fn torn_commit_falls_back_to_the_previous_committed_round() {
-        use std::io::{Error, ErrorKind};
-        let mut lay = ShmLayout::new(1);
-        let off = lay.alloc(ckpt_slot_bytes(4));
-        let seg = ShmSegment::create(lay.segment_len(), 1).unwrap();
-        let slot = CkptSlot::at(&seg, off, 4);
+    on_both_stores! {
+        never_committed_image_restores_none: never_committed(4, None);
+        zero_length_payload_reports_its_round: zero_length(0, None);
+        newest_intact_image_wins: newest_wins(4, None);
+        corrupted_payload_falls_back_to_the_older_image: corrupted_payload(4, None);
+        corrupted_round_is_vetoed: corrupted_round(4, None);
+        refused_enospc_commit_is_a_no_op: refused(4, plan(IoFaultKind::Enospc, 3));
+        refused_eio_commit_is_a_no_op: refused(4, plan(IoFaultKind::Eio, 3));
+        enospc_loses_at_most_the_inflight_commit: enospc_run(4, plan(IoFaultKind::Enospc, 42));
+        torn_commit_is_vetoed_and_the_previous_round_survives:
+            torn(4, plan(IoFaultKind::ShortWrite, 5));
+        fallback_restore_repoints_so_a_second_torn_commit_spares_it:
+            repoint(4, plan(IoFaultKind::ShortWrite, 2));
+    }
 
-        slot.save(1, &[1.0; 4]);
-        slot.save(2, &[2.0; 4]);
-        assert_eq!(slot.load().map(|(r, _)| r), Some(2));
+    /// The fault stream every case draws from.
+    const SURFACE: &str = "checkpoint";
 
-        // A refused commit (injected ENOSPC) leaves round 2 current.
-        let e = Error::new(ErrorKind::StorageFull, "injected enospc");
-        assert!(slot.save_faulted(3, &[3.0; 4], crate::WriteFault::Fail(e)).is_err());
-        assert_eq!(slot.load(), Some((2, vec![2.0; 4])), "failed commit is a no-op");
+    fn plan(kind: IoFaultKind, seed: u64) -> Option<IoFaultPlan> {
+        Some(IoFaultPlan { kind, seed })
+    }
 
-        // A *torn* commit (injected short write: 2 of 4 elements land,
-        // flip word advances, full-state hash stamped) is rejected by
-        // the hash check — and recovery restores the previous
-        // committed round instead of restarting from 0.
-        let e = Error::new(ErrorKind::WriteZero, "injected short write");
-        assert!(slot.save_faulted(3, &[3.0; 4], crate::WriteFault::Short(16, e)).is_err());
-        assert_eq!(
-            slot.load(),
-            Some((2, vec![2.0; 4])),
-            "torn bank is vetoed; previous committed round survives"
-        );
+    mod cases {
+        use super::*;
 
-        // The next clean commit overwrites the torn bank and wins.
-        slot.save(3, &[3.5; 4]);
-        assert_eq!(slot.load(), Some((3, vec![3.5; 4])));
+        /// Which of the first `n` commits of 4 elements `plan` faults,
+        /// replicated from its injector so a case asserts exact
+        /// behaviour instead of probabilities.
+        fn predicted(plan: Option<IoFaultPlan>, n: usize) -> Vec<bool> {
+            let mut inj = FaultInjector::new(plan.expect("an armed plan"), SURFACE);
+            (0..n).map(|_| !matches!(inj.on_write(4 * 8), WriteFault::Pass)).collect()
+        }
+
+        /// Restore into a fresh array; `newest_round` must agree first.
+        fn restored<S: BankStore>(img: &mut Checkpoint<S>) -> Option<(u32, Vec<f64>)> {
+            let newest = img.newest_round();
+            let mut live = vec![f64::NAN; img.store_mut().payload_len()];
+            let round = img.restore(&mut [&mut live]);
+            assert_eq!(round, newest, "newest_round names the bank restore returns");
+            round.map(|r| (r, live))
+        }
+
+        fn current<S: BankStore>(img: &mut Checkpoint<S>) -> usize {
+            img.store_mut().flip() as usize - 1
+        }
+
+        fn state(r: u32) -> [f64; 4] {
+            [f64::from(r); 4]
+        }
+
+        pub fn never_committed<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            assert_eq!(restored(&mut img), None);
+        }
+
+        /// IS commits round markers with no payload; the round alone
+        /// must hash-check.
+        pub fn zero_length<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            img.commit(3, &[&[]]).unwrap();
+            assert_eq!(restored(&mut img), Some((3, vec![])));
+        }
+
+        pub fn newest_wins<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            img.commit(0, &[&state(1)]).unwrap();
+            img.commit(4, &[&[2.0, 2.5], &[3.0, 3.5]]).unwrap();
+            assert_eq!(img.commits(), 2);
+            assert_eq!(restored(&mut img), Some((4, vec![2.0, 2.5, 3.0, 3.5])));
+        }
+
+        pub fn corrupted_payload<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            // The only image ever committed is damaged: nothing to fall
+            // back to.
+            img.commit(0, &[&state(0)]).unwrap();
+            let bank = current(&mut img);
+            img.store_mut().payload_mut(bank)[1] = 7.0;
+            assert_eq!(restored(&mut img), None);
+            // A commit over the damage recovers; damage the newer image
+            // and the older one is restored.
+            img.commit(1, &[&state(1)]).unwrap();
+            img.commit(2, &[&state(2)]).unwrap();
+            let bank = current(&mut img);
+            img.store_mut().payload_mut(bank)[1] = 7.0;
+            assert_eq!(restored(&mut img), Some((1, state(1).to_vec())));
+        }
+
+        pub fn corrupted_round<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            img.commit(1, &[&state(1)]).unwrap();
+            img.commit(2, &[&state(2)]).unwrap();
+            let bank = current(&mut img);
+            let (round, hash) = img.store_mut().head(bank);
+            img.store_mut().set_head(bank, round + 5, hash);
+            assert_eq!(
+                restored(&mut img),
+                Some((1, state(1).to_vec())),
+                "the hash covers the round"
+            );
+        }
+
+        /// A refused commit writes nothing and leaves the previous
+        /// image current.
+        pub fn refused<S: BankStore>(mut img: Checkpoint<S>, plan: Option<IoFaultPlan>) {
+            let trip = predicted(plan, 64).iter().position(|&t| t).expect("the plan trips") as u32;
+            assert!(trip >= 1, "fixture: a commit lands before the refusal");
+            for r in 0..trip {
+                img.commit(r, &[&state(r)]).unwrap();
+            }
+            assert!(img.commit(trip, &[&state(trip)]).is_err());
+            assert_eq!(img.commits(), trip as usize, "a refused commit does not flip");
+            assert_eq!(restored(&mut img), Some((trip - 1, state(trip - 1).to_vec())));
+        }
+
+        /// A full disk stays full: the restore returns the newest commit
+        /// that landed, never less.
+        pub fn enospc_run<S: BankStore>(mut img: Checkpoint<S>, _: Option<IoFaultPlan>) {
+            let landed: Vec<u32> =
+                (0..16).filter(|&r| img.commit(r, &[&state(r)]).is_ok()).collect();
+            assert!(landed.len() < 16, "enospc must trip within 16 commits");
+            let newest = *landed.last().expect("some commits land before the disk fills");
+            assert_eq!(restored(&mut img), Some((newest, state(newest).to_vec())));
+        }
+
+        /// A torn commit flips, but its hash vetoes it at restore: the
+        /// previous round survives, and the next clean commit wins.
+        pub fn torn<S: BankStore>(mut img: Checkpoint<S>, plan: Option<IoFaultPlan>) {
+            let trips = predicted(plan, 64);
+            let trip = trips.iter().position(|&t| t).expect("short-write trips");
+            assert!(trip >= 1 && !trips[trip + 1], "fixture: one tear between clean commits");
+            let trip = trip as u32;
+            let torn = (0..=trip).filter(|&r| img.commit(r, &[&state(r)]).is_err()).count();
+            assert_eq!(torn, 1, "exactly the predicted commit tore");
+            assert_eq!(img.commits(), trip as usize + 1, "the torn commit still flipped");
+            assert_eq!(restored(&mut img), Some((trip - 1, state(trip - 1).to_vec())));
+            img.commit(trip + 1, &[&state(trip + 1)]).unwrap();
+            assert_eq!(restored(&mut img), Some((trip + 1, state(trip + 1).to_vec())));
+        }
+
+        /// A fallback restore repoints the flip word at the bank it
+        /// returned, so the next commit overwrites the torn bank, not
+        /// the one intact image.
+        pub fn repoint<S: BankStore>(mut img: Checkpoint<S>, plan: Option<IoFaultPlan>) {
+            assert_eq!(predicted(plan, 3), [false, true, true], "fixture: clean, torn, torn");
+            img.commit(1, &[&state(1)]).unwrap();
+            assert!(img.commit(2, &[&state(2)]).is_err());
+            assert_eq!(restored(&mut img), Some((1, state(1).to_vec())));
+            assert!(img.commit(3, &[&state(3)]).is_err());
+            assert_eq!(restored(&mut img), Some((1, state(1).to_vec())), "round 1 survives");
+        }
     }
 }

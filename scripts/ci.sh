@@ -33,11 +33,16 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate) =="
+echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt) =="
 grep -rnE --include='*.rs' 'append\(true\)|append_record' crates src | grep -v '^crates/core/src/log.rs:' \
     && { echo "a durable append outside crates/core/src/log.rs (listed above)" >&2; exit 1; }
 grep -rn --include='*.rs' Condvar crates/runtime \
     && { echo "a Condvar in crates/runtime: sleep on wait::Gate instead (listed above)" >&2; exit 1; }
+# A two-bank commit flips a word after writing a bank: only the image in
+# crates/core/src/ckpt.rs does; a bank store only holds the words.
+grep -rnE --include='*.rs' '\.set_flip\(|fn which\(|CheckpointStore|CkptSlot|save_faulted' crates src \
+    | grep -v '^crates/core/src/ckpt.rs:' \
+    && { echo "a two-bank commit outside crates/core/src/ckpt.rs (listed above)" >&2; exit 1; }
 
 echo "== tier-1: build =="
 cargo build --release

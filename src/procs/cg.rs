@@ -16,16 +16,19 @@
 //! restores `x` from the parent slot and respawns; workers need no
 //! per-rank payload (their whole state is round-deterministic).
 
+use std::cell::RefCell;
 use std::time::Instant;
 
 use npb_cg::{CgParams, CgVectors};
 use npb_core::trace::{self, SpanKind};
 use npb_core::{BenchReport, GuardStats};
-use npb_runtime::procs::shm::{ckpt_slot_bytes, header, CkptSlot, ShmLayout};
+use npb_runtime::procs::shm::{ckpt_slot_bytes, header, ShmLayout};
 use npb_runtime::procs::ProcBarrier;
 use npb_runtime::{Exchange, SharedMut};
 
-use super::{CkptCommitter, Parent, ProcsConfig, RankView, RoundFailure, WorkerCtx, REDUCE_SLOTS};
+use super::{
+    ckpt_image, commit, Parent, ProcsConfig, RankView, RoundFailure, WorkerCtx, REDUCE_SLOTS,
+};
 use crate::RunError;
 
 struct Layout {
@@ -54,7 +57,9 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let n = p.na;
     let lay = layout(cfg.nranks, n);
     let seg = cfg.segment(lay.len)?;
-    let pslot = CkptSlot::at(&seg, lay.pslot, n);
+    // Both the round and the restore closure below use the slot; the
+    // supervised loop never runs them at once.
+    let pslot = RefCell::new(ckpt_image(&seg, lay.pslot, n));
     // SAFETY: the parent touches `x`, `z` only between barriers (a) and (b),
     // or with every rank dead; `x` has no other writer, ever.
     let x = || unsafe { seg.slice_f64(lay.x, n) };
@@ -62,7 +67,6 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     x().fill(1.0);
 
     let mut parent = Parent::launch(&seg, "cg", cfg)?;
-    let mut ck = CkptCommitter::from_env("parent".to_string());
     let mut zeta = 0.0f64;
     let mut checkpoints = 0usize;
     let mut ckpt_secs = 0.0f64;
@@ -87,7 +91,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
                 zeta = npb_cg::power_step(x(), z(), p.shift);
             }
             let t = Instant::now();
-            ck.save(&pslot, round + 1, x());
+            commit(&mut pslot.borrow_mut(), "parent", round + 1, x());
             ckpt_secs += t.elapsed().as_secs_f64();
             checkpoints += 1;
         }
@@ -100,15 +104,11 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     };
     // Restore `x` from the parent's hash-valid slot (or the fresh-run
     // initial state) and resume at the committed round.
-    let restore = || match pslot.load() {
-        Some((round, payload)) => {
-            x().copy_from_slice(&payload);
-            round
-        }
-        None => {
+    let restore = || {
+        pslot.borrow_mut().restore(&mut [x()]).unwrap_or_else(|| {
             x().fill(1.0);
             0
-        }
+        })
     };
     parent.run_rounds(p.niter as u32 + 1, round, restore)?;
     let secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());

@@ -18,10 +18,10 @@ use std::time::Instant;
 use npb_core::trace::{self, SpanKind};
 use npb_core::{BenchReport, GuardStats};
 use npb_ep::{EpParams, EpResult, NQ};
-use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
+use npb_runtime::procs::shm::{ckpt_slot_bytes, ShmLayout};
 use npb_runtime::Exchange;
 
-use super::{min_slot_round, CkptCommitter, Parent, ProcsConfig, RankView, WorkerCtx};
+use super::{ckpt_image, commit, min_slot_round, Parent, ProcsConfig, RankView, WorkerCtx};
 use crate::RunError;
 
 /// Checkpoint windows per rank: enough that a mid-run crash loses only
@@ -65,8 +65,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let params = EpParams::for_class(cfg.class);
     let lay = layout(cfg.nranks);
     let seg = cfg.segment(lay.len)?;
-    let slots: Vec<CkptSlot<'_>> =
-        (0..cfg.nranks).map(|r| CkptSlot::at(&seg, lay.slots[r], PAYLOAD)).collect();
+    let slots: Vec<_> = lay.slots.iter().map(|&off| ckpt_image(&seg, off, PAYLOAD)).collect();
 
     // EP has no warm-up: the whole supervised run is the timed section
     // (spawn included, as the threads backend includes team dispatch).
@@ -131,8 +130,8 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let nk = 1usize << npb_ep::MK;
     let lay = layout(ctx.nranks);
     let ex = RankView::outer(ctx);
-    let slot = CkptSlot::at(&ctx.seg, lay.slots[ctx.rank], PAYLOAD);
-    let mut ck = CkptCommitter::from_env(format!("rank {}", ctx.rank));
+    let mut slot = ckpt_image(&ctx.seg, lay.slots[ctx.rank], PAYLOAD);
+    let who = format!("rank {}", ctx.rank);
 
     let my = ex.range(nn);
     let chunk = my.len().div_ceil(ROUNDS).max(1);
@@ -148,8 +147,9 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     // The parent's resume round is the minimum over all slots, so
     // `done >= resume`; windows below `done` are skipped (their work is
     // already in `acc`), but every barrier is still attended.
-    let (mut done, mut acc) = match slot.load() {
-        Some((round, payload)) => (round, unpack(&payload)),
+    let mut payload = [0.0; PAYLOAD];
+    let (mut done, mut acc) = match slot.restore(&mut [&mut payload]) {
+        Some(round) => (round, unpack(&payload)),
         None => (0, EpResult::zero()),
     };
 
@@ -159,7 +159,7 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
             for k in window(w) {
                 npb_ep::batch::<SAFE>(k, &mut x, &mut acc);
             }
-            ck.save(&slot, w as u32 + 1, &pack(&acc));
+            commit(&mut slot, &who, w as u32 + 1, &pack(&acc));
             done = w as u32 + 1;
         }
         ex.barrier();

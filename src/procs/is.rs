@@ -27,10 +27,10 @@ use std::time::Instant;
 use npb_core::trace::{self, SpanKind};
 use npb_core::{BenchReport, GuardStats, Verified};
 use npb_is::{create_seq, IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
-use npb_runtime::procs::shm::{ckpt_slot_bytes, CkptSlot, ShmLayout};
+use npb_runtime::procs::shm::{ckpt_slot_bytes, ShmLayout};
 use npb_runtime::{Exchange, SharedMut};
 
-use super::{min_slot_round, CkptCommitter, Parent, ProcsConfig, RankView, WorkerCtx};
+use super::{ckpt_image, commit, min_slot_round, Parent, ProcsConfig, RankView, WorkerCtx};
 use crate::RunError;
 
 /// Warm-up round plus the timed iterations.
@@ -64,8 +64,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let (mk, nk) = (p.max_key, p.num_keys);
     let lay = layout(cfg.nranks, mk);
     let seg = cfg.segment(lay.len)?;
-    let slots: Vec<CkptSlot<'_>> =
-        (0..cfg.nranks).map(|r| CkptSlot::at(&seg, lay.slots[r], 0)).collect();
+    let slots: Vec<_> = lay.slots.iter().map(|&off| ckpt_image(&seg, off, 0)).collect();
     // SAFETY: the parent touches `counts` only from barrier (b) to the next
     // round's (a), or after the run: the ranks' merge waits for it at (a).
     let counts = || unsafe { seg.slice_i32(lay.counts, mk) };
@@ -158,8 +157,8 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let mk = p.max_key;
     let lay = layout(ctx.nranks, mk);
     let ex = RankView::outer(ctx);
-    let slot = CkptSlot::at(&ctx.seg, lay.slots[ctx.rank], 0);
-    let mut ck = CkptCommitter::from_env(format!("rank {}", ctx.rank));
+    let mut slot = ckpt_image(&ctx.seg, lay.slots[ctx.rank], 0);
+    let who = format!("rank {}", ctx.rank);
 
     let mut keys = create_seq(&p);
     let resume = ctx.resume();
@@ -180,6 +179,6 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
         };
         npb_is::rank_pass::<_, SAFE>(&ex, &keys, &hists, &counts);
         ex.barrier(); // (b): counts merged, parent takes over.
-        ck.save(&slot, round + 1, &[]);
+        commit(&mut slot, &who, round + 1, &[]);
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! The mechanism (shared-memory segments, cross-process futex barriers,
 //! per-rank checkpoint slots, rank supervision) lives in
-//! [`npb_runtime::procs`]; the arithmetic lives in the kernel crates.
+//! [`npb_runtime::procs`], the checkpoint commit protocol (the SDC
+//! guard's two-bank image) in [`npb_core::ckpt`]; the arithmetic lives
+//! in the kernel crates.
 //! This module family is glue only: the segment layout of each
 //! benchmark, spawning, the rank view a kernel body runs against, the
 //! supervised round/recovery loop, checkpoints, and the procs-only
@@ -15,8 +17,9 @@
 //! * a barrier that does not open within the round deadline makes the
 //!   parent poll `waitpid`: a dead rank (crash, OOM kill, injected
 //!   fault) or a hung one is answered by killing the stragglers,
-//!   computing the resume round from the per-rank integrity-hashed
-//!   checkpoint slots, and respawning every rank from that round;
+//!   computing the resume round from the per-rank checkpoint images
+//!   (`npb_core::ckpt`, hash-checked two-bank slots in the segment),
+//!   and respawning every rank from that round;
 //! * recoveries are bounded (`--max-recoveries`); past the budget the
 //!   run fails with the same structured [`RegionError`] taxonomy the
 //!   threads backend uses, so retry/exit-code handling is shared.
@@ -39,9 +42,10 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use npb_core::ckpt::Checkpoint;
 use npb_core::trace::{self, SpanKind};
-use npb_core::{Class, Style, WATCHDOG_EXIT_CODE};
-use npb_runtime::procs::shm::{header, CkptSlot, ShmSegment, STATUS_DONE, STATUS_RUNNING};
+use npb_core::{Class, IoDegraded, IoFaultPlan, Style, WATCHDOG_EXIT_CODE};
+use npb_runtime::procs::shm::{header, ShmBanks, ShmSegment, STATUS_DONE, STATUS_RUNNING};
 use npb_runtime::procs::{ProcBarrier, RankSet};
 use npb_runtime::{Exchange, FaultKind, FaultPlan, RegionError, SharedMut};
 
@@ -403,46 +407,32 @@ impl<'a> Parent<'a> {
 
 /// The smallest hash-valid checkpoint round across `slots` — the round
 /// every rank can safely resume from (a rank ahead of it skips redone
-/// work it has already committed). An invalid slot (rank died mid-save,
-/// or never saved) pins the resume to 0; a slot whose newest commit is
-/// torn falls back to its previous committed round (the slots are
-/// double-buffered), so one bad write degrades the resume by one round
-/// instead of restarting the run from scratch.
-pub(crate) fn min_slot_round(slots: &[CkptSlot<'_>]) -> u32 {
-    slots.iter().map(|s| s.load().map_or(0, |(round, _)| round)).min().unwrap_or(0)
+/// work it has already committed). A slot with no intact image (rank
+/// died before its first commit, or every image it has is torn) pins
+/// the resume to 0; a slot whose newest commit is torn falls back to
+/// its previous committed round, so one bad write degrades the resume
+/// by one round instead of restarting the run from scratch. Runs with
+/// every rank dead, and copies no payload.
+pub(crate) fn min_slot_round(slots: &[Checkpoint<ShmBanks<'_>>]) -> u32 {
+    slots.iter().map(|s| s.newest_round().unwrap_or(0)).min().unwrap_or(0)
 }
 
-/// The checkpoint-commit path under ambient I/O fault injection
-/// (Level 6): armed from `NPB_IO_INJECT` (surface `ckpt`), so a
-/// hostile-host run can deterministically tear or refuse commits. A
-/// faulted commit is a *degradation*, not a failure — the event is
-/// reported on stderr as [`IoDegraded`] and the computation continues;
-/// the slot's hash check quarantines a torn image at restore time and
-/// recovery falls back to the previous committed round.
-pub(crate) struct CkptCommitter {
-    inj: Option<npb_core::FaultInjector>,
-    who: String,
+/// The checkpoint image over the [`ckpt_slot_bytes`] reservation at
+/// `off`, its commits injectable from `NPB_IO_INJECT` on surface `ckpt`,
+/// so a hostile-host run can deterministically tear or refuse them.
+///
+/// [`ckpt_slot_bytes`]: npb_runtime::procs::ckpt_slot_bytes
+pub(crate) fn ckpt_image(seg: &ShmSegment, off: usize, len: usize) -> Checkpoint<ShmBanks<'_>> {
+    Checkpoint::new(ShmBanks::at(seg, off, len), IoFaultPlan::from_env(), "ckpt")
 }
 
-impl CkptCommitter {
-    /// `who` labels the degradation report (`rank 2`, `parent`).
-    pub fn from_env(who: String) -> CkptCommitter {
-        let inj = npb_core::iofault::IoFaultPlan::from_env()
-            .map(|p| npb_core::FaultInjector::new(p, "ckpt"));
-        CkptCommitter { inj, who }
-    }
-
-    /// Commit `payload` at `round` into `slot`, applying any injected
-    /// write fault; a faulted commit is reported, not returned.
-    pub fn save(&mut self, slot: &CkptSlot<'_>, round: u32, payload: &[f64]) {
-        let fault = match self.inj.as_mut() {
-            Some(inj) => inj.on_write(8 * payload.len().max(1)),
-            None => npb_runtime::WriteFault::Pass,
-        };
-        if let Err(e) = slot.save_faulted(round, payload, fault) {
-            let report = npb_core::IoDegraded::new("ckpt", "save", &e);
-            eprintln!("npb procs: {}: {report}", self.who);
-        }
+/// Commit `payload` at `round`. A commit the injected fault refused or
+/// tore is a degradation, not a failure: `who` (`rank 2`, `parent`)
+/// reports it on stderr as `io-degraded` and the computation goes on,
+/// since the image's hash check vetoes a torn bank at restore.
+pub(crate) fn commit(ckpt: &mut Checkpoint<ShmBanks<'_>>, who: &str, round: u32, payload: &[f64]) {
+    if let Err(e) = ckpt.commit(round, &[payload]) {
+        eprintln!("npb procs: {who}: {}", IoDegraded::new("ckpt", "save", &e));
     }
 }
 
