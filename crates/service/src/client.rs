@@ -1,5 +1,7 @@
 //! A minimal `npbd` client: connect, send request lines, read reply
-//! lines. Shared by `npb-attack`, the CI smoke test, and the
+//! lines. [`Client::exchange`] is the one place that decides how many
+//! lines a request gets back. Shared by `npb-attack` (its chaos clients
+//! and its `--once` probe, which the CI smoke drives) and the
 //! integration suite.
 
 use std::io::{BufRead, BufReader, Write};
@@ -51,8 +53,13 @@ impl Client {
     }
 
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.send_raw(format!("{line}\n").as_bytes())
+    }
+
+    /// Write `bytes` unframed: the slowloris campaign trickles a request
+    /// line it never ends.
+    pub(crate) fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.writer.write_all(bytes)?;
         self.writer.flush()
     }
 
@@ -71,26 +78,30 @@ impl Client {
     /// Send one request, read one reply, parse it.
     pub fn request(&mut self, line: &str) -> std::io::Result<Json> {
         self.send(line)?;
-        let reply = self.read_line()?;
-        Json::parse(&reply).map_err(|e| std::io::Error::other(format!("bad reply {reply:?}: {e}")))
+        parse_reply(&self.read_line()?)
     }
 
-    /// Submit-and-wait convenience: returns the full reply sequence
-    /// (`rejected` alone; `done` alone on a cache hit; `accepted` then
-    /// `done` otherwise), already parsed.
-    pub fn submit(&mut self, submit_line: &str) -> std::io::Result<Vec<Json>> {
-        let first = self.request(submit_line)?;
+    /// One request, its reply lines verbatim: `rejected` alone; `done`
+    /// alone on a cache hit; `accepted` alone for a `"wait":false`
+    /// submit; `accepted` then the terminal line otherwise.
+    pub fn exchange(&mut self, line: &str) -> std::io::Result<Vec<String>> {
+        self.send(line)?;
+        let first = self.read_line()?;
+        let accepted = Json::parse(&first).is_ok_and(|v| v.get_str("status") == Some("accepted"));
+        let wants_wait = Json::parse(line).is_ok_and(|v| v.get("wait") != Some(&Json::Bool(false)));
         let mut replies = vec![first];
-        if replies[0].get_str("status") == Some("accepted") {
-            let wants_wait = Json::parse(submit_line)
-                .ok()
-                .and_then(|v| v.get("wait").cloned())
-                .is_none_or(|w| w == Json::Bool(true));
-            if wants_wait {
-                let terminal = self.read_line()?;
-                replies.push(Json::parse(&terminal).map_err(std::io::Error::other)?);
-            }
+        if accepted && wants_wait {
+            replies.push(self.read_line()?);
         }
         Ok(replies)
     }
+
+    /// [`Client::exchange`] with every reply parsed.
+    pub fn submit(&mut self, submit_line: &str) -> std::io::Result<Vec<Json>> {
+        self.exchange(submit_line)?.iter().map(|reply| parse_reply(reply)).collect()
+    }
+}
+
+fn parse_reply(reply: &str) -> std::io::Result<Json> {
+    Json::parse(reply).map_err(|e| std::io::Error::other(format!("bad reply {reply:?}: {e}")))
 }

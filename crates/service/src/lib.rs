@@ -20,7 +20,8 @@
 //! * [`signal`] — hermetic SIGTERM/SIGINT handling (self-pipe trick);
 //! * [`server`] — the daemon: listener, worker pool, graceful drain;
 //! * [`client`] / [`attack`] — the client half: protocol helper and
-//!   the saturation-hunting load generator.
+//!   the chaos and slowloris loads (measuring the daemon is
+//!   `benchmark/`'s job, not theirs).
 
 pub mod admission;
 pub mod attack;

@@ -33,7 +33,7 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt) =="
+echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt), one measurement system (benchmark/) =="
 grep -rnE --include='*.rs' 'append\(true\)|append_record' crates src | grep -v '^crates/core/src/log.rs:' \
     && { echo "a durable append outside crates/core/src/log.rs (listed above)" >&2; exit 1; }
 grep -rn --include='*.rs' Condvar crates/runtime \
@@ -43,6 +43,12 @@ grep -rn --include='*.rs' Condvar crates/runtime \
 grep -rnE --include='*.rs' '\.set_flip\(|fn which\(|CheckpointStore|CkptSlot|save_faulted' crates src \
     | grep -v '^crates/core/src/ckpt.rs:' \
     && { echo "a two-bank commit outside crates/core/src/ckpt.rs (listed above)" >&2; exit 1; }
+# npb-attack loads the daemon and counts replies; benchmark/ measures it.
+# A latency histogram or a saturation ramp in the service or the binaries
+# is a second measurement system. ("saturation" alone is a fair word in
+# crates/core and crates/runtime, hence the scope.)
+grep -rnE --include='*.rs' 'Histogram|percentile_us|saturation_clients|"--ramp"' crates/service src \
+    && { echo "a second measurement system outside benchmark/ (listed above)" >&2; exit 1; }
 
 echo "== tier-1: build =="
 cargo build --release

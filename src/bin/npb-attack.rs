@@ -1,30 +1,25 @@
-//! `npb-attack` — load generator for the `npbd` daemon.
+//! `npb-attack` — chaos and hostile-client load for the `npbd` daemon.
 //!
 //! ```text
 //! npb-attack --socket PATH|tcp:HOST:PORT [--clients N] [--requests N]
-//!            [--bench B] [--class C] [--threads T] [--seeds K]
-//!            [--chaos] [--ramp] [--out PATH]
+//!            [--bench B] [--class C] [--threads T] [--seeds K] [--chaos]
 //! npb-attack --socket ... --once JSON      # single request, reply on stdout
 //! npb-attack --socket ... --slowloris N [--max-wait-s S]
 //! ```
 //!
 //! N concurrent clients each submit `--requests` jobs and wait for the
-//! terminal replies. `--seeds K` cycles K distinct seeds through the
-//! stream: `--seeds 1` makes every client ask for the *same* job (a
-//! cache/dedupe stress), larger K forces distinct executions. `--chaos`
-//! injects a rotating fault (hang / panic / bitflip) into every third
-//! request, so the daemon absorbs deadline-kills and retries while
-//! serving clean traffic. `--ramp` doubles concurrency 1, 2, 4, … up to
-//! `--clients` and reports the saturation point — the lowest level at
-//! which the daemon starts shedding load with `rejected:queue-full`.
-//!
-//! The report (latency histogram with percentiles, acceptance /
-//! cache-hit / dedupe / rejection mix, saturation point) is one JSON
-//! line, written to `--out PATH` when given and printed on stdout
-//! otherwise, and summarized on stderr.
+//! terminal replies, reconnecting when the daemon dies under them.
+//! `--seeds K` cycles K distinct seeds through the stream: `--seeds 1`
+//! makes every client ask for the *same* job (a cache/dedupe stress),
+//! larger K forces distinct executions. `--chaos` injects a rotating
+//! fault (hang / panic / bitflip) into every third request, so the
+//! daemon absorbs deadline-kills and retries while serving clean
+//! traffic. The report is one JSON line of counts on stdout; measuring
+//! the daemon is `benchmark/`'s job (`platform_s`).
 //!
 //! `--once JSON` sends a single raw request line and prints every reply
-//! line to stdout — the scriptable probe the CI smoke test uses.
+//! line to stdout — the scriptable probe the CI smoke test uses. A
+//! rejection exits 3.
 //!
 //! `--slowloris N` opens N connections that each trickle one byte of a
 //! request per second without ever completing a line — the classic
@@ -42,8 +37,7 @@ use npb_service::server::Addr;
 fn usage() -> ! {
     eprintln!(
         "usage: npb-attack --socket PATH|tcp:HOST:PORT [--clients N] [--requests N]\n\
-         \x20                [--bench B] [--class C] [--threads T] [--seeds K]\n\
-         \x20                [--chaos] [--ramp] [--out PATH]   # report on stdout without --out\n\
+         \x20                [--bench B] [--class C] [--threads T] [--seeds K] [--chaos]\n\
          \x20      npb-attack --socket ... --once JSON\n\
          \x20      npb-attack --socket ... --slowloris N [--max-wait-s S]"
     );
@@ -60,8 +54,6 @@ fn main() {
     let mut threads = 0usize;
     let mut seeds = 4u64;
     let mut chaos = false;
-    let mut ramp = false;
-    let mut out: Option<std::path::PathBuf> = None;
     let mut once: Option<String> = None;
     let mut slowloris_clients: Option<usize> = None;
     let mut max_wait_s = 30u64;
@@ -81,8 +73,6 @@ fn main() {
             "--threads" => threads = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--seeds" => seeds = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--chaos" => chaos = true,
-            "--ramp" => ramp = true,
-            "--out" => out = Some(std::path::PathBuf::from(val(&mut it))),
             "--once" => once = Some(val(&mut it)),
             "--slowloris" => {
                 slowloris_clients = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
@@ -103,10 +93,6 @@ fn main() {
             std::time::Duration::from_secs(max_wait_s),
         );
         println!("{}", report.to_json());
-        eprintln!(
-            "npb-attack: slowloris: {} connected, {} evicted",
-            report.connected, report.evicted
-        );
         std::process::exit(if report.evicted == report.connected { 0 } else { 1 });
     }
 
@@ -116,25 +102,15 @@ fn main() {
             eprintln!("npb-attack: cannot connect to {addr}: {e}");
             std::process::exit(1);
         });
-        let result = (|| -> std::io::Result<bool> {
-            client.send(&line)?;
-            let first = client.read_line()?;
-            println!("{first}");
-            let mut rejected = first.contains("\"status\":\"rejected\"");
-            // An accepted wait-mode submit gets a second, terminal line.
-            let wants_wait = !line.contains("\"wait\":false");
-            if first.contains("\"status\":\"accepted\"") && wants_wait {
-                let terminal = client.read_line()?;
-                println!("{terminal}");
-                rejected |= terminal.contains("\"status\":\"rejected\"");
+        match client.exchange(&line) {
+            Ok(replies) => {
+                replies.iter().for_each(|reply| println!("{reply}"));
+                // A rejected submit is a nonzero exit so shell tests can
+                // assert on backpressure without parsing.
+                if replies.iter().any(|reply| reply.contains("\"status\":\"rejected\"")) {
+                    std::process::exit(3);
+                }
             }
-            Ok(rejected)
-        })();
-        match result {
-            // A rejected submit is a nonzero exit so shell tests can
-            // assert on backpressure without parsing.
-            Ok(true) => std::process::exit(3),
-            Ok(false) => {}
             Err(e) => {
                 eprintln!("npb-attack: request failed: {e}");
                 std::process::exit(1);
@@ -157,37 +133,6 @@ fn main() {
         ),
         seeds: seeds.max(1),
         chaos,
-        ramp,
     };
-    let report = run(&cfg);
-    let json = report.to_json(&cfg);
-    let dest = match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("npb-attack: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            path.display().to_string()
-        }
-        None => {
-            println!("{json}");
-            "on stdout".to_string()
-        }
-    };
-    let t = &report.tallies;
-    eprintln!(
-        "npb-attack: {} sent / {} verified / {} failed / {} cache hits / {} deduped / \
-         {} queue-full / {} draining; p50 {}µs p99 {}µs; saturation {}; report {}",
-        t.sent,
-        t.done_verified,
-        t.done_failed,
-        t.cache_hits,
-        t.deduped,
-        t.rejected_queue_full,
-        t.rejected_draining,
-        report.latency.percentile_us(50.0),
-        report.latency.percentile_us(99.0),
-        report.saturation_clients.map_or("not reached".to_string(), |c| format!("{c} client(s)")),
-        dest
-    );
+    println!("{}", run(&cfg).to_json(&cfg));
 }

@@ -68,7 +68,6 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
 
     let mut parent = Parent::launch(&seg, "cg", cfg)?;
     let mut zeta = 0.0f64;
-    let mut checkpoints = 0usize;
     let mut ckpt_secs = 0.0f64;
     let mut t0: Option<Instant> = None;
     let round = |parent: &mut Parent<'_>, round: u32| -> Result<(), RoundFailure> {
@@ -93,7 +92,6 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
             let t = Instant::now();
             commit(&mut pslot.borrow_mut(), "parent", round + 1, x());
             ckpt_secs += t.elapsed().as_secs_f64();
-            checkpoints += 1;
         }
         parent.outer_sync()?;
         if round == 0 && t0.is_none() {
@@ -116,7 +114,8 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
 
     let guard = GuardStats {
         recoveries: parent.recoveries,
-        checkpoint_count: checkpoints,
+        // Commits that flipped the image: a refused one is not a checkpoint.
+        checkpoint_count: pslot.borrow().commits(),
         checkpoint_overhead_s: ckpt_secs,
     };
     let mut report = BenchReport::new(

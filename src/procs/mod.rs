@@ -38,6 +38,7 @@ mod ep;
 mod is;
 
 use std::cell::Cell;
+use std::io::Write;
 use std::process::{Command, Stdio};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -432,8 +433,15 @@ pub(crate) fn ckpt_image(seg: &ShmSegment, off: usize, len: usize) -> Checkpoint
 /// since the image's hash check vetoes a torn bank at restore.
 pub(crate) fn commit(ckpt: &mut Checkpoint<ShmBanks<'_>>, who: &str, round: u32, payload: &[f64]) {
     if let Err(e) = ckpt.commit(round, &[payload]) {
-        eprintln!("npb procs: {who}: {}", IoDegraded::new("ckpt", "save", &e));
+        eprint_line(&format!("npb procs: {who}: {}", IoDegraded::new("ckpt", "save", &e)));
     }
+}
+
+/// Write `line` and its newline to stderr in one `write(2)`. Every rank
+/// inherits the parent's stderr, and `eprintln!` may issue several
+/// writes, so two ranks reporting at once would splice their lines.
+fn eprint_line(line: &str) {
+    let _ = std::io::stderr().write_all(format!("{line}\n").as_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -539,10 +547,10 @@ impl Exchange for RankView<'_> {
     /// idling forever.
     fn barrier(&self) {
         if !self.barrier.sync(WORKER_SYNC_TIMEOUT) {
-            eprintln!(
+            eprint_line(&format!(
                 "npb procs: rank {} abandoned at a barrier for {:?}; exiting",
                 self.ctx.rank, WORKER_SYNC_TIMEOUT
-            );
+            ));
             std::process::exit(WATCHDOG_EXIT_CODE);
         }
     }
@@ -568,7 +576,7 @@ impl Exchange for RankView<'_> {
 pub fn worker_main(bench: &str, args: &[String]) -> i32 {
     match worker_ctx(args) {
         Err(msg) => {
-            eprintln!("npb procs worker: {msg}");
+            eprint_line(&format!("npb procs worker: {msg}"));
             npb_core::USAGE_EXIT_CODE
         }
         Ok(ctx) => {
@@ -581,7 +589,7 @@ pub fn worker_main(bench: &str, args: &[String]) -> i32 {
                 ("CG", Style::Opt) => cg::worker::<false>,
                 ("CG", Style::Safe) => cg::worker::<true>,
                 (other, _) => {
-                    eprintln!("npb procs worker: no rank loop for {other}");
+                    eprint_line(&format!("npb procs worker: no rank loop for {other}"));
                     return npb_core::USAGE_EXIT_CODE;
                 }
             };

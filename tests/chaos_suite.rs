@@ -696,6 +696,7 @@ fn procs_short_write_torn_checkpoint_restores_previous_committed_round() {
         stderr.contains("io-degraded: ckpt save failed: injected short write"),
         "torn commits must surface as structured degradations: {stderr}"
     );
+    assert_whole_io_degraded_lines(&stderr);
     assert!(
         stderr.contains("restoring every rank from checkpoint round 1"),
         "recovery restores from the committed round, not from scratch: {stderr}"
@@ -727,7 +728,51 @@ fn procs_short_write_torn_checkpoint_restores_previous_committed_round() {
         stderr.contains("restoring every rank from checkpoint round 0"),
         "a torn first commit must be vetoed by the hash check: {stderr}"
     );
+    assert_whole_io_degraded_lines(&stderr);
     assert_eq!(last_json(&out.stdout).get_str("verified"), Some("success"), "stderr: {stderr}");
+}
+
+/// Every `io-degraded` line on `stderr` is one whole line as one process
+/// wrote it. All ranks share one stderr, so a line written in pieces can
+/// splice with another rank's.
+fn assert_whole_io_degraded_lines(stderr: &str) {
+    for line in stderr.lines().filter(|l| l.contains("io-degraded")) {
+        let parts = line.strip_prefix("npb procs: ").and_then(|l| l.split_once(": "));
+        let whole = parts.is_some_and(|(who, rest)| {
+            (who == "parent"
+                || who.strip_prefix("rank ").is_some_and(|r| r.parse::<usize>().is_ok()))
+                && rest.starts_with("io-degraded: ckpt save failed: ")
+                && rest.matches("io-degraded").count() == 1
+                && rest.ends_with("converges)")
+        });
+        assert!(whole, "a spliced io-degraded line: {line:?}\nstderr: {stderr}");
+    }
+}
+
+/// `checkpoint_count` counts commits that flipped the image. Under
+/// `enospc:1` the parent's refused commits are reported as
+/// `io-degraded` lines, and the two add up to a clean run's count.
+#[test]
+fn procs_cg_checkpoint_count_skips_refused_commits() {
+    let run = |inject: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_npb"));
+        cmd.args(["cg", "--class", "S", "--backend", "procs", "--threads", "2", "--json"]);
+        if let Some(spec) = inject {
+            cmd.env("NPB_IO_INJECT", spec);
+        }
+        guarded(120, move || cmd.output().expect("spawn npb driver"))
+    };
+    let clean = run(None);
+    assert_eq!(clean.status.code(), Some(0));
+    let clean_count = last_json(&clean.stdout).get_uint("checkpoint_count").unwrap();
+
+    let out = run(Some("enospc:1"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let refused = stderr.lines().filter(|l| l.contains("io-degraded")).count() as u64;
+    assert!(refused >= 1, "enospc:1 must refuse a commit: {stderr}");
+    let count = last_json(&out.stdout).get_uint("checkpoint_count").unwrap();
+    assert_eq!(count + refused, clean_count, "stderr: {stderr}");
 }
 
 #[test]
