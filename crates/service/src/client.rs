@@ -105,3 +105,46 @@ impl Client {
 fn parse_reply(reply: &str) -> std::io::Result<Json> {
     Json::parse(reply).map_err(|e| std::io::Error::other(format!("bad reply {reply:?}: {e}")))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// A client whose daemon has already written `replies`.
+    fn scripted(replies: &str) -> Client {
+        Client { reader: Box::new(Cursor::new(replies.to_string())), writer: Box::new(Vec::new()) }
+    }
+
+    #[test]
+    fn exchange_reads_the_terminal_line_only_for_a_waiting_accept() {
+        let accepted = "{\"status\":\"accepted\",\"job\":1}\n";
+        let done = "{\"status\":\"done\",\"disposition\":\"verified\"}\n";
+        let rejected = "{\"status\":\"rejected\",\"reason\":\"queue-full\"}\n";
+        for (submit, replies, lines) in [
+            ("{\"op\":\"submit\"}", format!("{accepted}{done}"), 2),
+            ("{\"op\":\"submit\",\"wait\":true}", format!("{accepted}{done}"), 2),
+            // A spaced `"wait": false` is still a fire-and-forget submit.
+            ("{\"op\":\"submit\", \"wait\": false}", format!("{accepted}{done}"), 1),
+            ("{\"op\":\"submit\"}", format!("{rejected}{done}"), 1),
+            // A cache hit answers `done` at once.
+            ("{\"op\":\"submit\"}", format!("{done}{done}"), 1),
+        ] {
+            let got = scripted(&replies).exchange(submit).unwrap();
+            assert_eq!(got.len(), lines, "{submit} after {replies:?}");
+            assert_eq!(got[0], replies.lines().next().unwrap(), "the first reply verbatim");
+        }
+    }
+
+    #[test]
+    fn a_hang_up_is_an_error_not_an_empty_reply() {
+        let err = scripted("").exchange("{\"op\":\"submit\"}").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        // The daemon hung up between `accepted` and the terminal line.
+        let err =
+            scripted("{\"status\":\"accepted\"}\n").submit("{\"op\":\"submit\"}").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let err = scripted("not json\n").request("{\"op\":\"status\"}").unwrap_err();
+        assert!(err.to_string().contains("bad reply"), "{err}");
+    }
+}
