@@ -25,19 +25,35 @@ use npb_runtime::{run_par, Exchange, SharedMut, Team};
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
 ///
-/// Key `i` takes draws `4i+1 ..= 4i+4` of the one NPB stream. The keys
-/// are cut into four contiguous runs, each with its own copy of the
-/// generator jumped to its first draw, and the runs advance in lockstep
-/// so that their four multiply chains overlap. Every key still adds the
-/// same four draws in the same order (onto `0.0`, which adds nothing), so
-/// the sequence is bit-identical to the one-stream loop.
-pub fn create_seq(p: &IsParams) -> Vec<i32> {
-    let k = (p.max_key / 4) as f64;
+/// Key `i` takes draws `4i+1 ..= 4i+4` of the one NPB stream, so any
+/// run of keys can be drawn from a generator jumped to its first key,
+/// as NPB 3.x's `find_my_seed` does. On `team` (serially with `None`)
+/// each rank fills the keys of its static partition with `fill_keys`.
+/// Every key still adds the same four draws in the same order, so the
+/// sequence is bit-identical to the one-stream loop at every width.
+pub fn create_seq(p: &IsParams, team: Option<&Team>) -> Vec<i32> {
     let mut keys = vec![0i32; p.num_keys];
-    let run = p.num_keys.div_ceil(4).max(1);
+    // SAFETY: each rank writes only the keys of its own partition.
+    let shared = unsafe { SharedMut::new(&mut keys) };
+    run_par(team, |par| {
+        let mine = par.range(p.num_keys);
+        // SAFETY: `mine` is this rank's alone.
+        fill_keys(unsafe { shared.row_mut(mine.start, mine.len()) }, mine.start, p.max_key);
+    });
+    keys
+}
+
+/// Keys `first..first + keys.len()` of the sequence, into `keys`. The
+/// run is cut into four contiguous lanes, each with its own copy of the
+/// generator jumped to its first draw, and the lanes advance in lockstep
+/// so that their four multiply chains overlap. Every key adds its four
+/// draws in order onto `0.0`, which adds nothing.
+fn fill_keys(keys: &mut [i32], first: usize, max_key: usize) {
+    let k = (max_key / 4) as f64;
+    let run = keys.len().div_ceil(4).max(1);
     let mut g: [Randlc; 4] = std::array::from_fn(|l| {
         let mut g = Randlc::new(SEED_DEFAULT);
-        g.jump(4 * (l * run) as u64);
+        g.jump(4 * (first + l * run) as u64);
         g
     });
     let mut runs = keys.chunks_mut(run);
@@ -63,7 +79,6 @@ pub fn create_seq(p: &IsParams) -> Vec<i32> {
             *key = (k * x) as i32;
         }
     }
-    keys
 }
 
 /// `is.c`'s iteration markers for `iteration`, written into `keys`;
@@ -269,8 +284,14 @@ pub struct IsBench {
 impl IsBench {
     /// Generate keys for `class` and zeroed working storage.
     pub fn new(class: Class) -> IsBench {
+        IsBench::on_team(class, None)
+    }
+
+    /// [`IsBench::new`] with the keys generated on `team`: the same
+    /// keys, bit for bit, at every width.
+    pub fn on_team(class: Class, team: Option<&Team>) -> IsBench {
         let p = IsParams::for_class(class);
-        let keys = create_seq(&p);
+        let keys = create_seq(&p, team);
         IsBench {
             class,
             p,
@@ -363,7 +384,7 @@ pub fn result_sig(counts: &[i32]) -> u64 {
 /// Run the IS benchmark and produce the standard report. NPB counts
 /// Mop/s as ranked keys per second.
 pub fn run(class: Class, style: Style, team: Option<&Team>) -> BenchReport {
-    let mut bench = IsBench::new(class);
+    let mut bench = IsBench::on_team(class, team);
     let (verified, secs) = match style {
         Style::Opt => bench.run::<false>(team),
         Style::Safe => bench.run::<true>(team),
@@ -419,8 +440,8 @@ mod tests {
     #[test]
     fn key_sequence_is_in_range_and_deterministic() {
         let p = IsParams::for_class(Class::S);
-        let k1 = create_seq(&p);
-        let k2 = create_seq(&p);
+        let k1 = create_seq(&p, None);
+        let k2 = create_seq(&p, None);
         assert_eq!(k1, k2);
         assert!(k1.iter().all(|&k| k >= 0 && (k as usize) < p.max_key));
         // Keys are a sum of 4 uniforms: mean should be max_key/2.
@@ -492,17 +513,27 @@ mod tests {
         b
     }
 
+    /// The keys of every rank's jumped lanes against the one stream: at
+    /// classes S and W, and at key counts that ranks × four lanes do not
+    /// split evenly, down to ranks with no keys; serially and on Teams of
+    /// 1–4 (one self-scheduled, which set-up must not follow).
     #[test]
-    fn lane_keys_equal_the_one_stream_keys() {
-        for class in [Class::S, Class::W] {
-            let p = IsParams::for_class(class);
-            assert!(create_seq(&p) == oracle::create_seq(&p), "class {class:?}");
-        }
-        // Key counts that four lanes do not split evenly, down to runs
-        // shorter than the lane count.
+    fn keys_by_rank_equal_the_one_stream_keys() {
+        let teams: Vec<Team> = (1..=4).map(Team::new).collect();
+        let feedback = Team::new(3);
+        feedback.set_sched(npb_runtime::Sched::Feedback);
+        let runs: Vec<Option<&Team>> =
+            std::iter::once(None).chain(teams.iter().chain([&feedback]).map(Some)).collect();
+        let mut cases: Vec<IsParams> = [Class::S, Class::W].map(IsParams::for_class).to_vec();
         for num_keys in [0, 1, 2, 3, 5, 6, 7, 9, 13, 1023, 4097] {
-            let p = IsParams { num_keys, ..IsParams::for_class(Class::S) };
-            assert_eq!(create_seq(&p), oracle::create_seq(&p), "{num_keys} keys");
+            cases.push(IsParams { num_keys, ..IsParams::for_class(Class::S) });
+        }
+        for p in cases {
+            let want = oracle::create_seq(&p);
+            for &team in &runs {
+                let width = team.map_or(0, Team::size);
+                assert!(create_seq(&p, team) == want, "{} keys, width {width}", p.num_keys);
+            }
         }
     }
 

@@ -27,6 +27,13 @@
 //!   `--sdc-guard` the same flip silently corrupts the run, which is the
 //!   control experiment proving the guard is load-bearing.
 //!
+//! A **panic** or **hang** fires in the first region the armed Team
+//! runs. For IS that is a set-up region, `create_seq`, before the timer
+//! starts; for FT it is the untimed warm-up's `compute_indexmap`; for
+//! CG, MG, BT, SP and LU the first region of the untimed warm-up
+//! iteration (their input generators run on the caller's thread); and
+//! for EP the timed batch loop itself.
+//!
 //! Faults are one-shot: arming fires the fault at most once, so a driver
 //! retry (`--retries`) of the same benchmark runs clean.
 

@@ -21,7 +21,9 @@ use npb_ep::{EpParams, EpResult, NQ};
 use npb_runtime::procs::shm::{ckpt_slot_bytes, ShmLayout};
 use npb_runtime::Exchange;
 
-use super::{ckpt_image, commit, min_slot_round, Parent, ProcsConfig, RankView, WorkerCtx};
+use super::{
+    ckpt_image, commit_counted, min_slot_round, tallied, Parent, ProcsConfig, RankView, WorkerCtx,
+};
 use crate::RunError;
 
 /// Checkpoint windows per rank: enough that a mid-run crash loses only
@@ -36,6 +38,8 @@ struct Layout {
     partials: usize,
     /// Per-rank checkpoint slot offsets.
     slots: Vec<usize>,
+    /// `nranks` u32: each rank's count of checkpoints that landed.
+    tallies: usize,
     /// Total segment length.
     len: usize,
 }
@@ -44,7 +48,8 @@ fn layout(nranks: usize) -> Layout {
     let mut l = ShmLayout::new(nranks);
     let partials = l.alloc_f64s(nranks * PAYLOAD);
     let slots = (0..nranks).map(|_| l.alloc(ckpt_slot_bytes(PAYLOAD))).collect();
-    Layout { partials, slots, len: l.segment_len() }
+    let tallies = l.alloc_i32s(nranks);
+    Layout { partials, slots, tallies, len: l.segment_len() }
 }
 
 fn pack(res: &EpResult) -> [f64; PAYLOAD] {
@@ -74,21 +79,11 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     let (res, recoveries, checkpoints, dispositions) = {
         let _phase = trace::scope("gaussian_pairs");
         let mut parent = Parent::launch(&seg, "ep", cfg)?;
-        let mut checkpoints = 0usize;
         // A crossing per checkpoint window, then the final crossing that
         // publishes the sums.
         parent.run_rounds(
             ROUNDS as u32 + 1,
-            |parent, round| {
-                parent.outer_sync()?;
-                // Every rank committed a slot this round (ranks replaying
-                // past their own checkpoint skip the commit, so this is an
-                // upper bound only during recovery replay).
-                if round < ROUNDS as u32 {
-                    checkpoints += cfg.nranks;
-                }
-                Ok(())
-            },
+            |parent, _| parent.outer_sync(),
             || min_slot_round(&slots),
         )?;
         let res = {
@@ -100,7 +95,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
             npb_ep::combine(&ranks)
         };
         let d = parent.finish();
-        (res, parent.recoveries, checkpoints, d)
+        (res, parent.recoveries, tallied(&seg, lay.tallies, cfg.nranks), d)
     };
     let time = t0.elapsed().as_secs_f64();
 
@@ -131,6 +126,7 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let lay = layout(ctx.nranks);
     let ex = RankView::outer(ctx);
     let mut slot = ckpt_image(&ctx.seg, lay.slots[ctx.rank], PAYLOAD);
+    let tally = ctx.seg.atomic_u32(lay.tallies + 4 * ctx.rank);
     let who = format!("rank {}", ctx.rank);
 
     let my = ex.range(nn);
@@ -159,7 +155,7 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
             for k in window(w) {
                 npb_ep::batch::<SAFE>(k, &mut x, &mut acc);
             }
-            commit(&mut slot, &who, w as u32 + 1, &pack(&acc));
+            commit_counted(&mut slot, tally, &who, w as u32 + 1, &pack(&acc));
             done = w as u32 + 1;
         }
         ex.barrier();

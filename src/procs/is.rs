@@ -30,7 +30,9 @@ use npb_is::{create_seq, IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 use npb_runtime::procs::shm::{ckpt_slot_bytes, ShmLayout};
 use npb_runtime::{Exchange, SharedMut};
 
-use super::{ckpt_image, commit, min_slot_round, Parent, ProcsConfig, RankView, WorkerCtx};
+use super::{
+    ckpt_image, commit_counted, min_slot_round, tallied, Parent, ProcsConfig, RankView, WorkerCtx,
+};
 use crate::RunError;
 
 /// Warm-up round plus the timed iterations.
@@ -48,6 +50,8 @@ struct Layout {
     counts: usize,
     /// Per-rank checkpoint slot offsets (payload 0: round marker only).
     slots: Vec<usize>,
+    /// `nranks` u32: each rank's count of checkpoints that landed.
+    tallies: usize,
     len: usize,
 }
 
@@ -56,7 +60,8 @@ fn layout(nranks: usize, max_key: usize) -> Layout {
     let hists = l.alloc_i32s(nranks * max_key);
     let counts = l.alloc_i32s(max_key);
     let slots = (0..nranks).map(|_| l.alloc(ckpt_slot_bytes(0))).collect();
-    Layout { hists, counts, slots, len: l.segment_len() }
+    let tallies = l.alloc_i32s(nranks);
+    Layout { hists, counts, slots, tallies, len: l.segment_len() }
 }
 
 pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
@@ -71,13 +76,12 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
 
     // The parent's own key array mirrors every rank's: the markers of
     // rounds `0..marked` applied.
-    let mut keys = create_seq(&p);
+    let mut keys = create_seq(&p, None);
     let mut marked = 0u32;
     // Per-round partial-verification deltas; redone rounds overwrite
     // their entry, so a recovery never double-counts.
     let mut results: Vec<Option<(usize, usize)>> = vec![None; ROUNDS];
     let mut parent = Parent::launch(&seg, "is", cfg)?;
-    let mut checkpoints = 0usize;
     let mut t0: Option<Instant> = None;
     parent.run_rounds(
         ROUNDS as u32,
@@ -85,7 +89,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
             if round < marked {
                 // A recovery rewound the run: rebuild the keys exactly as
                 // the respawned ranks do.
-                keys = create_seq(&p);
+                keys = create_seq(&p, None);
                 marked = 0;
             }
             let mut spot = [0i32; TEST_ARRAY_SIZE];
@@ -96,7 +100,6 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
             let _phase = (round >= 1).then(|| trace::scope("rank"));
             parent.outer_sync()?; // (a): histograms complete.
             parent.outer_sync()?; // (b): counts merged.
-            checkpoints += cfg.nranks;
             {
                 let _x = trace::master_span(SpanKind::Exchange);
                 let check =
@@ -132,7 +135,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
 
     let guard = GuardStats {
         recoveries: parent.recoveries,
-        checkpoint_count: checkpoints,
+        checkpoint_count: tallied(&seg, lay.tallies, cfg.nranks),
         checkpoint_overhead_s: 0.0,
     };
     let mut report = BenchReport::new(
@@ -158,9 +161,10 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
     let lay = layout(ctx.nranks, mk);
     let ex = RankView::outer(ctx);
     let mut slot = ckpt_image(&ctx.seg, lay.slots[ctx.rank], 0);
+    let tally = ctx.seg.atomic_u32(lay.tallies + 4 * ctx.rank);
     let who = format!("rank {}", ctx.rank);
 
-    let mut keys = create_seq(&p);
+    let mut keys = create_seq(&p, None);
     let resume = ctx.resume();
     for round in 0..ROUNDS as u32 {
         npb_is::mark(&mut keys, &p, iter_of(round));
@@ -179,6 +183,6 @@ pub(crate) fn worker<const SAFE: bool>(ctx: &WorkerCtx) {
         };
         npb_is::rank_pass::<_, SAFE>(&ex, &keys, &hists, &counts);
         ex.barrier(); // (b): counts merged, parent takes over.
-        commit(&mut slot, &who, round + 1, &[]);
+        commit_counted(&mut slot, tally, &who, round + 1, &[]);
     }
 }

@@ -40,7 +40,7 @@ mod is;
 use std::cell::Cell;
 use std::io::Write;
 use std::process::{Command, Stdio};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use npb_core::ckpt::Checkpoint;
@@ -435,6 +435,28 @@ pub(crate) fn commit(ckpt: &mut Checkpoint<ShmBanks<'_>>, who: &str, round: u32,
     if let Err(e) = ckpt.commit(round, &[payload]) {
         eprint_line(&format!("npb procs: {who}: {}", IoDegraded::new("ckpt", "save", &e)));
     }
+}
+
+/// [`commit`] for a rank: when the commit flipped the image, count it in
+/// the rank's tally, a `u32` of the segment. The count thus outlives the
+/// rank's process (a respawned rank adds to its predecessors'), and the
+/// parent reports the sum over ranks ([`tallied`]) as
+/// `checkpoint_count`: a refused commit is not a checkpoint.
+pub(crate) fn commit_counted(
+    ckpt: &mut Checkpoint<ShmBanks<'_>>,
+    tally: &AtomicU32,
+    who: &str,
+    round: u32,
+    payload: &[f64],
+) {
+    let before = ckpt.commits();
+    commit(ckpt, who, round, payload);
+    tally.fetch_add((ckpt.commits() - before) as u32, Ordering::SeqCst);
+}
+
+/// The sum of the `nranks` rank tallies at byte offset `off`.
+pub(crate) fn tallied(seg: &ShmSegment, off: usize, nranks: usize) -> usize {
+    (0..nranks).map(|r| seg.atomic_u32(off + 4 * r).load(Ordering::SeqCst) as usize).sum()
 }
 
 /// Write `line` and its newline to stderr in one `write(2)`. Every rank

@@ -394,6 +394,32 @@ fn driver_injected_panic_without_retry_exits_1() {
     assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// An armed panic fires in the first region the Team runs: for IS that
+/// is `create_seq`, a set-up region, and for CG and MG the untimed
+/// warm-up. Either way the run fails with the victim rank named, and a
+/// retry runs clean, verifies and reproduces the golden signature.
+#[test]
+fn injected_panic_before_the_timer_fails_the_run_and_a_retry_verifies() {
+    for (bench, sig) in
+        [("cg", "54cf2678bada079b"), ("is", "6bbde6d3f0645b95"), ("mg", "53b9c899b857c11f")]
+    {
+        let args = [bench, "--class", "S", "--threads", "2", "--inject", "panic:3"];
+        let out = npb(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bench}: {stderr}");
+        let victim = FaultPlan::parse("panic:3").unwrap().victim(2);
+        assert!(stderr.contains(&format!("panicked inside a parallel region (ranks [{victim}])")));
+
+        let out = npb(&[&args[..], &["--retries", "1", "--json"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bench}: {stderr}");
+        assert!(stderr.contains("retrying"), "{bench}: the first attempt must fail: {stderr}");
+        let record = last_json(&out.stdout);
+        assert_eq!(record.get_str("verified"), Some("success"), "{bench}");
+        assert_eq!(record.get_str("result_sig"), Some(sig), "{bench}");
+    }
+}
+
 #[test]
 fn driver_usage_error_exits_2() {
     let out = npb(&["ep", "--bogus"]);
@@ -749,14 +775,14 @@ fn assert_whole_io_degraded_lines(stderr: &str) {
     }
 }
 
-/// `checkpoint_count` counts commits that flipped the image. Under
-/// `enospc:1` the parent's refused commits are reported as
-/// `io-degraded` lines, and the two add up to a clean run's count.
-#[test]
-fn procs_cg_checkpoint_count_skips_refused_commits() {
+/// `checkpoint_count` counts commits that flipped an image. Under
+/// `enospc:1` the refused commits — the parent's for CG, the ranks' for
+/// EP and IS — are reported as `io-degraded` lines, and the two add up
+/// to a clean run's count.
+fn assert_checkpoint_count_skips_refused_commits(bench: &'static str) {
     let run = |inject: Option<&str>| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_npb"));
-        cmd.args(["cg", "--class", "S", "--backend", "procs", "--threads", "2", "--json"]);
+        cmd.args([bench, "--class", "S", "--backend", "procs", "--threads", "2", "--json"]);
         if let Some(spec) = inject {
             cmd.env("NPB_IO_INJECT", spec);
         }
@@ -772,7 +798,22 @@ fn procs_cg_checkpoint_count_skips_refused_commits() {
     let refused = stderr.lines().filter(|l| l.contains("io-degraded")).count() as u64;
     assert!(refused >= 1, "enospc:1 must refuse a commit: {stderr}");
     let count = last_json(&out.stdout).get_uint("checkpoint_count").unwrap();
-    assert_eq!(count + refused, clean_count, "stderr: {stderr}");
+    assert_eq!(count + refused, clean_count, "{bench} stderr: {stderr}");
+}
+
+#[test]
+fn procs_cg_checkpoint_count_skips_refused_commits() {
+    assert_checkpoint_count_skips_refused_commits("cg");
+}
+
+#[test]
+fn procs_ep_checkpoint_count_skips_refused_commits() {
+    assert_checkpoint_count_skips_refused_commits("ep");
+}
+
+#[test]
+fn procs_is_checkpoint_count_skips_refused_commits() {
+    assert_checkpoint_count_skips_refused_commits("is");
 }
 
 #[test]
