@@ -72,11 +72,11 @@ echo "== golden table and kernel oracles, as the release build vectorizes them =
 # compile to scalar code there and to packed code here. The bit-for-bit
 # claims are about the shipped code, so pin them on the release build too
 # (IS's four-lane key generator and bucketed scatter, CG's row-by-row
-# `makea`, and LU's row `rhs` and diagonal-lane sweeps, against their
-# oracles among them).
+# `makea`, LU's row `rhs` and diagonal-lane sweeps, and EP's four-pass
+# `batch`, against their oracles among them).
 cargo test --release --test golden -q
 cargo test --release -p npb-mg -p npb-is -p npb-cg -p npb-runtime -p npb-cfd-common -p npb-ft \
-    -p npb-bt -p npb-sp -p npb-lu -q
+    -p npb-bt -p npb-sp -p npb-lu -p npb-ep -q
 
 work="$(mktemp -d -t npb-ci.XXXXXX)"
 svc_pid="" hh_pid=""
