@@ -30,9 +30,10 @@
 /// Execution style selector used at the public API level (the const
 /// generic is the implementation device; this enum is the user-facing
 /// switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Style {
-    /// "Fortran" style: unchecked element access.
+    /// "Fortran" style: unchecked element access (the default).
+    #[default]
     Opt,
     /// "Java" style: bounds-checked access.
     Safe,

@@ -10,9 +10,10 @@ use std::fmt;
 use std::str::FromStr;
 
 /// An NPB problem class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Class {
-    /// Sample: smallest, used for correctness testing.
+    /// Sample: smallest, used for correctness testing (the default).
+    #[default]
     S,
     /// Workstation: small.
     W,

@@ -81,7 +81,8 @@ pub fn set_fd_limit(n: u64) -> io::Result<()> {
 }
 
 /// The containment a parent asked a child to apply to itself: carried
-/// by `--mem-limit-mb` / `--cpu-limit-s` / `--fd-limit`.
+/// by `--mem-limit-mb` / `--cpu-limit-s` / `--fd-limit`, which the
+/// runtime's `RunSpec` writes and reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceLimits {
     pub mem_limit_mb: Option<u64>,
@@ -109,24 +110,6 @@ impl ResourceLimits {
         }
         Ok(())
     }
-
-    /// The child command-line fragment that re-creates these limits.
-    pub fn to_args(&self) -> Vec<String> {
-        let mut args = Vec::new();
-        if let Some(mb) = self.mem_limit_mb {
-            args.push("--mem-limit-mb".into());
-            args.push(mb.to_string());
-        }
-        if let Some(s) = self.cpu_limit_s {
-            args.push("--cpu-limit-s".into());
-            args.push(s.to_string());
-        }
-        if let Some(n) = self.fd_limit {
-            args.push("--fd-limit".into());
-            args.push(n.to_string());
-        }
-        args
-    }
 }
 
 #[cfg(test)]
@@ -150,12 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn limits_round_trip_through_args() {
+    fn any_reports_an_armed_cap() {
         let l = ResourceLimits { mem_limit_mb: Some(256), cpu_limit_s: Some(30), fd_limit: None };
         assert!(l.any());
-        assert_eq!(l.to_args(), ["--mem-limit-mb", "256", "--cpu-limit-s", "30"]);
+        assert!(ResourceLimits { fd_limit: Some(64), ..ResourceLimits::default() }.any());
         assert!(!ResourceLimits::default().any());
-        assert!(ResourceLimits::default().to_args().is_empty());
     }
 
     #[test]

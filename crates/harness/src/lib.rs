@@ -37,6 +37,8 @@ pub use backoff::Backoff;
 pub use manifest::{read_manifest, Cell, CellOutcome, CellStatus, Manifest, ResumeState};
 /// The JSON reader, kept at this path for the callers that name it here.
 pub use npb_core::json::Json;
+/// The run description and the types of [`SuiteConfig`]'s run fields.
+pub use npb_runtime::{spec, Backend, FaultPlan, RunSpec, Sched};
 pub use outcome::{classify_exit, AttemptOutcome, ChildReport, Disposition};
 pub use supervisor::{ladder, run_cell, run_sweep, SuiteConfig, SweepResult};
 pub use table::render_scalability;

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use npb_core::child::{wait_child, Waited};
 use npb_core::{Class, ResourceLimits};
+use npb_runtime::{Backend, FaultPlan, RunSpec, Sched};
 
 use crate::backoff::Backoff;
 use crate::manifest::{Cell, CellOutcome, CellStatus, Manifest, ResumeState};
@@ -45,10 +46,11 @@ pub struct SuiteConfig {
     /// Retries *per ladder rung* (so `--retries 1` means up to two
     /// attempts at the requested width before degrading).
     pub retries: usize,
-    /// Fault spec passed to the very first attempt of each cell
-    /// (validated upstream; injected faults are one-shot so retries and
-    /// degraded rungs always run clean).
-    pub inject: Option<String>,
+    /// Fault passed to the very first attempt of each cell (injected
+    /// faults are one-shot so retries and degraded rungs always run
+    /// clean). The caller checks its cells' widths against it with
+    /// [`RunSpec::validate`].
+    pub inject: Option<FaultPlan>,
     /// Optional in-process watchdog (`npb --timeout`) forwarded to
     /// children, exercising the exit-3 leg of the taxonomy.
     pub child_timeout_ms: Option<u64>,
@@ -60,15 +62,15 @@ pub struct SuiteConfig {
     /// Forward `--spin-us US` to every child: the team's hybrid
     /// spin-then-park budget in microseconds (0 = pure park path).
     pub spin_us: Option<u64>,
-    /// Forward `--backend <label>` to every child ("threads" or
-    /// "procs"; validated upstream). With "procs" the degradation
+    /// Forward the execution backend to every child; `None` leaves the
+    /// children on their default, threads. With procs the degradation
     /// ladder stops at one rank — there is no serial rung to descend
     /// to, a process-sharded run needs at least one worker process.
-    pub backend: Option<String>,
-    /// Forward `--sched <label>` to every child: the loop-scheduling
-    /// policy ("static", "guided" or "feedback"; validated upstream).
-    /// `None` leaves the children on their default, static.
-    pub sched: Option<String>,
+    pub backend: Option<Backend>,
+    /// Forward the loop-scheduling policy to every child; `None` leaves
+    /// the children on their default, static. The caller checks it
+    /// against the backend with [`RunSpec::validate`].
+    pub sched: Option<Sched>,
     /// Run every child with `--trace` (a throwaway temp file): the
     /// per-region profile then rides the child's `--json` record into
     /// the manifest's cell records, feeding the scalability table.
@@ -92,10 +94,29 @@ pub struct SuiteConfig {
     pub limits: ResourceLimits,
 }
 
-/// The policy label every [`CellOutcome`] of a sweep is journaled
-/// under: the forwarded `--sched`, or the children's static default.
-fn cell_sched(cfg: &SuiteConfig) -> String {
-    cfg.sched.clone().unwrap_or_else(|| "static".to_string())
+/// `cell`'s terminal outcome at its requested width and class, with no
+/// report, journaled under the sweep's scheduling policy.
+fn ended(
+    cfg: &SuiteConfig,
+    cell: &Cell,
+    status: CellStatus,
+    attempts: u64,
+    kills: u64,
+) -> CellOutcome {
+    CellOutcome {
+        cell: cell.clone(),
+        status,
+        attempts,
+        kills,
+        final_threads: cell.threads,
+        final_class: cell.class,
+        mops: None,
+        time_secs: None,
+        recoveries: 0,
+        regions: Vec::new(),
+        rank_dispositions: Vec::new(),
+        sched: cfg.sched.unwrap_or_default().label().to_string(),
+    }
 }
 
 /// The degradation ladder for a requested width: N → N/2 → … → 1 →
@@ -213,7 +234,7 @@ pub fn run_cell(
     let mut rungs = if cfg.degrade { ladder(cell.threads) } else { vec![cell.threads] };
     // A procs child shards across worker processes: width 0 (serial)
     // does not exist for it, so the ladder bottoms out at one rank.
-    if cfg.backend.as_deref() == Some("procs") {
+    if cfg.backend == Some(Backend::Procs) {
         rungs.retain(|&r| r >= 1);
     }
     for rung in rungs {
@@ -228,7 +249,7 @@ pub fn run_cell(
             // Injected faults are one-shot by design; only the very
             // first attempt of the cell carries the spec, so every
             // retry and every degraded rung runs clean.
-            let inject = cfg.inject.as_deref().filter(|_| attempts == 0);
+            let inject = cfg.inject.filter(|_| attempts == 0);
             let started = Instant::now();
             let (outcome, stderr) = run_child(cfg, cell, class, rung, inject);
             let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -249,45 +270,20 @@ pub fn run_cell(
                         AttemptOutcome::Verified(r) => r,
                         _ => unreachable!("Done is only produced by Verified"),
                     };
-                    return finish(
-                        manifest,
-                        CellOutcome {
-                            cell: cell.clone(),
-                            status: CellStatus::Verified,
-                            attempts,
-                            kills,
-                            final_threads: rung,
-                            final_class: class,
-                            mops: Some(report.mops),
-                            time_secs: Some(report.time_secs),
-                            recoveries: report.recoveries,
-                            regions: report.regions,
-                            rank_dispositions: report.rank_dispositions,
-                            sched: cell_sched(cfg),
-                        },
-                    );
+                    let done = CellOutcome {
+                        final_threads: rung,
+                        final_class: class,
+                        mops: Some(report.mops),
+                        time_secs: Some(report.time_secs),
+                        recoveries: report.recoveries,
+                        regions: report.regions,
+                        rank_dispositions: report.rank_dispositions,
+                        ..ended(cfg, cell, CellStatus::Verified, attempts, kills)
+                    };
+                    return finish(manifest, done);
                 }
-                Disposition::Fatal => {
-                    return finish(
-                        manifest,
-                        CellOutcome {
-                            cell: cell.clone(),
-                            status: CellStatus::Failed(outcome.tag()),
-                            attempts,
-                            kills,
-                            final_threads: rung,
-                            final_class: class,
-                            mops: None,
-                            time_secs: None,
-                            recoveries: 0,
-                            regions: Vec::new(),
-                            rank_dispositions: Vec::new(),
-                            sched: cell_sched(cfg),
-                        },
-                    );
-                }
-                Disposition::RetrySameWidth => {
-                    if rung_retries < cfg.retries {
+                Disposition::Fatal | Disposition::RetrySameWidth => {
+                    if disposition == Disposition::RetrySameWidth && rung_retries < cfg.retries {
                         rung_retries += 1;
                         continue;
                     }
@@ -295,23 +291,12 @@ pub fn run_cell(
                     // fewer threads cannot fix numerics that already
                     // computed (and an injected NaN already got its
                     // clean retries).
-                    return finish(
-                        manifest,
-                        CellOutcome {
-                            cell: cell.clone(),
-                            status: CellStatus::Failed(outcome.tag()),
-                            attempts,
-                            kills,
-                            final_threads: rung,
-                            final_class: class,
-                            mops: None,
-                            time_secs: None,
-                            recoveries: 0,
-                            regions: Vec::new(),
-                            rank_dispositions: Vec::new(),
-                            sched: cell_sched(cfg),
-                        },
-                    );
+                    let failed = CellOutcome {
+                        final_threads: rung,
+                        final_class: class,
+                        ..ended(cfg, cell, CellStatus::Failed(outcome.tag()), attempts, kills)
+                    };
+                    return finish(manifest, failed);
                 }
                 Disposition::RetryOrDegrade => {
                     if rung_retries < cfg.retries {
@@ -347,23 +332,12 @@ pub fn run_cell(
     // when degradation is off — failed on region-class outcomes: park
     // the cell. It is reported in the summary and the manifest, never
     // silently dropped.
-    finish(
-        manifest,
-        CellOutcome {
-            cell: cell.clone(),
-            status: CellStatus::Quarantined,
-            attempts,
-            kills,
-            final_threads: if cfg.degrade { 0 } else { cell.threads },
-            final_class: class,
-            mops: None,
-            time_secs: None,
-            recoveries: 0,
-            regions: Vec::new(),
-            rank_dispositions: Vec::new(),
-            sched: cell_sched(cfg),
-        },
-    )
+    let parked = CellOutcome {
+        final_threads: if cfg.degrade { 0 } else { cell.threads },
+        final_class: class,
+        ..ended(cfg, cell, CellStatus::Quarantined, attempts, kills)
+    };
+    finish(manifest, parked)
 }
 
 fn finish(manifest: Option<&mut Manifest>, outcome: CellOutcome) -> std::io::Result<CellOutcome> {
@@ -413,46 +387,30 @@ fn run_child(
     cell: &Cell,
     class: Class,
     rung: usize,
-    inject: Option<&str>,
+    inject: Option<FaultPlan>,
 ) -> (AttemptOutcome, String) {
+    // Child-side containment: the driver applies `limits` to itself
+    // before touching a benchmark, so the spawn needs no pre_exec.
+    let run = RunSpec {
+        class,
+        style: cell.style,
+        threads: rung,
+        backend: cfg.backend.unwrap_or_default(),
+        sched: cfg.sched.unwrap_or_default(),
+        spin_us: cfg.spin_us,
+        inject,
+        timeout_ms: cfg.child_timeout_ms,
+        sdc_guard: cfg.sdc_guard,
+        checkpoint_every: cfg.checkpoint_every,
+        limits: cfg.limits,
+        ..RunSpec::new(&cell.bench)
+    };
     let mut cmd = Command::new(&cfg.npb_bin);
-    cmd.arg(&cell.bench)
-        .arg("--class")
-        .arg(class.to_string())
-        .arg("--style")
-        .arg(cell.style.label())
-        .arg("--threads")
-        .arg(rung.to_string())
+    cmd.args(run.to_argv())
         .arg("--json")
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
-    if let Some(spec) = inject {
-        cmd.arg("--inject").arg(spec);
-    }
-    // Child-side containment: the driver applies these caps to itself
-    // before touching a benchmark, so the spawn needs no pre_exec.
-    for arg in cfg.limits.to_args() {
-        cmd.arg(arg);
-    }
-    if let Some(ms) = cfg.child_timeout_ms {
-        cmd.arg("--timeout").arg(ms.to_string());
-    }
-    if cfg.sdc_guard {
-        cmd.arg("--sdc-guard");
-    }
-    if let Some(k) = cfg.checkpoint_every {
-        cmd.arg("--checkpoint-every").arg(k.to_string());
-    }
-    if let Some(us) = cfg.spin_us {
-        cmd.arg("--spin-us").arg(us.to_string());
-    }
-    if let Some(b) = &cfg.backend {
-        cmd.arg("--backend").arg(b);
-    }
-    if let Some(s) = &cfg.sched {
-        cmd.arg("--sched").arg(s);
-    }
     // The profile data the supervisor wants rides the --json record;
     // the export file itself is throwaway (unique per attempt so
     // concurrent sweeps cannot collide) and removed after the reap.

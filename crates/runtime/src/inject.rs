@@ -58,7 +58,21 @@ pub enum FaultKind {
     BitFlip,
 }
 
-/// A seeded, deterministic, one-shot fault to inject.
+impl FaultKind {
+    /// The kind's spelling in a fault spec (`panic`, `delay`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Panic => "panic",
+            FaultKind::Delay => "delay",
+            FaultKind::Hang => "hang",
+            FaultKind::Nan => "nan",
+            FaultKind::BitFlip => "bitflip",
+        }
+    }
+}
+
+/// A seeded, deterministic, one-shot fault to inject. Two plans are
+/// equal when kind and seed are: the deviate stream follows from them.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// The fault to inject.
@@ -90,17 +104,24 @@ impl FaultPlan {
             }
             None => (spec, 1),
         };
-        let kind = match kind {
-            "panic" => FaultKind::Panic,
-            "delay" => FaultKind::Delay,
-            "hang" => FaultKind::Hang,
-            "nan" => FaultKind::Nan,
-            "bitflip" => FaultKind::BitFlip,
-            other => {
-                return Err(format!("unknown fault kind {other:?} (expected {})", FaultPlan::KINDS))
-            }
-        };
-        Ok(FaultPlan::new(kind, seed))
+        const ALL: [FaultKind; 5] = [
+            FaultKind::Panic,
+            FaultKind::Delay,
+            FaultKind::Hang,
+            FaultKind::Nan,
+            FaultKind::BitFlip,
+        ];
+        match ALL.into_iter().find(|k| k.label() == kind) {
+            Some(kind) => Ok(FaultPlan::new(kind, seed)),
+            None => Err(format!("unknown fault kind {kind:?} (expected {})", FaultPlan::KINDS)),
+        }
+    }
+
+    /// The canonical spec, `kind:seed`: [`FaultPlan::parse`] reads it
+    /// back to an equal plan, and `hang` and `hang:1` both print it as
+    /// `hang:1`.
+    pub fn spec(&self) -> String {
+        format!("{}:{}", self.kind.label(), self.seed)
     }
 
     /// The `k`-th deviate of this plan's stream, in `(0, 1)`.
@@ -151,17 +172,36 @@ impl FaultPlan {
                     Ok(())
                 }
                 None => Err(format!(
-                    "fault {:?} needs worker threads (run with --threads >= 1)",
-                    self.kind
+                    "fault {} needs worker threads (run with --threads >= 1)",
+                    self.kind.label()
                 )),
             },
         }
     }
 }
 
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &FaultPlan) -> bool {
+        (self.kind, self.seed) == (other.kind, other.seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_is_canonical_and_parses_back_to_an_equal_plan() {
+        assert_eq!(FaultPlan::parse("hang").unwrap().spec(), "hang:1");
+        assert_eq!(FaultPlan::parse("hang").unwrap(), FaultPlan::parse("hang:1").unwrap());
+        assert_ne!(FaultPlan::parse("hang:1").unwrap(), FaultPlan::parse("hang:2").unwrap());
+        assert_ne!(FaultPlan::parse("hang:1").unwrap(), FaultPlan::parse("delay:1").unwrap());
+        for spec in ["panic:0", "delay:7", "hang:1", "nan:3", "bitflip:42"] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(plan.spec(), spec);
+            assert_eq!(FaultPlan::parse(&plan.spec()).unwrap(), plan);
+        }
+    }
 
     #[test]
     fn parse_accepts_all_kinds_and_defaults_seed() {

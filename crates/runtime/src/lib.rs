@@ -61,6 +61,9 @@
 //! * `error` — [`RegionError`], the runtime's own panic payloads, and
 //!   [`guarded_loop`], the SDC-guarded outer loop of every iterative
 //!   benchmark.
+//!
+//! [`RunSpec`] (`spec`) is the one description of a run that every
+//! front end parses, validates and spells a child's command line from.
 
 //!
 //! The multi-*process* generalization of all of the above — rank
@@ -78,6 +81,7 @@ pub mod procs;
 mod sched;
 mod scratch;
 mod shared;
+pub mod spec;
 mod team;
 mod wait;
 
@@ -91,5 +95,6 @@ pub use procs::Backend;
 pub use sched::{OrderedSplit, Sched};
 pub use scratch::RankScratch;
 pub use shared::SharedMut;
+pub use spec::{RunSpec, MAX_WIDTH};
 pub use team::{run_par, Team, WATCHDOG_EXIT_CODE};
 pub use wait::DEFAULT_SPIN_US;

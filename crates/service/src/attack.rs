@@ -216,7 +216,10 @@ mod tests {
     use super::*;
 
     fn cfg(chaos: bool) -> AttackConfig {
-        let (addr, spec) = (Addr::Unix("/tmp/x\"y.sock".into()), "\"bench\":\"EP\"".into());
+        // Two threads, as the CLI's `--chaos` runs: the daemon refuses a
+        // worker fault without a worker.
+        let spec = "\"bench\":\"EP\",\"threads\":2".into();
+        let addr = Addr::Unix("/tmp/x\"y.sock".into());
         AttackConfig { addr, clients: 1, requests: 9, spec, seeds: 4, chaos }
     }
 

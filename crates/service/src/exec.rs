@@ -35,32 +35,33 @@ pub struct ExecConfig {
     pub limits: ResourceLimits,
 }
 
-/// Translate a job's spec+policy into the supervisor's configuration.
-/// `seq` is the daemon's acceptance sequence number; combined with the
-/// job's own seed it selects the deterministic backoff-jitter stream.
-pub fn suite_config(cfg: &ExecConfig, spec: &JobSpec) -> SuiteConfig {
+/// Translate a job's spec+policy into the supervisor's configuration:
+/// the run fields come typed from [`JobSpec::run`], the rest from the
+/// policy and the daemon's defaults.
+pub fn suite_config(cfg: &ExecConfig, spec: &JobSpec) -> Result<SuiteConfig, String> {
     let p = &spec.policy;
-    SuiteConfig {
+    let run = spec.run()?;
+    Ok(SuiteConfig {
         npb_bin: cfg.npb_bin.clone(),
         deadline: Some(Duration::from_millis(p.deadline_ms.unwrap_or(cfg.default_deadline_ms))),
         retries: p.retries,
-        inject: p.inject.clone(),
-        child_timeout_ms: None,
-        sdc_guard: p.sdc_guard,
-        checkpoint_every: p.checkpoint_every,
-        spin_us: p.spin_us,
-        backend: p.backend.clone(),
-        sched: p.sched.clone(),
+        inject: run.inject,
+        child_timeout_ms: run.timeout_ms,
+        sdc_guard: run.sdc_guard,
+        checkpoint_every: run.checkpoint_every,
+        spin_us: run.spin_us,
+        backend: Some(run.backend),
+        sched: Some(run.sched),
         trace: false,
         degrade: p.degrade,
         backoff_base_ms: cfg.backoff_base_ms,
         seed: spec.seed,
         limits: ResourceLimits {
-            mem_limit_mb: p.mem_limit_mb.or(cfg.limits.mem_limit_mb),
-            cpu_limit_s: p.cpu_limit_s.or(cfg.limits.cpu_limit_s),
+            mem_limit_mb: run.limits.mem_limit_mb.or(cfg.limits.mem_limit_mb),
+            cpu_limit_s: run.limits.cpu_limit_s.or(cfg.limits.cpu_limit_s),
             fd_limit: cfg.limits.fd_limit,
         },
-    }
+    })
 }
 
 /// Run one job to its terminal disposition. The daemon's own journal
@@ -75,7 +76,9 @@ pub fn run_job(cfg: &ExecConfig, spec: &JobSpec, seq: u64) -> JobResult {
         style: spec.style,
         threads: spec.threads,
     };
-    match run_cell(&suite_config(cfg, spec), &cell, seq, None) {
+    let outcome = suite_config(cfg, spec)
+        .and_then(|suite| run_cell(&suite, &cell, seq, None).map_err(|e| e.to_string()));
+    match outcome {
         Ok(outcome) => JobResult::from_outcome(&outcome),
         Err(e) => JobResult {
             disposition: format!("service-error: {e}"),
@@ -94,6 +97,7 @@ mod tests {
     use super::*;
     use crate::proto::JobPolicy;
     use npb_core::{Class, Style};
+    use npb_harness::{Backend, FaultPlan, Sched};
 
     #[test]
     fn policy_maps_onto_the_supervisor_config() {
@@ -111,7 +115,7 @@ mod tests {
             seed: 42,
             policy: JobPolicy::default(),
         };
-        let cfg = suite_config(&exec, &spec);
+        let cfg = suite_config(&exec, &spec).unwrap();
         assert_eq!(cfg.deadline, Some(Duration::from_millis(30_000)), "daemon default");
         assert_eq!(cfg.retries, 1);
         assert!(cfg.degrade);
@@ -119,6 +123,8 @@ mod tests {
         assert!(!cfg.trace && !cfg.sdc_guard);
         assert_eq!(cfg.limits.cpu_limit_s, Some(300), "daemon-default cap applies");
         assert_eq!(cfg.limits.mem_limit_mb, None);
+        let typed = (cfg.inject, cfg.backend, cfg.sched);
+        assert_eq!(typed, (None, Some(Backend::Threads), Some(Sched::Static)), "defaults, typed");
 
         spec.policy = JobPolicy {
             deadline_ms: Some(250),
@@ -133,14 +139,14 @@ mod tests {
             mem_limit_mb: Some(512),
             cpu_limit_s: Some(60),
         };
-        let cfg = suite_config(&exec, &spec);
+        let cfg = suite_config(&exec, &spec).unwrap();
         assert_eq!(cfg.deadline, Some(Duration::from_millis(250)), "policy overrides");
         assert_eq!(cfg.retries, 3);
         assert!(!cfg.degrade && cfg.sdc_guard);
         assert_eq!(cfg.checkpoint_every, Some(2));
         assert_eq!(cfg.spin_us, Some(0));
-        assert_eq!(cfg.inject.as_deref(), Some("hang:0"));
-        assert_eq!(cfg.backend.as_deref(), Some("procs"));
+        assert_eq!(cfg.inject, Some(FaultPlan::parse("hang:0").unwrap()));
+        assert_eq!(cfg.backend, Some(Backend::Procs));
         assert_eq!(cfg.limits.mem_limit_mb, Some(512), "per-job cap wins");
         assert_eq!(cfg.limits.cpu_limit_s, Some(60), "per-job cap overrides the daemon's");
     }

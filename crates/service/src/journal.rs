@@ -126,19 +126,27 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
     let mut order: Vec<String> = Vec::new();
     let mut specs: std::collections::HashMap<String, JobSpec> = std::collections::HashMap::new();
     let mut open: std::collections::HashSet<String> = std::collections::HashSet::new();
+    // Jobs are indexed by the id of their spec as it parses today. A
+    // record journaled before fault specs and default labels were keyed
+    // canonically (`"inject":"hang"`) names its job by an older id, which
+    // this maps to the canonical one so a `done` of either spelling
+    // closes the job.
+    let mut canonical: std::collections::HashMap<String, String> = std::collections::HashMap::new();
 
     for v in replay.records {
         match v.get_str("ev") {
             Some("accepted") => {
-                let (Some(id), Ok(spec)) = (v.get_str("job"), JobSpec::from_json(&v)) else {
+                let (Some(journaled), Ok(spec)) = (v.get_str("job"), JobSpec::from_json(&v)) else {
                     rec.torn_lines += 1;
                     continue;
                 };
-                if !specs.contains_key(id) {
-                    order.push(id.to_string());
+                let id = spec.job_id();
+                canonical.insert(journaled.to_string(), id.clone());
+                if !specs.contains_key(&id) {
+                    order.push(id.clone());
                 }
-                specs.insert(id.to_string(), spec);
-                open.insert(id.to_string());
+                specs.insert(id.clone(), spec);
+                open.insert(id);
                 rec.clean_shutdown = false;
             }
             Some("done") => {
@@ -146,6 +154,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                     rec.torn_lines += 1;
                     continue;
                 };
+                let id = canonical.get(id).map_or(id, String::as_str);
                 open.remove(id);
                 rec.completed += 1;
                 if result.verified() {
@@ -238,6 +247,27 @@ mod tests {
         assert!(!rec.clean_shutdown);
         assert_eq!(rec.torn_lines, 0);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_job_journaled_under_a_non_canonical_spelling_closes_under_either_id() {
+        // `"inject":"hang"` keyed as its own job (this id) until fault
+        // specs were keyed as `kind:seed`; the job is `hang:1`'s now.
+        let old = r#"{"ev":"accepted","job":"ecd81772ea0cb3dc","seq":0,"bench":"EP","threads":2,"inject":"hang"}"#;
+        let canonical = "421e26c96e0bc091";
+        for done_as in ["ecd81772ea0cb3dc", canonical] {
+            let path = temp(&format!("alias-{done_as}"));
+            fs::write(&path, format!("{old}\n")).unwrap();
+            let rec = recover(&path).unwrap();
+            assert_eq!(rec.pending.len(), 1, "owed before its done");
+            assert_eq!(rec.pending[0].job_id(), canonical);
+            assert_eq!(rec.pending[0].policy.inject.as_deref(), Some("hang:1"));
+            JobJournal::open(&path).unwrap().done(done_as, &result("verified")).unwrap();
+            let rec = recover(&path).unwrap();
+            assert!(rec.pending.is_empty(), "a done under {done_as} closes the job");
+            assert_eq!(rec.seeds.len(), 1);
+            let _ = fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -25,12 +25,16 @@ use std::fmt;
 
 use npb_core::iofault::fnv1a64;
 use npb_core::json::{json_escape, Json};
-use npb_core::{Class, Style, BENCHMARKS};
+use npb_core::{Class, ResourceLimits, Style};
+use npb_harness::spec::{boolean, member, uint};
+use npb_harness::{Backend, FaultPlan, RunSpec, Sched};
 
 /// Per-job fault policy: every fault-tolerance knob the CLI exposes per
 /// *invocation*, carried per *request* instead. Part of the job's
 /// content address — two submissions with different policies are
-/// different jobs.
+/// different jobs. [`JobSpec::from_json`] writes the run fields from a
+/// validated [`RunSpec`], in canonical form: a default backend or sched
+/// is `None`, a fault is `kind:seed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPolicy {
     /// Wall-clock budget for one child attempt; `None` = the daemon's
@@ -47,18 +51,19 @@ pub struct JobPolicy {
     pub checkpoint_every: Option<usize>,
     /// Spin-then-park budget forwarded to the child (`None` = default).
     pub spin_us: Option<u64>,
-    /// One-shot fault spec forwarded to the first attempt (chaos
-    /// testing; validated by the child, retries run clean).
+    /// One-shot fault forwarded to the first attempt (chaos testing;
+    /// retries run clean), as [`FaultPlan::spec`] spells it, so `hang`
+    /// and `hang:1` are one job.
     pub inject: Option<String>,
-    /// Execution backend label forwarded to the child ("threads" or
-    /// "procs"); `None` = the child's own default. With "procs" the
-    /// job runs process-sharded with rank-crash containment and the
-    /// degradation ladder bottoms out at one rank.
+    /// Execution backend label forwarded to the child ("procs");
+    /// `None` = the threads default. With "procs" the job runs
+    /// process-sharded with rank-crash containment and the degradation
+    /// ladder bottoms out at one rank.
     pub backend: Option<String>,
-    /// Loop-scheduling policy label forwarded to the child ("static",
-    /// "guided" or "feedback"); `None` = the child's own default
-    /// (static). Guided and feedback require the threads backend — the
-    /// combination with "procs" is rejected at submission.
+    /// Loop-scheduling policy label forwarded to the child ("guided" or
+    /// "feedback"); `None` = the static default. Guided and feedback
+    /// require the threads backend — [`RunSpec::validate`] rejects the
+    /// combination with "procs" at submission.
     pub sched: Option<String>,
     /// Address-space cap (`RLIMIT_AS`, MiB) each child applies to
     /// itself; `None` = the daemon's default. Exhaustion surfaces as
@@ -134,138 +139,77 @@ impl JobSpec {
         format!("{:016x}", fnv1a64(self.canonical_key().as_bytes()))
     }
 
+    /// The run this job asks for, read back from the policy's labels.
+    pub fn run(&self) -> Result<RunSpec, String> {
+        let p = &self.policy;
+        Ok(RunSpec {
+            class: self.class,
+            style: self.style,
+            threads: self.threads,
+            backend: p.backend.as_deref().map(str::parse).transpose()?.unwrap_or_default(),
+            sched: p.sched.as_deref().map(str::parse).transpose()?.unwrap_or_default(),
+            spin_us: p.spin_us,
+            inject: p.inject.as_deref().map(FaultPlan::parse).transpose()?,
+            sdc_guard: p.sdc_guard,
+            checkpoint_every: p.checkpoint_every,
+            limits: ResourceLimits {
+                mem_limit_mb: p.mem_limit_mb,
+                cpu_limit_s: p.cpu_limit_s,
+                fd_limit: None,
+            },
+            ..RunSpec::new(&self.bench)
+        })
+    }
+
     /// The spec's fields as a JSON-object fragment (no braces), shared
-    /// by the journal's `accepted` record and test fixtures. Optional
-    /// policy fields are always present (`null` when unset) so the
-    /// journal is self-describing.
+    /// by the journal's `accepted` record and test fixtures: the run
+    /// fields as [`RunSpec::json_fields`] writes them, then the job's.
+    ///
+    /// Panics on a policy label no [`RunSpec`] writes, which only a
+    /// hand-built [`JobPolicy`] can hold.
     pub fn json_fields(&self) -> String {
         let p = &self.policy;
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
+        let run = self.run().expect("a JobPolicy holds the labels a RunSpec wrote");
         format!(
-            "\"bench\":\"{}\",\"class\":\"{}\",\"style\":\"{}\",\"threads\":{},\"seed\":{},\
-             \"deadline_ms\":{},\"retries\":{},\"degrade\":{},\"sdc_guard\":{},\
-             \"checkpoint_every\":{},\"spin_us\":{},\"inject\":{},\"backend\":{},\
-             \"sched\":{},\"mem_limit_mb\":{},\"cpu_limit_s\":{}",
-            json_escape(&self.bench),
-            self.class,
-            self.style.label(),
-            self.threads,
+            "{},\"seed\":{},\"deadline_ms\":{},\"retries\":{},\"degrade\":{}",
+            run.json_fields(),
             self.seed,
-            opt(p.deadline_ms),
+            p.deadline_ms.map_or("null".to_string(), |v| v.to_string()),
             p.retries,
             p.degrade,
-            p.sdc_guard,
-            opt(p.checkpoint_every.map(|v| v as u64)),
-            opt(p.spin_us),
-            p.inject.as_deref().map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s))),
-            p.backend.as_deref().map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s))),
-            p.sched.as_deref().map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s))),
-            opt(p.mem_limit_mb),
-            opt(p.cpu_limit_s),
         )
     }
 
-    /// Parse the spec fields out of a request or journal object.
-    /// Everything except `bench` has a default; a present-but-malformed
-    /// field is an error, not a guess.
+    /// Parse a request or journal object: the run fields through
+    /// [`RunSpec::from_json`] and [`RunSpec::validate`], so a run that
+    /// cannot work is a `bad-request`, not a child spent on it; then
+    /// the job's own. Everything except `bench` has a default; a
+    /// present-but-malformed field is an error, not a guess.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let bench = v.get_str("bench").ok_or("missing \"bench\"")?.to_ascii_uppercase();
-        if !BENCHMARKS.contains(&bench.as_str()) {
-            return Err(format!("unknown benchmark {bench:?} (expected one of {BENCHMARKS:?})"));
-        }
-        let class = match v.get("class") {
-            None => Class::S,
-            Some(Json::Str(s)) => s.parse::<Class>().map_err(|e| e.to_string())?,
-            Some(_) => return Err("\"class\" must be a string".into()),
-        };
-        let style = match v.get("style") {
-            None => Style::Opt,
-            Some(Json::Str(s)) => s.parse::<Style>().map_err(|e| e.to_string())?,
-            Some(_) => return Err("\"style\" must be a string".into()),
-        };
-        let uint = |key: &str, default: u64| -> Result<u64, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(default),
-                Some(Json::Num(_)) => v
-                    .get_uint(key)
-                    .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-                Some(_) => Err(format!("\"{key}\" must be a number")),
-            }
-        };
-        let opt_uint = |key: &str| -> Result<Option<u64>, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(Json::Num(_)) => v
-                    .get_uint(key)
-                    .map(Some)
-                    .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-                Some(_) => Err(format!("\"{key}\" must be a number or null")),
-            }
-        };
-        let boolean = |key: &str, default: bool| -> Result<bool, String> {
-            match v.get(key) {
-                None | Some(Json::Null) => Ok(default),
-                Some(Json::Bool(b)) => Ok(*b),
-                Some(_) => Err(format!("\"{key}\" must be a boolean")),
-            }
-        };
-        let default_policy = JobPolicy::default();
-        let spec = JobSpec {
-            bench,
-            class,
-            style,
-            threads: uint("threads", 0)? as usize,
-            seed: uint("seed", 0)?,
+        let run = RunSpec::from_json(v)?;
+        run.validate()?;
+        let d = JobPolicy::default();
+        let label = |on: bool, l: &str| on.then(|| l.to_string());
+        Ok(JobSpec {
+            seed: member(v, "seed", uint)?.unwrap_or(0),
             policy: JobPolicy {
-                deadline_ms: opt_uint("deadline_ms")?,
-                retries: uint("retries", default_policy.retries as u64)? as usize,
-                degrade: boolean("degrade", default_policy.degrade)?,
-                sdc_guard: boolean("sdc_guard", default_policy.sdc_guard)?,
-                checkpoint_every: opt_uint("checkpoint_every")?.map(|v| v as usize),
-                spin_us: opt_uint("spin_us")?,
-                inject: match v.get("inject") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Str(s)) => Some(s.clone()),
-                    Some(_) => return Err("\"inject\" must be a string or null".into()),
-                },
-                backend: match v.get("backend") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Str(s)) if s == "threads" || s == "procs" => Some(s.clone()),
-                    Some(Json::Str(s)) => {
-                        return Err(format!(
-                            "\"backend\" must be \"threads\" or \"procs\", not {s:?}"
-                        ))
-                    }
-                    Some(_) => return Err("\"backend\" must be a string or null".into()),
-                },
-                sched: match v.get("sched") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Str(s)) if s == "static" || s == "guided" || s == "feedback" => {
-                        Some(s.clone())
-                    }
-                    Some(Json::Str(s)) => {
-                        return Err(format!(
-                            "\"sched\" must be \"static\", \"guided\" or \"feedback\", \
-                             not {s:?}"
-                        ))
-                    }
-                    Some(_) => return Err("\"sched\" must be a string or null".into()),
-                },
-                mem_limit_mb: opt_uint("mem_limit_mb")?,
-                cpu_limit_s: opt_uint("cpu_limit_s")?,
+                deadline_ms: member(v, "deadline_ms", uint)?,
+                retries: member(v, "retries", uint)?.map_or(d.retries, |r| r as usize),
+                degrade: member(v, "degrade", boolean)?.unwrap_or(d.degrade),
+                sdc_guard: run.sdc_guard,
+                checkpoint_every: run.checkpoint_every,
+                spin_us: run.spin_us,
+                inject: run.inject.map(|plan| plan.spec()),
+                backend: label(run.backend != Backend::Threads, run.backend.label()),
+                sched: label(run.sched != Sched::Static, run.sched.label()),
+                mem_limit_mb: run.limits.mem_limit_mb,
+                cpu_limit_s: run.limits.cpu_limit_s,
             },
-        };
-        // Dynamic scheduling lives in the threads backend's shared
-        // address space; a procs job partitions statically by rank.
-        if spec.policy.backend.as_deref() == Some("procs")
-            && spec.policy.sched.as_deref().is_some_and(|s| s != "static")
-        {
-            return Err(format!(
-                "\"sched\":{:?} requires the threads backend, not \"procs\"",
-                spec.policy.sched.as_deref().unwrap_or("-")
-            ));
-        }
-        Ok(spec)
+            bench: run.bench,
+            class: run.class,
+            style: run.style,
+            threads: run.threads,
+        })
     }
 }
 
@@ -302,11 +246,7 @@ impl Request {
         match v.get_str("op") {
             Some("submit") => {
                 let spec = JobSpec::from_json(&v)?;
-                let wait = match v.get("wait") {
-                    None | Some(Json::Null) => true,
-                    Some(Json::Bool(b)) => *b,
-                    Some(_) => return Err("\"wait\" must be a boolean".into()),
-                };
+                let wait = member(&v, "wait", boolean)?.unwrap_or(true);
                 Ok(Request::Submit { spec: Box::new(spec), wait })
             }
             Some("stats") => Ok(Request::Stats),
@@ -438,10 +378,152 @@ mod tests {
         assert_eq!(a.get("dedup"), Some(&Json::Bool(true)));
     }
 
+    fn submit_spec(line: &str) -> JobSpec {
+        match Request::parse(line) {
+            Ok(Request::Submit { spec, .. }) => *spec,
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    /// Job ids of canonical specs, as the code before [`RunSpec`] keyed
+    /// them: the README's and `ci.sh`'s submits, `benchmark/`'s probe
+    /// line, and one spec for every policy field. Journals and caches
+    /// written then still name these jobs.
+    #[test]
+    fn job_ids_of_canonical_specs_are_unchanged() {
+        let golden = [
+            ("381c5a6d411e315b", r#""bench":"EP","class":"S","threads":2"#),
+            ("2bec84fb275911c2", r#""bench":"EP","class":"S","threads":2,"seed":7"#),
+            (
+                "0ad69e4837193349",
+                r#""bench":"EP","class":"S","threads":2,"seed":8,"inject":"hang:1","deadline_ms":2000,"retries":1"#,
+            ),
+            ("3d1806b8efe20ccb", r#""bench":"EP","class":"C","threads":2"#),
+            ("ac7bb7ee6fa0fc9a", r#""bench":"CG","class":"S","threads":0,"seed":4503599627370495"#),
+            ("421e26c96e0bc091", r#""bench":"EP","class":"S","threads":2,"inject":"hang:1""#),
+            (
+                "25f00287791e4f69",
+                r#""bench":"CG","class":"W","style":"safe","threads":3,"seed":5,"backend":"procs","inject":"panic:3","retries":0,"degrade":false"#,
+            ),
+            (
+                "f7e17f5d4da40b75",
+                r#""bench":"LU","class":"A","threads":4,"seed":9,"sched":"feedback","spin_us":0,"sdc_guard":true,"checkpoint_every":2"#,
+            ),
+            (
+                "808885417bde21bb",
+                r#""bench":"FT","class":"B","threads":8,"seed":11,"sched":"guided","spin_us":50,"deadline_ms":1500,"mem_limit_mb":512,"cpu_limit_s":60"#,
+            ),
+            (
+                "14d8928f67187c87",
+                r#""bench":"MG","class":"S","threads":1,"seed":2,"inject":"bitflip:42","sdc_guard":true"#,
+            ),
+            (
+                "43ead1a64f7cd2f3",
+                r#""bench":"IS","class":"W","threads":256,"inject":"delay:4","backend":"procs""#,
+            ),
+            ("2feca96f3ed768f7", r#""bench":"BT","class":"S","threads":0,"inject":"nan:7""#),
+        ];
+        for (id, fields) in golden {
+            let spec = submit_spec(&format!(r#"{{"op":"submit",{fields}}}"#));
+            assert_eq!(spec.job_id(), id, "{fields}");
+            // The journal's spelling of the job names the same job.
+            let journaled = submit_spec(&format!(r#"{{"op":"submit",{}}}"#, spec.json_fields()));
+            assert_eq!(journaled.job_id(), id, "{fields}, journaled");
+        }
+    }
+
+    /// One run, one job: a fault spelled without its default seed, and
+    /// a backend or sched spelled at its default, key as the canonical
+    /// spelling does, so they dedupe and share a cache slot.
+    #[test]
+    fn one_run_spelled_two_ways_is_one_job() {
+        let id = |extra: &str| {
+            submit_spec(&format!(r#"{{"op":"submit","bench":"EP","threads":2{extra}}}"#)).job_id()
+        };
+        assert_eq!(id(r#","inject":"hang""#), id(r#","inject":"hang:1""#));
+        assert_eq!(id(r#","inject":"hang:1""#), "421e26c96e0bc091");
+        assert_ne!(id(r#","inject":"hang:2""#), id(r#","inject":"hang:1""#));
+        assert_eq!(id(r#","backend":"threads","sched":"static""#), id(""));
+        let procs = submit_spec(r#"{"op":"submit","bench":"EP","threads":2,"backend":"procs"}"#);
+        assert_eq!(procs.policy.backend.as_deref(), Some("procs"));
+    }
+
+    /// The runs `npbd` used to admit and spend children on (or admit at
+    /// any width), each refused at the wire as `bad-request` by a daemon
+    /// whose `npb` would leave a mark if it ever ran.
+    #[cfg(unix)]
+    #[test]
+    fn admission_refuses_runs_that_cannot_work_and_spawns_no_child() {
+        use crate::client::Client;
+        use crate::exec::ExecConfig;
+        use crate::server::{serve, Addr, ServerConfig};
+        use std::os::unix::fs::PermissionsExt;
+
+        let base = std::env::temp_dir().join(format!("npbd-admit-{}", std::process::id()));
+        let (npb, mark) = (base.with_extension("npb.sh"), base.with_extension("spawned"));
+        let _ = std::fs::remove_file(&mark);
+        std::fs::write(&npb, format!("#!/bin/sh\necho \"$*\" >> {}\n", mark.display())).unwrap();
+        std::fs::set_permissions(&npb, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let addr = Addr::Unix(base.with_extension("sock"));
+        let cfg = ServerConfig {
+            addr: addr.clone(),
+            journal_path: base.with_extension("journal.jsonl"),
+            exec: ExecConfig {
+                npb_bin: npb.clone(),
+                default_deadline_ms: 5000,
+                backoff_base_ms: 0,
+                limits: Default::default(),
+            },
+            capacity: 1 << 20,
+            workers: 1,
+            resume: false,
+            read_deadline: None,
+            max_line_bytes: 4096,
+            max_conns: 0,
+            io_inject: None,
+        };
+        let daemon = std::thread::spawn(move || serve(cfg, false));
+        let mut client = Client::connect_retry(&addr, 400).unwrap();
+
+        for (fields, why) in [
+            (r#""backend":"procs","threads":0"#, "threads >= 1"),
+            (r#""threads":2,"inject":"bogus""#, "unknown fault kind"),
+            (r#""threads":0,"inject":"panic:1""#, "needs worker threads"),
+            (r#""threads":1000000"#, "wider than"),
+            (r#""threads":2,"checkpoint_every":0"#, "positive integer"),
+            (r#""threads":2,"backend":"procs","inject":"nan:1""#, "cannot cross the procs exec"),
+        ] {
+            let line = format!(r#"{{"op":"submit","bench":"EP",{fields},"retries":0}}"#);
+            let reply = client.submit(&line).unwrap();
+            assert_eq!(reply.len(), 1, "{fields}: one rejection line, no terminal line");
+            assert_eq!(reply[0].get_str("status"), Some("rejected"), "{fields}");
+            assert_eq!(reply[0].get_str("reason"), Some("bad-request"), "{fields}");
+            assert!(reply[0].get_str("detail").unwrap().contains(why), "{fields}: {:?}", reply[0]);
+        }
+        let stats = client.request(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(stats.get_num("executed"), Some(0.0), "{stats:?}");
+        assert!(!mark.exists(), "a refused run spawned a child");
+
+        // The control: a run that can work does reach the stub.
+        let reply = client
+            .submit(r#"{"op":"submit","bench":"EP","threads":2,"retries":0,"degrade":false}"#)
+            .unwrap();
+        assert_eq!(reply[0].get_str("status"), Some("accepted"), "{reply:?}");
+        let argv = std::fs::read_to_string(&mark).unwrap();
+        assert!(argv.starts_with("EP --class S --style opt --threads 2 --json"), "{argv}");
+
+        client.request(r#"{"op":"drain"}"#).unwrap();
+        daemon.join().unwrap().unwrap();
+        for path in [npb, mark, base.with_extension("journal.jsonl")] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
     #[test]
     fn procs_backend_refuses_dynamic_sched() {
-        let line =
-            |s: &str| format!(r#"{{"op":"submit","bench":"EP","backend":"procs","sched":"{s}"}}"#);
+        let line = |s: &str| {
+            format!(r#"{{"op":"submit","bench":"EP","threads":2,"backend":"procs","sched":"{s}"}}"#)
+        };
         assert!(Request::parse(&line("static")).is_ok());
         for sched in ["guided", "feedback"] {
             let err = Request::parse(&line(sched)).unwrap_err();

@@ -33,7 +33,7 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt), one measurement system (benchmark/) =="
+echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt), one measurement system (benchmark/), one run description (RunSpec) =="
 grep -rnE --include='*.rs' 'append\(true\)|append_record' crates src | grep -v '^crates/core/src/log.rs:' \
     && { echo "a durable append outside crates/core/src/log.rs (listed above)" >&2; exit 1; }
 grep -rn --include='*.rs' Condvar crates/runtime \
@@ -49,6 +49,16 @@ grep -rnE --include='*.rs' '\.set_flip\(|fn which\(|CheckpointStore|CkptSlot|sav
 # crates/core and crates/runtime, hence the scope.)
 grep -rnE --include='*.rs' 'Histogram|percentile_us|saturation_clients|"--ramp"' crates/service src \
     && { echo "a second measurement system outside benchmark/ (listed above)" >&2; exit 1; }
+# A run flag is spelled once: `RunSpec::to_argv` writes it and
+# `RunSpec::parse_flag` reads it, in crates/runtime/src/spec.rs. Test
+# modules (from a file's first top-level `#[cfg(test)]` on) drive the
+# binaries and may spell them.
+find crates src -name '*.rs' ! -path crates/runtime/src/spec.rs -print0 | sort -z | xargs -0 awk '
+     FNR == 1 { live = 1 }
+     /^#\[cfg\(test\)\]/ { live = 0 }
+     live && /"--(backend|sched|inject|spin-us|checkpoint-every)"/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+     END { exit bad }' \
+    || { echo "a run flag spelled outside crates/runtime/src/spec.rs (listed above)" >&2; exit 1; }
 
 echo "== tier-1: build =="
 cargo build --release

@@ -120,7 +120,8 @@ fn main() {
     }
 
     // Worker faults cannot be injected into a serial run (the driver
-    // rejects that up front), so chaos mode needs a real team.
+    // and the daemon reject that up front), so chaos mode needs a real
+    // team.
     if chaos && threads == 0 {
         threads = 2;
     }

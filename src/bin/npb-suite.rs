@@ -30,26 +30,27 @@
 //! * `--manifest PATH` journals every attempt and outcome to an
 //!   append-only JSONL file; `--resume PATH` skips cells the journal
 //!   already completed, so a killed sweep continues where it died;
-//! * `--inject` forwards a one-shot fault spec to the *first* attempt
-//!   of every cell (chaos testing; retries run clean);
-//! * `--sdc-guard` / `--checkpoint-every K` forward the in-computation
-//!   SDC guard to every child; a cell that verified only because the
-//!   guard rolled back is reported as *recovered* (the third level of
-//!   the fault-tolerance stack, below the in-process watchdog and this
-//!   supervisor);
-//! * `--child-timeout-ms` forwards `--timeout` to children, arming
-//!   their in-process watchdog (exit 3) under the supervisor's deadline;
-//! * `--spin-us` forwards the team's hybrid spin-then-park budget to
-//!   every child (`0` = the pure park path, the paper's wait/notify);
-//! * `--sched static|guided|feedback` forwards the loop-scheduling
-//!   policy to every child: all three are bitwise-identical per
-//!   benchmark, so a mixed set of sweeps is directly comparable; the
-//!   scalability table and each manifest cell record carry the policy;
-//! * `--backend threads|procs` forwards the execution backend to every
-//!   child; with `procs` each cell shards across worker *processes*
-//!   (rank-crash containment, checkpoint restart), the degradation
-//!   ladder bottoms out at one rank, and the verifying child's
-//!   per-rank dispositions ride its record into the manifest;
+//! * the run flags — `--inject`, `--sdc-guard`, `--checkpoint-every K`,
+//!   `--spin-us`, `--sched`, `--backend`, `--mem-limit-mb`,
+//!   `--cpu-limit-s`, `--fd-limit`, and `--child-timeout-ms` as the
+//!   child's `--timeout` — mean what they mean to `npb` (one `RunSpec`
+//!   reads them for both) and reach every child; a sweep holding a run
+//!   that cannot work (a worker fault or procs at a serial width, procs
+//!   with a dynamic `--sched`, a width over 256) is refused before its
+//!   first cell. On top of `npb`:
+//!   - `--inject` rides only the *first* attempt of every cell (chaos
+//!     testing; retries run clean);
+//!   - a cell that verified only because the SDC guard rolled back is
+//!     reported as *recovered* (the third level of the fault-tolerance
+//!     stack, below the in-process watchdog and this supervisor);
+//!   - the scalability table and each manifest cell record carry the
+//!     `--sched` policy (all three are bitwise-identical per benchmark);
+//!   - with `--backend procs` the degradation ladder bottoms out at one
+//!     rank, and the verifying child's per-rank dispositions ride its
+//!     record into the manifest;
+//!   - a child killed by its `setrlimit` cap is journaled as
+//!     `oom-killed` / `cpu-limit` and retried at a *smaller class*
+//!     (C → B → … → S) before the thread ladder;
 //! * `--trace` runs every child with the `npb-trace` span recorder: the
 //!   per-region profile rides each child's `--json` record into the
 //!   manifest's cell records, and the final summary prints a
@@ -59,11 +60,7 @@
 //!   on the *manifest* path (hostile-host drills): a tripped append
 //!   loses at most that in-flight record, surfaces a structured
 //!   `io-degraded` error, and a later `--resume` run picks up every
-//!   cell the journal did land;
-//! * `--mem-limit-mb` / `--cpu-limit-s` / `--fd-limit` forward
-//!   `setrlimit` caps each child applies to itself; a child killed by
-//!   its cap is journaled as `oom-killed` / `cpu-limit` and retried at
-//!   a *smaller class* (C → B → … → S) before the thread ladder.
+//!   cell the journal did land.
 //!
 //! Exit codes: 0 every cell of the sweep verified; 1 any cell failed or
 //! was quarantined; 2 usage error.
@@ -71,13 +68,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use npb::BENCHMARKS;
+use npb::{RunSpec, BENCHMARKS};
 use npb_core::iofault::IoFaultPlan;
-use npb_core::{Class, IoDegraded, ResourceLimits, Style};
+use npb_core::{Class, IoDegraded, Style};
 use npb_harness::manifest::{Cell, CellStatus, Manifest, ResumeState};
 use npb_harness::read_manifest;
 use npb_harness::supervisor::{run_sweep, SuiteConfig};
-use npb_runtime::{FaultKind, FaultPlan};
+use npb_runtime::spec::Flag;
+use npb_runtime::FaultPlan;
 
 fn usage() -> ! {
     eprintln!(
@@ -100,6 +98,15 @@ fn usage() -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("npb-suite: {msg}");
     std::process::exit(npb::USAGE_EXIT_CODE);
+}
+
+/// Each entry of the comma-separated list axis `flag`, parsed.
+fn each<T: std::str::FromStr>(flag: &str, raw: &str) -> Vec<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let entry = |v: &str| v.parse().unwrap_or_else(|e| fail(&format!("{flag} {v:?}: {e}")));
+    raw.split(',').map(entry).collect()
 }
 
 /// Locate the `npb` driver binary: an explicit `--npb-bin`, or the
@@ -149,90 +156,55 @@ fn main() {
     let mut threads: Vec<usize> = vec![0];
     let mut deadline: Option<Duration> = None;
     let mut retries = 0usize;
-    let mut inject: Option<String> = None;
     let mut backoff_ms = 100u64;
     let mut seed = 1u64;
-    let mut child_timeout_ms: Option<u64> = None;
-    let mut sdc_guard = false;
-    let mut checkpoint_every: Option<usize> = None;
-    let mut spin_us: Option<u64> = None;
-    let mut backend: Option<String> = None;
-    let mut sched: Option<String> = None;
     let mut manifest_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
     let mut npb_bin: Option<PathBuf> = None;
     let mut trace = false;
     let mut io_inject: Option<IoFaultPlan> = None;
-    let mut limits = ResourceLimits::default();
+    // Every child's run flags; class, style and width are the sweep's
+    // list axes, and the watchdog is spelled `--child-timeout-ms` here.
+    let mut run = RunSpec::new("");
 
     // Accept `--flag=value` as well as `--flag value`, like `npb`.
     let expanded = npb::expand_flag_args(&args[1..]);
     let mut it = expanded.iter();
     while let Some(flag) = it.next() {
+        let axis =
+            matches!(flag.as_str(), "--class" | "-c" | "--style" | "-s" | "--threads" | "-t");
+        if !axis && flag != "--timeout" {
+            match run.parse_flag(flag, &mut it) {
+                Ok(Flag::Run) => continue,
+                // Same warn-don't-die contract as the npb driver: a bad
+                // cadence falls back to the child's default.
+                Ok(Flag::Ignored(msg)) => {
+                    eprintln!("npb-suite: {msg}");
+                    continue;
+                }
+                Ok(Flag::Other) => {}
+                Err(e) => {
+                    eprintln!("npb-suite: {e}");
+                    usage()
+                }
+            }
+        }
         let val = |it: &mut std::slice::Iter<String>| -> String {
             it.next().cloned().unwrap_or_else(|| usage())
         };
         match flag.as_str() {
-            "--class" | "-c" => {
-                classes = val(&mut it)
-                    .split(',')
-                    .map(|c| {
-                        c.parse().unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            usage()
-                        })
-                    })
-                    .collect()
-            }
-            "--style" | "-s" => {
-                styles = val(&mut it)
-                    .split(',')
-                    .map(|s| {
-                        s.parse().unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            usage()
-                        })
-                    })
-                    .collect()
-            }
-            "--threads" | "-t" => {
-                threads =
-                    val(&mut it).split(',').map(|t| t.parse().unwrap_or_else(|_| usage())).collect()
-            }
+            "--class" | "-c" => classes = each(flag, &val(&mut it)),
+            "--style" | "-s" => styles = each(flag, &val(&mut it)),
+            "--threads" | "-t" => threads = each(flag, &val(&mut it)),
             "--deadline-ms" => {
                 let ms: u64 = val(&mut it).parse().unwrap_or_else(|_| usage());
                 deadline = Some(Duration::from_millis(ms));
             }
             "--retries" => retries = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--inject" => inject = Some(val(&mut it)),
             "--backoff-ms" => backoff_ms = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--seed" => seed = val(&mut it).parse().unwrap_or_else(|_| usage()),
             "--child-timeout-ms" => {
-                child_timeout_ms = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--sdc-guard" => sdc_guard = true,
-            "--checkpoint-every" => {
-                match npb::parse_checkpoint_every(&val(&mut it)) {
-                    Ok(k) => checkpoint_every = Some(k),
-                    // Same warn-don't-die contract as the npb driver: a
-                    // bad cadence falls back to the child's default.
-                    Err(msg) => eprintln!("npb-suite: {msg}"),
-                }
-            }
-            "--spin-us" => spin_us = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--sched" => {
-                let s: npb::Sched = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-                sched = Some(s.label().to_string());
-            }
-            "--backend" => {
-                let b: npb::Backend = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-                backend = Some(b.label().to_string());
+                run.timeout_ms = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
             }
             "--manifest" => manifest_path = Some(PathBuf::from(val(&mut it))),
             "--resume" => resume_path = Some(PathBuf::from(val(&mut it))),
@@ -245,52 +217,16 @@ fn main() {
                     usage()
                 }
             },
-            "--mem-limit-mb" => {
-                limits.mem_limit_mb = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--cpu-limit-s" => {
-                limits.cpu_limit_s = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--fd-limit" => {
-                limits.fd_limit = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
             _ => usage(),
         }
     }
 
-    // Validate the fault spec here, once, instead of letting every cell
-    // fail with a child usage error; worker faults need worker threads.
-    if let Some(spec) = &inject {
-        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
-            eprintln!("npb-suite: {e}");
-            usage()
-        });
-        // NaN and bit-flip faults corrupt data on the driving thread, so
-        // they work at any width, including serial.
-        if !matches!(plan.kind, FaultKind::Nan | FaultKind::BitFlip) && threads.contains(&0) {
-            fail(&format!(
-                "--inject {spec}: worker faults need worker threads, but the sweep \
-                 includes a serial (--threads 0) width"
-            ));
+    // Refuse a sweep with a run that cannot work here, once, instead of
+    // failing its cells one child at a time.
+    for &t in &threads {
+        if let Err(e) = (RunSpec { threads: t, ..run.clone() }).validate() {
+            fail(&format!("the sweep's --threads {t} width: {e}"));
         }
-    }
-
-    // Dynamic scheduling needs the threads backend's shared address
-    // space; reject the combination here instead of per cell.
-    if backend.as_deref() == Some("procs") && sched.as_deref().is_some_and(|s| s != "static") {
-        fail(&format!(
-            "--sched {} requires the threads backend, not --backend procs",
-            sched.as_deref().unwrap_or("-")
-        ));
-    }
-
-    // A procs child shards across worker processes; a serial width has
-    // no rank to shard to, so reject it up front like worker faults.
-    if backend.as_deref() == Some("procs") && threads.contains(&0) {
-        fail(
-            "--backend procs needs at least one rank, but the sweep includes a serial \
-             (--threads 0) width",
-        );
     }
 
     if manifest_path.is_some() && resume_path.is_some() {
@@ -343,18 +279,18 @@ fn main() {
         npb_bin: discover_npb_bin(npb_bin),
         deadline,
         retries,
-        inject,
-        child_timeout_ms,
-        sdc_guard,
-        checkpoint_every,
-        spin_us,
-        backend,
-        sched,
+        inject: run.inject,
+        child_timeout_ms: run.timeout_ms,
+        sdc_guard: run.sdc_guard,
+        checkpoint_every: run.checkpoint_every,
+        spin_us: run.spin_us,
+        backend: Some(run.backend),
+        sched: Some(run.sched),
         trace,
         degrade: true,
         backoff_base_ms: backoff_ms,
         seed,
-        limits,
+        limits: run.limits,
     };
 
     // A manifest write failure is structured degradation, not a crash:

@@ -99,9 +99,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use npb::{
-    expand_flag_args, parse_checkpoint_every, try_run_benchmark, Backend, Class, FaultPlan,
-    GuardConfig, RunError, RunOptions, Sched, Style, TraceFormat, BENCHMARKS,
+    expand_flag_args, try_run_benchmark, Class, FaultPlan, GuardConfig, RunError, RunOptions,
+    RunSpec, Style, TraceFormat, BENCHMARKS,
 };
+use npb_runtime::spec::Flag;
 
 fn usage() -> ! {
     eprintln!(
@@ -141,22 +142,11 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    let mut which = args[0].clone();
-    let mut class = Class::S;
-    let mut style = Style::Opt;
-    let mut threads = 0usize;
-    let mut backend = Backend::Threads;
     let mut max_recoveries: Option<usize> = None;
-    let mut sched = Sched::Static;
-    let mut spin_us: Option<u64> = None;
-    let mut timeout: Option<Duration> = None;
-    let mut inject: Option<FaultPlan> = None;
     let mut retries = 0usize;
-    let mut guard = GuardConfig::default();
     let mut json = false;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut trace_format = TraceFormat::default();
-    let mut limits = npb_core::ResourceLimits::default();
 
     // Accept `--flag=value` as well as `--flag value`.
     let expanded = expand_flag_args(&args[1..]);
@@ -167,65 +157,34 @@ fn main() {
     // parent flags) and without the signal watcher — a worker's death
     // is the parent's supervision event, not a report channel.
     if expanded.iter().any(|a| a == "--rank") {
-        std::process::exit(npb::procs::worker_main(&which, &expanded));
+        std::process::exit(npb::procs::worker_main(&args[0], &expanded));
     }
 
+    let mut run = RunSpec::new(&args[0].to_ascii_uppercase());
     let mut it = expanded.iter();
     while let Some(flag) = it.next() {
+        match run.parse_flag(flag, &mut it) {
+            Ok(Flag::Run) => continue,
+            // Warn once: a bad cadence must not kill a long batch run.
+            Ok(Flag::Ignored(msg)) => {
+                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+                WARN_ONCE.call_once(|| eprintln!("npb: {msg}"));
+                continue;
+            }
+            Ok(Flag::Other) => {}
+            Err(e) => {
+                eprintln!("npb: {e}");
+                usage()
+            }
+        }
         let val = |it: &mut std::slice::Iter<String>| -> String {
             it.next().cloned().unwrap_or_else(|| usage())
         };
         match flag.as_str() {
-            "--class" | "-c" => {
-                class = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--style" | "-s" => {
-                style = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--threads" | "-t" => threads = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--backend" => {
-                backend = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
             "--max-recoveries" => {
                 max_recoveries = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
             }
-            "--sched" => {
-                sched = val(&mut it).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--spin-us" => spin_us = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--timeout" => {
-                let ms: u64 = val(&mut it).parse().unwrap_or_else(|_| usage());
-                timeout = Some(Duration::from_millis(ms));
-            }
-            "--inject" => {
-                inject = Some(FaultPlan::parse(&val(&mut it)).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                }));
-            }
             "--retries" => retries = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--sdc-guard" => guard.enabled = true,
-            "--checkpoint-every" => match parse_checkpoint_every(&val(&mut it)) {
-                Ok(k) => guard.checkpoint_every = k,
-                Err(msg) => {
-                    // Warn once: a bad cadence must not kill a long
-                    // batch run.
-                    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                    WARN_ONCE.call_once(|| eprintln!("npb: {msg}"));
-                }
-            },
             "--json" => json = true,
             "--io-inject" => match npb_core::IoFaultPlan::parse(&val(&mut it)) {
                 // The plan travels as the ambient NPB_IO_INJECT so every
@@ -238,15 +197,6 @@ fn main() {
                     usage()
                 }
             },
-            "--mem-limit-mb" => {
-                limits.mem_limit_mb = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--cpu-limit-s" => {
-                limits.cpu_limit_s = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--fd-limit" => {
-                limits.fd_limit = Some(val(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
             "--trace" => trace_path = Some(std::path::PathBuf::from(val(&mut it))),
             "--trace-format" => {
                 trace_format = val(&mut it).parse().unwrap_or_else(|e| {
@@ -257,7 +207,7 @@ fn main() {
             // A bare non-flag argument is a positional problem class
             // (`npb cg S` reads as BENCH CLASS).
             other if !other.starts_with('-') => {
-                class = other.parse().unwrap_or_else(|e| {
+                run.class = other.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -265,19 +215,25 @@ fn main() {
             _ => usage(),
         }
     }
+    let RunSpec { class, style, threads, .. } = run;
+    let guard = GuardConfig {
+        enabled: run.sdc_guard,
+        checkpoint_every: run.checkpoint_every.unwrap_or(GuardConfig::default().checkpoint_every),
+        ..GuardConfig::default()
+    };
 
     // Self-applied containment: the caps land before any benchmark
     // state is allocated, so blowing one is attributable to the
     // benchmark, not the setup. A cap the host refuses is a usage
     // error — silently running uncapped would defeat the supervisor's
     // oom-killed/cpu-limit classification.
-    if let Err(e) = limits.apply() {
+    if let Err(e) = run.limits.apply() {
         eprintln!("npb: {e}");
         std::process::exit(npb::USAGE_EXIT_CODE);
     }
 
-    which.make_ascii_uppercase();
-    let list: Vec<&str> = if which == "ALL" { BENCHMARKS.to_vec() } else { vec![which.as_str()] };
+    let list: Vec<&str> =
+        if run.bench == "ALL" { BENCHMARKS.to_vec() } else { vec![run.bench.as_str()] };
 
     // SIGTERM/SIGINT (a supervisor's deadline-kill, a user's ^C) must
     // not vaporize an in-progress run's evidence: the watcher flushes
@@ -310,15 +266,15 @@ fn main() {
             // The injected fault is armed only on the first attempt: it
             // is one-shot by design, so a retry must run clean.
             let opts = RunOptions {
-                timeout,
-                inject: inject.as_ref().filter(|_| attempt == 0),
+                timeout: run.timeout_ms.map(Duration::from_millis),
+                inject: run.inject.as_ref().filter(|_| attempt == 0),
                 guard,
-                spin_us,
+                spin_us: run.spin_us,
                 trace: trace_path.as_deref(),
                 trace_format,
-                backend,
+                backend: run.backend,
                 max_recoveries,
-                sched,
+                sched: run.sched,
             };
             match try_run_benchmark(name, class, style, threads, &opts) {
                 Ok(report) => {

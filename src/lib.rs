@@ -25,12 +25,11 @@
 pub mod procs;
 
 pub use npb_core::exit::{signal_exit_code, USAGE_EXIT_CODE};
-pub use npb_core::guard::parse_checkpoint_every;
 pub use npb_core::trace::{self, TraceFormat, TraceSession};
 pub use npb_core::{BenchReport, Class, GuardConfig, GuardStats, RegionProfile, Style, Verified};
 pub use npb_runtime::{
     Backend, BarrierPoisoned, FaultKind, FaultPlan, InjectedFault, Par, Partials, RegionError,
-    Sched, SharedMut, Team, WATCHDOG_EXIT_CODE,
+    RunSpec, Sched, SharedMut, Team, MAX_WIDTH, WATCHDOG_EXIT_CODE,
 };
 
 pub use npb_core::{expand_flag_args, BENCHMARKS};
@@ -61,7 +60,7 @@ pub enum RunError {
     /// [`WATCHDOG_EXIT_CODE`] (see [`Team::set_region_timeout`]).
     Region(RegionError),
     /// The requested options are inconsistent (e.g. a worker fault
-    /// injected into a serial run).
+    /// injected into a serial run): [`RunSpec::validate`] refused them.
     Config(String),
 }
 
@@ -120,7 +119,7 @@ pub struct RunOptions<'p> {
     /// measured per-rank times. All three produce bitwise-identical
     /// results. Only the threads backend schedules dynamically —
     /// combining the procs backend with a non-static policy is a
-    /// [`RunError::Config`].
+    /// [`RunError::Config`] ([`RunSpec::validate`]).
     pub sched: Sched,
 }
 
@@ -163,17 +162,13 @@ pub fn try_run_benchmark(
     if !BENCHMARKS.contains(&name.as_str()) {
         return Err(RunError::Unknown(UnknownBenchmark(name)));
     }
+    let (backend, sched, inject) = (opts.backend, opts.sched, opts.inject.copied());
+    let run = RunSpec { class, style, threads, backend, sched, inject, ..RunSpec::new(&name) };
+    run.validate().map_err(RunError::Config)?;
     // The procs backend spawns worker *processes*, not a thread team;
     // the fault plan crosses the exec boundary as a worker flag instead
     // of being armed in-process (see `procs::run_procs`).
     let procs_mode = opts.backend == Backend::Procs;
-    if procs_mode && opts.sched != Sched::Static {
-        return Err(RunError::Config(format!(
-            "the procs backend partitions regions statically across worker \
-             processes; --sched {} requires the threads backend",
-            opts.sched.label()
-        )));
-    }
     let team = if threads == 0 || procs_mode { None } else { Some(Team::new(threads)) };
     if let Some(t) = team.as_ref() {
         t.set_sched(opts.sched);
@@ -240,56 +235,52 @@ pub fn try_run_benchmark(
     if own_session.is_some() {
         trace::uninstall();
     }
-    match result {
-        Ok(Err(e)) => {
-            // A procs-backend failure (recovery budget exhausted, spawn
-            // error): flush the partial profile, surface the error.
+    let outcome = match result {
+        Ok(outcome) => outcome,
+        Err(payload) => match payload.downcast::<RegionError>() {
+            Ok(region) => Err(RunError::Region(*region)),
+            Err(other) => std::panic::resume_unwind(other),
+        },
+    };
+    let mut report = match outcome {
+        Ok(report) => report,
+        Err(e) => {
+            // A failed region, or a failed procs run (recovery budget
+            // exhausted, spawn error): flush what the recorder saw
+            // before the failure — the partial profile, poisoned ranks
+            // and all, is what a post-mortem needs. Best effort: the
+            // error is the headline, not a write failure here.
             if let (Some(s), Some(_)) = (&session, opts.trace) {
                 let _ = s.write_output(false);
             }
-            Err(e)
+            return Err(e);
         }
-        Ok(Ok(mut report)) => {
-            if let Some(s) = &session {
-                s.set_wall_secs(report.time_secs);
-                report.regions = s
-                    .summarize()
-                    .iter()
-                    .map(|r| RegionProfile {
-                        name: r.name.clone(),
-                        secs: r.total_secs,
-                        imbalance: r.imbalance(),
-                    })
-                    .collect();
-                if let Some(path) = opts.trace {
-                    if let Err(e) = s.write_output(false) {
-                        // The benchmark verified; losing its profile is
-                        // degradation, not failure. Structured event on
-                        // stderr, the run's own result stands.
-                        eprintln!(
-                            "npb: {} ({})",
-                            npb_core::IoDegraded::new("trace", "export", &e),
-                            path.display()
-                        );
-                    }
-                }
+    };
+    if let Some(s) = &session {
+        s.set_wall_secs(report.time_secs);
+        report.regions = s
+            .summarize()
+            .iter()
+            .map(|r| RegionProfile {
+                name: r.name.clone(),
+                secs: r.total_secs,
+                imbalance: r.imbalance(),
+            })
+            .collect();
+        if let Some(path) = opts.trace {
+            if let Err(e) = s.write_output(false) {
+                // The benchmark verified; losing its profile is
+                // degradation, not failure. Structured event on
+                // stderr, the run's own result stands.
+                eprintln!(
+                    "npb: {} ({})",
+                    npb_core::IoDegraded::new("trace", "export", &e),
+                    path.display()
+                );
             }
-            Ok(report)
         }
-        Err(payload) => match payload.downcast::<RegionError>() {
-            Ok(region) => {
-                // Flush what the recorder saw before the failure: the
-                // partial profile (poisoned ranks and all) is exactly
-                // what a post-mortem needs. Best effort — the region
-                // error is the headline, not a write failure here.
-                if let (Some(s), Some(_)) = (&session, opts.trace) {
-                    let _ = s.write_output(false);
-                }
-                Err(RunError::Region(*region))
-            }
-            Err(other) => std::panic::resume_unwind(other),
-        },
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -299,6 +290,18 @@ mod tests {
     #[test]
     fn unknown_name_is_an_error() {
         assert!(run_benchmark("ZZ", Class::S, Style::Opt, 0).is_err());
+    }
+
+    #[test]
+    fn a_run_that_cannot_work_is_a_config_error_before_any_team() {
+        // One over the bound: were the check after `Team::new`, this
+        // would start 257 threads, not a million.
+        let wide =
+            try_run_benchmark("EP", Class::S, Style::Opt, MAX_WIDTH + 1, &Default::default());
+        assert!(matches!(wide, Err(RunError::Config(m)) if m.contains("wider than")));
+        let procs = RunOptions { backend: Backend::Procs, ..RunOptions::default() };
+        let serial = try_run_benchmark("EP", Class::S, Style::Opt, 0, &procs);
+        assert!(matches!(serial, Err(RunError::Config(m)) if m.contains("threads >= 1")));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! report fields:
 //!
 //! * the parent creates the segment, spawns `npb <bench> --rank R/N`
-//!   workers against the inherited memfd, and participates in every
-//!   outer barrier;
+//!   workers against the inherited memfd (the run's own flags, from
+//!   [`RunSpec::to_argv`]), and participates in every outer barrier;
 //! * a barrier that does not open within the round deadline makes the
 //!   parent poll `waitpid`: a dead rank (crash, OOM kill, injected
 //!   fault) or a hung one is answered by killing the stragglers,
@@ -48,7 +48,8 @@ use npb_core::trace::{self, SpanKind};
 use npb_core::{Class, IoDegraded, IoFaultPlan, Style, WATCHDOG_EXIT_CODE};
 use npb_runtime::procs::shm::{header, ShmBanks, ShmSegment, STATUS_DONE, STATUS_RUNNING};
 use npb_runtime::procs::{ProcBarrier, RankSet};
-use npb_runtime::{Exchange, FaultKind, FaultPlan, RegionError, SharedMut};
+use npb_runtime::spec::Flag;
+use npb_runtime::{Backend, Exchange, FaultKind, FaultPlan, RegionError, RunSpec, SharedMut};
 
 use crate::{RunError, RunOptions};
 
@@ -78,8 +79,8 @@ const PARENT_POLL: Duration = Duration::from_millis(20);
 const FAULT_ROUND: u32 = 1;
 
 /// Run a benchmark under the procs backend. Called by
-/// `try_run_benchmark` once the name is validated; `nranks` is the
-/// `--threads` value (one worker process per rank).
+/// `try_run_benchmark` once [`RunSpec::validate`] passed, so `nranks`,
+/// the `--threads` value (one worker process per rank), is at least 1.
 pub(crate) fn run_procs(
     name: &str,
     class: Class,
@@ -87,18 +88,13 @@ pub(crate) fn run_procs(
     nranks: usize,
     opts: &RunOptions<'_>,
 ) -> Result<npb_core::BenchReport, RunError> {
-    if nranks == 0 {
-        return Err(RunError::Config(
-            "--backend procs needs --threads >= 1 (one worker process per rank)".to_string(),
-        ));
-    }
     let cfg = ProcsConfig {
         class,
         style,
         nranks,
         round_timeout: opts.timeout.unwrap_or(DEFAULT_ROUND_TIMEOUT),
         max_recoveries: opts.max_recoveries.unwrap_or(DEFAULT_MAX_RECOVERIES),
-        fault: procs_fault(opts.inject, nranks)?,
+        fault: opts.inject.map(|plan| (plan.victim(nranks), *plan)),
     };
     match name {
         "EP" => ep::run_parent(&cfg),
@@ -118,7 +114,11 @@ pub(crate) struct ProcsConfig {
     pub nranks: usize,
     pub round_timeout: Duration,
     pub max_recoveries: usize,
-    pub fault: Option<(usize, WorkerFault)>,
+    /// The victim rank and the fault it inflicts on itself: panic →
+    /// the worker aborts, delay → it stalls, hang → it wedges (the
+    /// in-process corruptions cannot cross exec; [`RunSpec::validate`]
+    /// refuses them here).
+    pub fault: Option<(usize, FaultPlan)>,
 }
 
 impl ProcsConfig {
@@ -134,116 +134,39 @@ fn outer_barrier(seg: &ShmSegment, nranks: usize) -> ProcBarrier<'_> {
     ProcBarrier::new(seg, header::OUTER_GEN, header::OUTER_COUNT, nranks as u32 + 1)
 }
 
-/// Map an `--inject` plan onto the procs backend: the process-level
-/// faults translate (panic → worker aborts, delay → worker stalls,
-/// hang → worker wedges); the in-computation corruptions (nan,
-/// bitflip) are meaningless across an exec boundary and are rejected.
-fn procs_fault(
-    plan: Option<&FaultPlan>,
-    nranks: usize,
-) -> Result<Option<(usize, WorkerFault)>, RunError> {
-    let Some(plan) = plan else { return Ok(None) };
-    let fault = match plan.kind {
-        FaultKind::Panic => WorkerFault::Panic,
-        FaultKind::Delay => WorkerFault::Delay(Duration::from_millis(plan.delay_ms())),
-        FaultKind::Hang => WorkerFault::Hang,
-        FaultKind::Nan | FaultKind::BitFlip => {
-            return Err(RunError::Config(format!(
-                "fault {:?} corrupts in-process state and cannot cross the procs exec \
-                 boundary; procs supports panic|delay|hang",
-                plan.kind
-            )))
-        }
-    };
-    Ok(Some((plan.victim(nranks), fault)))
-}
-
-/// A fault a worker rank inflicts on itself at [`FAULT_ROUND`], carried
-/// over the exec boundary as the hidden `--rank-fault` argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WorkerFault {
-    /// Unwind (the process exits 101), exercising crash containment.
-    Panic,
-    /// Stall once for the given duration (a straggler, not a death).
-    Delay(Duration),
-    /// Wedge forever, exercising the parent's round deadline.
-    Hang,
-}
-
-impl WorkerFault {
-    fn arg(self) -> String {
-        match self {
-            WorkerFault::Panic => "panic".to_string(),
-            WorkerFault::Hang => "hang".to_string(),
-            WorkerFault::Delay(d) => format!("delay:{}", d.as_millis()),
-        }
-    }
-
-    fn parse(spec: &str) -> Result<WorkerFault, String> {
-        match spec.split_once(':') {
-            None if spec == "panic" => Ok(WorkerFault::Panic),
-            None if spec == "hang" => Ok(WorkerFault::Hang),
-            Some(("delay", ms)) => ms
-                .parse::<u64>()
-                .map(|ms| WorkerFault::Delay(Duration::from_millis(ms)))
-                .map_err(|_| format!("bad --rank-fault delay {ms:?}")),
-            _ => Err(format!("bad --rank-fault {spec:?} (expected panic|hang|delay:MS)")),
-        }
-    }
-}
-
-/// How the parent spawns (and respawns) one incarnation of the rank
-/// set: `npb <bench> --class C --style S --rank R/N --shm-fd FD
-/// --shm-len LEN`, stdout silenced (the parent owns the report
-/// channel), stderr inherited (worker panics stay diagnosable).
-struct SpawnSpec {
-    bench: &'static str,
-    class: Class,
-    style: Style,
-    nranks: usize,
-    shm_fd: i32,
-    shm_len: usize,
-}
-
-impl SpawnSpec {
-    fn spawn(&self, fault: Option<&(usize, WorkerFault)>) -> Result<RankSet, RunError> {
-        let exe = worker_binary()?;
-        let mut children = Vec::with_capacity(self.nranks);
-        for rank in 0..self.nranks {
-            let mut cmd = Command::new(&exe);
-            cmd.arg(self.bench)
-                .arg("--class")
-                .arg(self.class.to_string())
-                .arg("--style")
-                .arg(self.style.label())
-                .arg("--rank")
-                .arg(format!("{rank}/{}", self.nranks))
-                .arg("--shm-fd")
-                .arg(self.shm_fd.to_string())
-                .arg("--shm-len")
-                .arg(self.shm_len.to_string())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit())
-                .stdin(Stdio::null());
-            if let Some((victim, f)) = fault {
-                if *victim == rank {
-                    cmd.arg("--rank-fault").arg(f.arg());
-                }
-            }
-            match cmd.spawn() {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    // Kill the ranks already spawned: a half-set must
-                    // not linger (RankSet's Drop covers them).
-                    drop(RankSet::new(children));
-                    return Err(RunError::Config(format!(
-                        "cannot spawn procs worker rank {rank}: {e}"
-                    )));
-                }
+/// Spawn one incarnation of the rank set: `npb <run's flags> --rank R/N
+/// --shm-fd FD --shm-len LEN`, with `fault` on its victim's command line
+/// only, stdout silenced (the parent owns the report channel), stderr
+/// inherited (worker panics stay diagnosable).
+fn spawn(
+    seg: &ShmSegment,
+    run: &RunSpec,
+    fault: Option<(usize, FaultPlan)>,
+) -> Result<RankSet, RunError> {
+    let exe = worker_binary()?;
+    let mut children = Vec::with_capacity(run.threads);
+    for rank in 0..run.threads {
+        let inject = fault.filter(|&(victim, _)| victim == rank).map(|(_, plan)| plan);
+        let mut cmd = Command::new(&exe);
+        cmd.args(RunSpec { inject, ..run.clone() }.to_argv())
+            .args(["--rank", &format!("{rank}/{}", run.threads)])
+            .args(["--shm-fd", &seg.fd().to_string(), "--shm-len", &seg.len().to_string()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .stdin(Stdio::null());
+        match cmd.spawn() {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                // Kill the ranks already spawned: a half-set must
+                // not linger (RankSet's Drop covers them).
+                drop(RankSet::new(children));
+                return Err(RunError::Config(format!(
+                    "cannot spawn procs worker rank {rank}: {e}"
+                )));
             }
         }
-        Ok(RankSet::new(children))
     }
+    Ok(RankSet::new(children))
 }
 
 /// The worker binary: this very executable (workers are the `npb`
@@ -273,7 +196,8 @@ pub(crate) enum RoundFailure {
 /// recovery accounting.
 pub(crate) struct Parent<'a> {
     seg: &'a ShmSegment,
-    spec: SpawnSpec,
+    /// The run every rank is part of, as its workers are told it.
+    run: RunSpec,
     outer: ProcBarrier<'a>,
     ranks: RankSet,
     round_timeout: Duration,
@@ -292,19 +216,18 @@ impl<'a> Parent<'a> {
         bench: &'static str,
         cfg: &ProcsConfig,
     ) -> Result<Parent<'a>, RunError> {
-        let spec = SpawnSpec {
-            bench,
+        let run = RunSpec {
             class: cfg.class,
             style: cfg.style,
-            nranks: cfg.nranks,
-            shm_fd: seg.fd(),
-            shm_len: seg.len(),
+            threads: cfg.nranks,
+            backend: Backend::Procs,
+            ..RunSpec::new(bench)
         };
-        let ranks = spec.spawn(cfg.fault.as_ref())?;
+        let ranks = spawn(seg, &run, cfg.fault)?;
         Ok(Parent {
             seg,
             outer: outer_barrier(seg, cfg.nranks),
-            spec,
+            run,
             ranks,
             round_timeout: cfg.round_timeout,
             recoveries: 0,
@@ -374,18 +297,18 @@ impl<'a> Parent<'a> {
         match failure {
             RoundFailure::Death { rank, what } => eprintln!(
                 "npb procs: {} rank {rank} died ({what}); recovery {} of {}",
-                self.spec.bench, self.recoveries, self.max_recoveries
+                self.run.bench, self.recoveries, self.max_recoveries
             ),
             RoundFailure::Hang => eprintln!(
                 "npb procs: {} round hung past {:?}; recovery {} of {}",
-                self.spec.bench, self.round_timeout, self.recoveries, self.max_recoveries
+                self.run.bench, self.round_timeout, self.recoveries, self.max_recoveries
             ),
         }
         if self.recoveries > self.max_recoveries {
             return Err(RunError::Region(match failure {
                 RoundFailure::Death { rank, .. } => RegionError::Panicked { tids: vec![*rank] },
                 RoundFailure::Hang => {
-                    RegionError::Timeout { stuck_ranks: (0..self.spec.nranks).collect() }
+                    RegionError::Timeout { stuck_ranks: (0..self.run.threads).collect() }
                 }
             }));
         }
@@ -394,7 +317,7 @@ impl<'a> Parent<'a> {
         self.outer.reset();
         self.seg.atomic_u32(header::INNER_COUNT).store(0, Ordering::SeqCst);
         eprintln!("npb procs: restoring every rank from checkpoint round {resume} and respawning");
-        self.ranks = self.spec.spawn(None)?;
+        self.ranks = spawn(self.seg, &self.run, None)?;
         Ok(resume)
     }
 
@@ -477,9 +400,11 @@ pub(crate) struct WorkerCtx {
     pub nranks: usize,
     pub class: Class,
     pub style: Style,
-    /// One-shot (in a `Cell` so `round_start` composes with the
-    /// segment borrows the barrier and checkpoint views hold).
-    fault: std::cell::Cell<Option<WorkerFault>>,
+    /// The fault this rank inflicts on itself at [`FAULT_ROUND`]: panic
+    /// (unwind, the process exits 101), delay (stall once) or hang
+    /// (wedge forever). One-shot (in a `Cell` so `round_start` composes
+    /// with the segment borrows the barrier and checkpoint views hold).
+    fault: std::cell::Cell<Option<FaultPlan>>,
     /// Test pacing lever (`NPB_PROCS_ROUND_DELAY_MS`): an extra sleep
     /// per round so chaos tests have a window to SIGKILL a rank
     /// mid-run (an S-class run is otherwise over in milliseconds). An
@@ -503,15 +428,16 @@ impl WorkerCtx {
         if round != FAULT_ROUND {
             return;
         }
-        match self.fault.take() {
-            None => {}
-            Some(WorkerFault::Panic) => {
+        let Some(plan) = self.fault.take() else { return };
+        match plan.kind {
+            FaultKind::Panic => {
                 panic!("npb procs: injected panic in rank {} at round {round}", self.rank)
             }
-            Some(WorkerFault::Delay(d)) => std::thread::sleep(d),
-            Some(WorkerFault::Hang) => loop {
+            FaultKind::Delay => std::thread::sleep(Duration::from_millis(plan.delay_ms())),
+            FaultKind::Hang => loop {
                 std::thread::sleep(Duration::from_secs(60));
             },
+            FaultKind::Nan | FaultKind::BitFlip => {}
         }
     }
 }
@@ -625,22 +551,20 @@ pub fn worker_main(bench: &str, args: &[String]) -> i32 {
 /// Parse the worker-mode flags out of the (already `--flag=value`
 /// expanded) argument list, attach the segment, read the env knobs.
 fn worker_ctx(args: &[String]) -> Result<WorkerCtx, String> {
-    let mut class = Class::S;
-    let mut style = Style::Opt;
+    let mut run = RunSpec::new("");
     let mut rank_spec: Option<String> = None;
     let mut fd: Option<i32> = None;
     let mut len: Option<usize> = None;
-    let mut fault: Option<WorkerFault> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if run.parse_flag(flag, &mut it)? != Flag::Other {
+            continue;
+        }
         let mut val = || it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--class" | "-c" => class = val()?.parse().map_err(|e| format!("{e}"))?,
-            "--style" | "-s" => style = val()?.parse()?,
             "--rank" => rank_spec = Some(val()?),
             "--shm-fd" => fd = Some(val()?.parse().map_err(|_| "bad --shm-fd".to_string())?),
             "--shm-len" => len = Some(val()?.parse().map_err(|_| "bad --shm-len".to_string())?),
-            "--rank-fault" => fault = Some(WorkerFault::parse(&val()?)?),
             // Anything else on the worker command line is a parent-mode
             // flag that does not concern the rank loop.
             _ => {}
@@ -666,9 +590,9 @@ fn worker_ctx(args: &[String]) -> Result<WorkerCtx, String> {
         seg,
         rank,
         nranks,
-        class,
-        style,
-        fault: std::cell::Cell::new(fault),
+        class: run.class,
+        style: run.style,
+        fault: std::cell::Cell::new(run.inject),
         round_delay,
     })
 }

@@ -248,6 +248,30 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn a_sweep_holding_a_run_that_cannot_work_is_refused_before_its_first_cell() {
+    // The rules `npbd` applies at admission, applied to each width of the
+    // sweep before any child or manifest exists.
+    for (args, why) in [
+        (&["--threads", "0,2", "--backend", "procs"][..], "threads >= 1"),
+        (&["--threads", "2", "--backend", "procs", "--sched", "guided"], "requires the threads"),
+        (&["--threads", "2", "--backend", "procs", "--inject", "bitflip:1"], "cannot cross"),
+        (&["--threads", "2,257"], "wider than"),
+    ] {
+        let manifest = tmp_manifest("refused");
+        let mut argv = vec!["ep"];
+        argv.extend_from_slice(args);
+        argv.extend_from_slice(&["--manifest", manifest.to_str().unwrap()]);
+        let out = suite(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(!manifest.exists(), "{args:?}: the sweep started");
+    }
+    // `--timeout` is `npb`'s spelling; the supervisor's is `--child-timeout-ms`.
+    assert_eq!(suite(&["ep", "--timeout", "5"]).status.code(), Some(2));
+}
+
+#[test]
 fn driver_json_flag_emits_the_parseable_record() {
     // The structured channel the supervisor relies on: one JSON line on
     // stdout alongside the classic banner.
