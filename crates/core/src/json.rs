@@ -89,12 +89,30 @@ impl Json {
         }
     }
 
-    /// Numeric member of an object, as a non-negative integer.
+    /// Numeric member of an object, as a non-negative integer no larger
+    /// than [`MAX_EXACT_UINT`].
     pub fn get_uint(&self, key: &str) -> Option<u64> {
-        let n = self.get_num(key)?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+        self.get(key)?.as_uint()
+    }
+
+    /// A number that is a non-negative integer no larger than
+    /// [`MAX_EXACT_UINT`]: `None` for anything else, so no two integers
+    /// read back as one value.
+    pub fn as_uint(&self) -> Option<u64> {
+        match *self {
+            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT_UINT as f64 => {
+                Some(n as u64)
+            }
+            _ => None,
+        }
     }
 }
+
+/// The largest integer [`Json::as_uint`] accepts, 2^53 − 1. Numbers are
+/// read as `f64`, which above it no longer holds every integer:
+/// `9007199254740993` reads as `9007199254740992`, so two seeds would
+/// name one job, and `2^64` would saturate to `u64::MAX`.
+pub const MAX_EXACT_UINT: u64 = (1 << 53) - 1;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -327,6 +345,21 @@ mod tests {
         assert_eq!(v.get_num("mops"), Some(123.5));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get_uint("n"), Some(0));
+    }
+
+    /// Integers up to 2^53 − 1 read back exactly; above it two integers
+    /// share one `f64`, so they and anything larger are refused.
+    #[test]
+    fn get_uint_refuses_integers_an_f64_cannot_hold() {
+        let uint = |text: &str| Json::parse(&format!(r#"{{"n":{text}}}"#)).unwrap().get_uint("n");
+        assert_eq!(uint("9007199254740991"), Some(MAX_EXACT_UINT));
+        assert_eq!(uint("4503599627370495"), Some(4503599627370495));
+        for text in ["9007199254740992", "9007199254740993", "18446744073709551616", "1e300"] {
+            assert_eq!(uint(text), None, "{text}");
+        }
+        for text in ["-1", "0.5", "\"7\"", "null"] {
+            assert_eq!(uint(text), None, "{text}");
+        }
     }
 
     #[test]

@@ -62,6 +62,27 @@ impl std::ops::Mul for C64 {
     }
 }
 
+/// `n` complex zeros straight from the zeroing allocator. `vec!` hands
+/// only primitive zeros to it; `vec![C64::ZERO; n]` writes every element
+/// on the calling thread. Here no page is written until its first user
+/// writes it, so a field filled on a Team is first touched by the ranks
+/// that fill it.
+pub fn zeroed(n: usize) -> Vec<C64> {
+    let layout = std::alloc::Layout::array::<C64>(n).expect("complex array size overflows");
+    if layout.size() == 0 {
+        return Vec::new();
+    }
+    // SAFETY: the layout has a non-zero size.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<C64>();
+    if ptr.is_null() {
+        std::alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` comes from the global allocator with the layout of
+    // `n` `C64`s, and all-zero bytes are `C64::ZERO` (two `+0.0`s), so
+    // all `n` elements are initialized; the capacity is exactly `n`.
+    unsafe { Vec::from_raw_parts(ptr, n, n) }
+}
+
 /// View a complex slice as its interleaved `f64` representation (for the
 /// NPB generator, which produces real deviate streams).
 pub fn as_f64_mut(x: &mut [C64]) -> &mut [f64] {
@@ -103,5 +124,22 @@ mod tests {
             f[3] = 9.0;
         }
         assert_eq!(v[1], c64(3.0, 9.0));
+    }
+
+    /// The allocation reads `C64::ZERO` (bit for bit: `+0.0`, not `-0.0`)
+    /// everywhere, takes writes and pushes like any `Vec`, and drops.
+    #[test]
+    fn zeroed_reads_zero_everywhere_and_drops_cleanly() {
+        for n in [0usize, 1, 3, 4096, 1 << 18] {
+            let mut v = zeroed(n);
+            assert_eq!((v.len(), v.capacity()), (n, n));
+            assert!(as_f64(&v).iter().all(|x| x.to_bits() == 0), "n = {n}");
+            if let Some(last) = v.last_mut() {
+                *last = c64(1.0, -1.0);
+            }
+            v.push(c64(2.0, 3.0));
+            assert_eq!(v[n], c64(2.0, 3.0));
+            drop(v);
+        }
     }
 }

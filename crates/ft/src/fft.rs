@@ -20,7 +20,7 @@
 //! registers; every element still sees the reference's operation
 //! sequence, so the two bodies agree bit for bit.
 
-use crate::complex::{c64, C64};
+use crate::complex::{self, c64, C64};
 use npb_core::lane::Lane;
 use npb_core::{ld, st};
 
@@ -35,7 +35,7 @@ impl FftTable {
     pub fn new(n: usize) -> FftTable {
         assert!(n.is_power_of_two() && n >= 2, "FFT length {n} must be a power of two >= 2");
         let m = n.trailing_zeros();
-        let mut u = vec![C64::ZERO; n + 1];
+        let mut u = complex::zeroed(n + 1);
         u[0] = c64(m as f64, 0.0);
         let mut ku = 1usize; // 0-based index of u(2)
         let mut ln = 1usize;

@@ -9,8 +9,11 @@
 //! The paper's §5.2 highlights FT as the memory-pressure case: "the
 //! inability of the JVM to use more than 4 processors to run applications
 //! requiring significant amounts of memory (FT.A uses about 350 MB)".
-//! This port keeps the same three large complex arrays so the footprint
-//! matches.
+//! This port keeps two complex fields, `u0` and `u1` (32 bytes a point,
+//! 268 MB at class A). They come unwritten from the zeroing allocator,
+//! so the ranks that fill them first touch their pages. `ft.f`'s
+//! per-point `twiddle` array is gone: `evolve` reads each point's decay
+//! factor from a table of a few thousand `exp` values.
 //!
 //! The 3-D transform is `ft.f`'s blocked one. A pass over one dimension
 //! takes [`fft::BLOCK`] adjacent pencils at a time: their rows are copied
@@ -41,6 +44,13 @@ use std::ops::Range;
 
 const ALPHA: f64 = 1.0e-6;
 
+/// `f²` for the wavenumber `f` of index `i` on an `n`-point axis, folded
+/// to the centered range.
+fn fold2(i: usize, n: usize) -> usize {
+    let f = ((i + n / 2) % n) as i64 - (n / 2) as i64;
+    (f * f) as usize
+}
+
 /// Reusable per-rank block buffers (the `fftblock`-wide `tx`/`ty` pair
 /// each transform pass works a block of pencils through), sized for the
 /// largest grid dimension so one pair serves all three directions.
@@ -69,8 +79,8 @@ pub struct FtState {
     u0: Vec<C64>,
     /// Working field (initial conditions / inverse-transform output).
     u1: Vec<C64>,
-    /// Per-mode decay factor for one time step.
-    twiddle: Vec<f64>,
+    /// One time step's decay factor for each distinct `kx²+ky²+kz²`.
+    decay: Vec<f64>,
     table: FftTable,
 }
 
@@ -96,9 +106,9 @@ impl FtState {
         let maxdim = p.nx.max(p.ny).max(p.nz);
         FtState {
             p,
-            u0: vec![C64::ZERO; nt],
-            u1: vec![C64::ZERO; nt],
-            twiddle: vec![0.0; nt],
+            u0: complex::zeroed(nt),
+            u1: complex::zeroed(nt),
+            decay: Vec::new(),
             table: FftTable::new(maxdim),
         }
     }
@@ -108,38 +118,18 @@ impl FtState {
         &self.p
     }
 
-    /// `compute_indexmap`: per-mode decay factor
+    /// `compute_indexmap`: the per-mode decay factor
     /// `exp(-4 α π² (kx²+ky²+kz²))` with wavenumbers folded to the
-    /// centered range. The factor depends only on the integer
-    /// `s = kx²+ky²+kz²`, which takes a few thousand distinct values over
-    /// millions of points: `exp` runs once per `s`, not once per point.
-    fn compute_indexmap(&mut self, team: Option<&Team>) {
+    /// centered range depends only on the integer `s = kx²+ky²+kz²`,
+    /// which takes a few thousand distinct values over millions of
+    /// points. So `exp` runs once per `s`, into `decay`, and `evolve`
+    /// reads each point's factor from it.
+    fn compute_indexmap(&mut self) {
         let (nx, ny, nz) = (self.p.nx, self.p.ny, self.p.nz);
         let ap = -4.0 * ALPHA * std::f64::consts::PI * std::f64::consts::PI;
-        let fold2 = |i: usize, n: usize| {
-            let f = ((i + n / 2) % n) as i64 - (n / 2) as i64;
-            (f * f) as usize
-        };
-        let ii2: Vec<usize> = (0..nx).map(|i| fold2(i, nx)).collect();
         let s_max = fold2(nx / 2, nx) + fold2(ny / 2, ny) + fold2(nz / 2, nz);
-        let ex: Vec<f64> = (0..=s_max).map(|s| (ap * s as f64).exp()).collect();
-        // SAFETY: a rank writes only the rows of its own k-planes.
-        let tw = unsafe { SharedMut::new(&mut self.twiddle) };
-        run_par(team, |par| {
-            par.for_chunks(nz, |ks| {
-                for k in ks {
-                    for j in 0..ny {
-                        let kj2 = fold2(j, ny) + fold2(k, nz);
-                        // SAFETY: row `j` of plane `k` belongs to this rank
-                        // alone, and it holds no other borrow of `tw`.
-                        let row = unsafe { tw.row_mut(nx * (j + ny * k), nx) };
-                        for (t, &i2) in row.iter_mut().zip(&ii2) {
-                            *t = ex[i2 + kj2];
-                        }
-                    }
-                }
-            });
-        });
+        self.decay.clear();
+        self.decay.extend((0..=s_max).map(|s| (ap * s as f64).exp()));
     }
 
     /// `compute_initial_conditions`: fill `u1` with the NPB random
@@ -164,21 +154,30 @@ impl FtState {
         });
     }
 
-    /// `evolve`: `u0 *= twiddle`, `u1 = u0`.
+    /// `evolve`: `u0 *= decay`, `u1 = u0`, a row at a time over each
+    /// rank's k-planes, each point's factor read from the `exp` table as
+    /// it is scaled. (Filling a row of factors first and scaling by it in
+    /// a second loop was slower, and so was a field-sized factor array.)
     fn evolve(&mut self, team: Option<&Team>) {
-        let n = self.u0.len();
-        // SAFETY: a rank reads and writes only its own chunk of each.
+        let (nx, ny, nz) = (self.p.nx, self.p.ny, self.p.nz);
+        let ii2: Vec<usize> = (0..nx).map(|i| fold2(i, nx)).collect();
+        let decay: &[f64] = &self.decay;
+        // SAFETY: a rank reads and writes only the rows of its own k-planes.
         let (u0, u1) = unsafe { (SharedMut::new(&mut self.u0), SharedMut::new(&mut self.u1)) };
-        let tw: &[f64] = &self.twiddle;
         run_par(team, |par| {
-            par.for_chunks(n, |ids| {
-                // SAFETY: the chunk belongs to this rank alone; the two
-                // borrows are of different arrays.
-                let (a, b) =
-                    unsafe { (u0.row_mut(ids.start, ids.len()), u1.row_mut(ids.start, ids.len())) };
-                for ((a, b), &t) in a.iter_mut().zip(b).zip(&tw[ids]) {
-                    *a = a.scale(t);
-                    *b = *a;
+            par.for_chunks(nz, |ks| {
+                for k in ks {
+                    for j in 0..ny {
+                        let row = &decay[fold2(j, ny) + fold2(k, nz)..];
+                        let at = nx * (j + ny * k);
+                        // SAFETY: row `j` of plane `k` belongs to this rank
+                        // alone; the two borrows are of different arrays.
+                        let (a, b) = unsafe { (u0.row_mut(at, nx), u1.row_mut(at, nx)) };
+                        for ((a, b), &i2) in a.iter_mut().zip(b).zip(&ii2) {
+                            *a = a.scale(row[i2]);
+                            *b = *a;
+                        }
+                    }
                 }
             });
         });
@@ -208,8 +207,9 @@ impl FtState {
         // Per-rank FFT block buffers, allocated once before the timed
         // section; the solver loop reuses them across every transform.
         let scratch = FftScratch::for_run(&self.p, team);
-        // Untimed warm-up: touch every page once.
-        self.compute_indexmap(team);
+        // Untimed warm-up: the ranks first touch every page of both
+        // fields, `u1` in the initial conditions and `u0` in the FFT.
+        self.compute_indexmap();
         self.compute_initial_conditions(team);
         fft3d(1, &self.p, &self.table, &mut self.u1, &mut self.u0, &scratch, team);
 
@@ -219,7 +219,7 @@ impl FtState {
         let t0 = std::time::Instant::now();
         {
             let _phase = trace::scope("setup");
-            self.compute_indexmap(team);
+            self.compute_indexmap();
             self.compute_initial_conditions(team);
         }
         {
@@ -581,12 +581,16 @@ mod tests {
         }
     }
 
+    /// Each point's factor, read off a field of ones that `evolve`
+    /// scaled once, against `exp` of its own `kx²+ky²+kz²`.
     #[test]
     fn index_map_equals_the_per_point_formula_bitwise() {
         let grids = [FtParams::for_class(Class::S), FtParams { nx: 32, ny: 8, nz: 16, niter: 1 }];
         for p in grids {
             let mut st = FtState::with_params(p);
-            st.compute_indexmap(None);
+            st.compute_indexmap();
+            st.u0.fill(c64(1.0, 0.0));
+            st.evolve(None);
             let ap = -4.0 * ALPHA * std::f64::consts::PI * std::f64::consts::PI;
             let fold = |i: usize, n: usize| ((i + n / 2) % n) as i64 - (n / 2) as i64;
             for k in 0..p.nz {
@@ -594,9 +598,72 @@ mod tests {
                     for i in 0..p.nx {
                         let (ii, jj, kk) = (fold(i, p.nx), fold(j, p.ny), fold(k, p.nz));
                         let want = (ap * (ii * ii + (jj * jj + kk * kk)) as f64).exp();
-                        let got = st.twiddle[i + p.nx * (j + p.ny * k)];
+                        let got = st.u0[i + p.nx * (j + p.ny * k)].re;
                         assert_eq!(got.to_bits(), want.to_bits(), "{p:?} at ({i}, {j}, {k})");
                     }
+                }
+            }
+        }
+    }
+
+    /// The per-point decay array `evolve` read before it read the
+    /// `exp` table, kept to test it against.
+    mod oracle {
+        use super::*;
+
+        /// The old `compute_indexmap`: every point's factor, from the
+        /// same `exp` table, into a field-sized array.
+        pub fn twiddle(p: &FtParams) -> Vec<f64> {
+            let (nx, ny, nz) = (p.nx, p.ny, p.nz);
+            let ap = -4.0 * ALPHA * std::f64::consts::PI * std::f64::consts::PI;
+            let ii2: Vec<usize> = (0..nx).map(|i| fold2(i, nx)).collect();
+            let s_max = fold2(nx / 2, nx) + fold2(ny / 2, ny) + fold2(nz / 2, nz);
+            let ex: Vec<f64> = (0..=s_max).map(|s| (ap * s as f64).exp()).collect();
+            let mut tw = vec![0.0; p.ntotal()];
+            for k in 0..nz {
+                for j in 0..ny {
+                    let kj2 = fold2(j, ny) + fold2(k, nz);
+                    let row = &mut tw[nx * (j + ny * k)..][..nx];
+                    for (t, &i2) in row.iter_mut().zip(&ii2) {
+                        *t = ex[i2 + kj2];
+                    }
+                }
+            }
+            tw
+        }
+
+        /// The old `evolve`: `u0 *= twiddle`, `u1 = u0`.
+        pub fn evolve(u0: &mut [C64], u1: &mut [C64], tw: &[f64]) {
+            for ((a, b), &t) in u0.iter_mut().zip(u1).zip(tw) {
+                *a = a.scale(t);
+                *b = *a;
+            }
+        }
+    }
+
+    /// `u0` and `u1` after each of several steps, against the twiddle
+    /// array's `evolve`, by `to_bits`: at S and the non-cubic W, serially
+    /// and on a Team of 3 (which splits neither grid's planes evenly).
+    #[test]
+    fn table_decay_equals_the_twiddle_array_evolve_bitwise() {
+        let team = Team::new(3);
+        let bits =
+            |v: &[C64]| -> Vec<u64> { complex::as_f64(v).iter().map(|f| f.to_bits()).collect() };
+        for class in [Class::S, Class::W] {
+            let p = FtParams::for_class(class);
+            let tw = oracle::twiddle(&p);
+            for t in [None, Some(&team)] {
+                let mut st = FtState::with_params(p);
+                st.compute_indexmap();
+                st.compute_initial_conditions(t);
+                st.u0.copy_from_slice(&st.u1);
+                let (mut w0, mut w1) = (st.u0.clone(), st.u1.clone());
+                for step in 1..=4 {
+                    st.evolve(t);
+                    oracle::evolve(&mut w0, &mut w1, &tw);
+                    let what = format!("{class:?} width {} step {step}", t.map_or(0, Team::size));
+                    assert!(bits(&st.u0) == bits(&w0), "u0, {what}");
+                    assert!(bits(&st.u1) == bits(&w1), "u1, {what}");
                 }
             }
         }

@@ -20,7 +20,8 @@ pub use params::{IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 use npb_core::{
     ld, st, trace, BenchReport, Class, GuardStats, Randlc, Style, Verified, SEED_DEFAULT,
 };
-use npb_runtime::{run_par, Exchange, SharedMut, Team};
+use npb_runtime::{run_par, Exchange, Par, SharedMut, Team};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
@@ -175,7 +176,9 @@ pub fn prefix_and_check(
 /// Full verification (NPB `full_verify`): scatter `keys` to the ranked
 /// positions the cumulative `counts` give — each key decrements its
 /// value's count and lands in the slot it frees — and check the result
-/// is sorted and a permutation of the input.
+/// is sorted and a permutation of the input. On `team` the ranks share
+/// the work (see [`sort_checked`]); with `None` it runs serially, as the
+/// procs parent calls it. The verdict is the same at every width.
 ///
 /// The permutation check is exact: after the scatter each `counts[k]`
 /// must have fallen to `counts[k-1]` (to 0 at `k = 0`), which holds if
@@ -185,21 +188,16 @@ pub fn prefix_and_check(
 /// compare it replaces let through. A key outside `0..counts.len()`, or
 /// a count that sends a slot out of range, fails verification rather
 /// than panicking.
-pub fn full_verify(keys: &[i32], counts: &[i32]) -> bool {
-    let Some((sorted, left)) = scatter(keys, counts) else {
-        return false;
-    };
-    let is_sorted = sorted.windows(2).all(|w| w[0] <= w[1]);
-    let exact = left.iter().eq(std::iter::once(&0).chain(counts).take(left.len()));
-    is_sorted && exact
+pub fn full_verify(keys: &[i32], counts: &[i32], team: Option<&Team>) -> bool {
+    sort_checked(keys, counts, team).is_some()
 }
 
-/// High-bit buckets of [`scatter`]'s partition: at class A each
+/// High-bit buckets of [`sort_checked`]'s partition: at class A each
 /// bucket's writes stay inside a ≈ 128 KB window of `sorted`.
 const VERIFY_BUCKETS: usize = 1 << 8;
 
-/// [`full_verify`]'s scatter: `sorted` and the decremented counts, or
-/// `None` as soon as the keys and `counts` are seen to disagree.
+/// [`full_verify`]'s scatter: the sorted keys, or `None` as soon as the
+/// keys and `counts` are seen to disagree.
 ///
 /// Scattering straight from `keys` misses cache and TLB on nearly every
 /// write at class A (32 MB of `sorted`). So the keys are first split,
@@ -213,9 +211,18 @@ const VERIFY_BUCKETS: usize = 1 << 8;
 /// them: it fails if a bucket holds more keys than its window, and since
 /// the windows add up to the key count, none can hold fewer. When
 /// `counts` is right, every slot of a bucket falls inside its window; a
-/// slot outside it fails the check, so no write ever reaches a bucket
-/// that is still waiting to be scattered.
-fn scatter(keys: &[i32], counts: &[i32]) -> Option<(Vec<i32>, Vec<i32>)> {
+/// slot outside it fails the check, so no write ever reaches another
+/// bucket's window.
+///
+/// On a Team of `w > 1` each rank first counts its static share of the
+/// keys by bucket; a bucket's keys then go to its window in rank order,
+/// each rank's after those of the ranks before it, which is key order.
+/// Bucket totals that miss their windows fail every rank at once. Each
+/// rank scatters and checks the windows that start in its share of the
+/// keys: sortedness inside each window (a window holds only its bucket's
+/// values, so sorted windows make a sorted array) and the exact check
+/// over its bucket's values.
+fn sort_checked(keys: &[i32], counts: &[i32], team: Option<&Team>) -> Option<Vec<i32>> {
     let (n, mk) = (keys.len(), counts.len());
     let top = mk.saturating_sub(1);
     let shift = (usize::BITS - top.leading_zeros()).saturating_sub(VERIFY_BUCKETS.ilog2());
@@ -228,50 +235,127 @@ fn scatter(keys: &[i32], counts: &[i32]) -> Option<(Vec<i32>, Vec<i32>)> {
     if at[buckets] != n || at.windows(2).any(|w| w[0] > w[1]) {
         return None;
     }
+    let width = team.map_or(1, Team::size);
     let mut sorted = vec![0i32; n];
-    let mut next = at.clone();
-    for &k in keys {
-        if k < 0 || k as usize >= mk {
-            return None;
-        }
-        let b = k as usize >> shift;
-        let slot = next[b];
-        if slot == at[b + 1] {
-            return None;
-        }
-        sorted[slot] = k;
-        next[b] = slot + 1;
-    }
-    // No bucket overflowed and the windows add up to the `n` keys, so
-    // every bucket filled its window exactly.
-
-    let mut left = counts.to_vec();
-    let mut run = Vec::with_capacity(at.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0));
-    for w in at.windows(2) {
-        let window = w[0] as i64..w[1] as i64;
-        run.clear();
-        run.extend_from_slice(&sorted[w[0]..w[1]]);
-        for &k in &run {
-            let c = &mut left[k as usize];
-            let slot = i64::from(*c) - 1;
-            if !window.contains(&slot) {
-                return None;
+    let mut tally = vec![0usize; if width > 1 { width * buckets } else { 0 }];
+    // SAFETY: a rank writes only its own row of `tally`, and only the
+    // slots of `sorted` its offsets and windows give it (see `rank`),
+    // each phase separated by a barrier.
+    let (slots, tally) = unsafe { (SharedMut::new(&mut sorted), SharedMut::new(&mut tally)) };
+    // One rank's count, split, scatter and checks; `false` when it saw
+    // the keys and counts disagree.
+    let rank = |par: &Par<'_>| -> bool {
+        let r = par.tid();
+        let mine = par.range(n);
+        if width > 1 {
+            // SAFETY: row `r` of `tally` is this rank's alone until the
+            // barrier below publishes it.
+            let row = unsafe { tally.row_mut(r * buckets, buckets) };
+            for &k in &keys[mine.clone()] {
+                // A key out of range is counted nowhere, so the totals
+                // below miss the windows, which add up to `n`.
+                if (0..mk as i32).contains(&k) {
+                    row[k as usize >> shift] += 1;
+                }
             }
-            *c = slot as i32;
-            sorted[slot as usize] = k;
         }
-    }
-    Some((sorted, left))
+        par.barrier();
+        // This rank's slots in each window: `next[b]..end[b]`.
+        let (mut next, end) = if width == 1 {
+            (at[..buckets].to_vec(), at[1..].to_vec())
+        } else {
+            // SAFETY: every row is complete, and nothing writes `tally`
+            // again in this region.
+            let all = unsafe { tally.row(0, width * buckets) };
+            let mut next = Vec::with_capacity(buckets);
+            for b in 0..buckets {
+                let col = |t: usize| all[t * buckets + b];
+                if (0..width).map(col).sum::<usize>() != at[b + 1] - at[b] {
+                    // Every rank reads the same totals, so all return here.
+                    return false;
+                }
+                next.push(at[b] + (0..r).map(col).sum::<usize>());
+            }
+            let end = (0..buckets).map(|b| next[b] + all[r * buckets + b]).collect();
+            (next, end)
+        };
+        let mut split = true;
+        for &k in &keys[mine.clone()] {
+            if k < 0 || k as usize >= mk {
+                split = false;
+                break;
+            }
+            let b = k as usize >> shift;
+            let slot = next[b];
+            if slot == end[b] {
+                split = false;
+                break;
+            }
+            slots.set::<true>(slot, k);
+            next[b] = slot + 1;
+        }
+        par.barrier();
+        // A split can fail only serially: on a Team the totals were
+        // checked above. No barrier follows, so returning is safe.
+        if !split {
+            return false;
+        }
+        // No bucket overflowed and the windows add up to the `n` keys, so
+        // every bucket filled its window exactly. This rank's buckets are
+        // those whose windows start in its share (the last rank also takes
+        // the empty ones at `n`).
+        let lo = at.partition_point(|&a| a < mine.start);
+        let hi = if r + 1 == width { buckets } else { at.partition_point(|&a| a < mine.end) };
+        let base = at[lo];
+        // SAFETY: the windows of buckets `lo..hi` are this rank's alone:
+        // no other rank's buckets start in its share of the keys.
+        let span = unsafe { slots.row_mut(base, at[hi] - base) };
+        let widest = at[lo..=hi].windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let (mut run, mut left) = (Vec::with_capacity(widest), Vec::new());
+        for b in lo..hi {
+            let window = at[b] - base..at[b + 1] - base;
+            let values = b << shift..((b + 1) << shift).min(mk);
+            run.clear();
+            run.extend_from_slice(&span[window.clone()]);
+            left.clear();
+            left.extend_from_slice(&counts[values.clone()]);
+            for &k in &run {
+                let c = &mut left[k as usize - values.start];
+                let slot = i64::from(*c) - 1;
+                let local = slot - base as i64;
+                if local < window.start as i64 || local >= window.end as i64 {
+                    return false;
+                }
+                *c = slot as i32;
+                span[local as usize] = k;
+            }
+            let fell =
+                left.iter().zip(values).all(|(&c, k)| c == if k == 0 { 0 } else { counts[k - 1] });
+            if !fell || !span[window].windows(2).all(|w| w[0] <= w[1]) {
+                return false;
+            }
+        }
+        true
+    };
+    // Relaxed: the flag publishes nothing, and the region's end orders
+    // every rank's store before the load.
+    let ok = AtomicBool::new(true);
+    run_par(team, |par| {
+        if !rank(&par) {
+            ok.store(false, Ordering::Relaxed);
+        }
+    });
+    ok.into_inner().then_some(sorted)
 }
 
 /// One full IS benchmark instance (keys + working storage).
 pub struct IsBench {
     class: Class,
     p: IsParams,
-    /// The key array (mutated by the iteration markers each rank pass).
+    /// The key array (mutated by the iteration markers each rank pass),
+    /// ranked in place: NPB copies it to `key_buff2` first, and nothing
+    /// writes the keys while they are ranked.
     pub keys: Vec<i32>,
-    /// Snapshot of the keys used by the last ranking (NPB's `key_buff2`).
-    pub keys_snapshot: Vec<i32>,
     /// Cumulative counts from the last ranking (NPB's `key_buff1`):
     /// `counts[k]` = number of keys `<= k`.
     pub counts: Vec<i32>,
@@ -292,15 +376,7 @@ impl IsBench {
     pub fn on_team(class: Class, team: Option<&Team>) -> IsBench {
         let p = IsParams::for_class(class);
         let keys = create_seq(&p, team);
-        IsBench {
-            class,
-            p,
-            keys_snapshot: vec![0; keys.len()],
-            counts: vec![0; p.max_key],
-            keys,
-            passed: 0,
-            failed: 0,
-        }
+        IsBench { class, p, counts: vec![0; p.max_key], keys, passed: 0, failed: 0 }
     }
 
     /// Problem parameters.
@@ -321,8 +397,7 @@ impl IsBench {
         hists: &mut [i32],
     ) {
         let spot = mark(&mut self.keys, &self.p, iteration);
-        self.keys_snapshot.copy_from_slice(&self.keys);
-        let keys: &[i32] = &self.keys_snapshot;
+        let keys: &[i32] = &self.keys;
         // SAFETY: rank_pass writes `hists` and `counts` only under its
         // phase discipline (own window, then disjoint key ranges).
         let (sh, sc) = unsafe { (SharedMut::new(hists), SharedMut::new(&mut self.counts)) };
@@ -334,9 +409,9 @@ impl IsBench {
         self.failed += failed;
     }
 
-    /// Full verification of the last ranking ([`full_verify`]).
-    pub fn full_verify(&mut self) -> bool {
-        full_verify(&self.keys_snapshot, &self.counts)
+    /// Full verification of the last ranking ([`full_verify`]) on `team`.
+    pub fn full_verify(&self, team: Option<&Team>) -> bool {
+        full_verify(&self.keys, &self.counts, team)
     }
 
     /// Run the full benchmark: untimed warm-up rank, `MAX_ITERATIONS`
@@ -362,7 +437,7 @@ impl IsBench {
         }
         let secs = t0.elapsed().as_secs_f64();
 
-        let full_ok = self.full_verify();
+        let full_ok = self.full_verify(team);
         let expected_passed = TEST_ARRAY_SIZE * MAX_ITERATIONS;
         let verified = if full_ok && self.failed == 0 && self.passed == expected_passed {
             Verified::Success
@@ -454,14 +529,14 @@ mod tests {
         let mut b = IsBench::new(Class::S);
         let mut hists = vec![0i32; b.params().max_key];
         b.rank::<false>(1, None, &mut hists);
-        assert!(b.full_verify());
+        assert!(b.full_verify(None));
         // Corrupt a cumulative count for a key value that actually occurs
         // (keys follow a Bates distribution, so the far tails are empty):
         // the scatter then leaves a hole / collides, breaking sortedness.
         let mid = b.params().max_key / 2;
         assert!(b.counts[mid] > b.counts[mid - 1], "mid bin unexpectedly empty");
         b.counts[mid] += 1;
-        assert!(!b.full_verify());
+        assert!(!b.full_verify(None));
     }
 
     /// The code the two rewrites replaced, kept to test them against.
@@ -537,13 +612,65 @@ mod tests {
         }
     }
 
+    /// Serially and on Teams of 1–4: the bucketed scatter leaves the
+    /// keys where the per-key scatter puts them.
     #[test]
     fn bucketed_scatter_equals_the_per_key_scatter() {
+        let teams: Vec<Team> = (1..=4).map(Team::new).collect();
         for class in [Class::S, Class::W] {
             let b = ranked(class);
-            let (sorted, _) = scatter(&b.keys_snapshot, &b.counts).expect("in range");
-            let (want, ok) = oracle::full_verify(&b.keys_snapshot, &b.counts);
-            assert!(ok && sorted == want, "class {class:?}");
+            let (want, ok) = oracle::full_verify(&b.keys, &b.counts);
+            assert!(ok, "class {class:?}");
+            for team in std::iter::once(None).chain(teams.iter().map(Some)) {
+                let sorted = sort_checked(&b.keys, &b.counts, team).expect("in range");
+                assert!(sorted == want, "class {class:?}, width {}", team.map_or(0, Team::size));
+            }
+        }
+    }
+
+    /// Planted corruptions, each judged on Teams of 1–4 as it is
+    /// serially (`None`, the procs parent's call): a count bumped at a
+    /// populated value, one bumped at an empty value, the total off by
+    /// one each way, a bucket's window moved by one, and a key out of
+    /// range each way. The counts as ranked pass at every width.
+    #[test]
+    fn team_verdicts_equal_the_serial_verdict_on_planted_corruptions() {
+        let b = ranked(Class::S);
+        let mk = b.params().max_key;
+        let mid = mk / 2;
+        assert!(b.counts[mid] > b.counts[mid - 1], "mid value unexpectedly empty");
+        let empty = (1..mk).find(|&k| b.counts[k] == b.counts[k - 1]).unwrap();
+        let bumped = |k: usize, d: i32| {
+            let mut c = b.counts.clone();
+            c[k] += d;
+            c
+        };
+        let mut cases = vec![
+            ("as ranked", b.keys.clone(), b.counts.clone()),
+            ("populated value +1", b.keys.clone(), bumped(mid, 1)),
+            ("populated value -1", b.keys.clone(), bumped(mid, -1)),
+            ("empty value +1", b.keys.clone(), bumped(empty, 1)),
+            ("bucket window moved", b.keys.clone(), bumped(mid - 1, 1)),
+            ("total +1", b.keys.clone(), bumped(mk - 1, 1)),
+            ("total -1", b.keys.clone(), bumped(mk - 1, -1)),
+        ];
+        for (what, bad) in [("key past the top", mk as i32), ("negative key", -1)] {
+            let mut keys = b.keys.clone();
+            keys[b.keys.len() / 3] = bad;
+            cases.push((what, keys, b.counts.clone()));
+        }
+        let teams: Vec<Team> = (1..=4).map(Team::new).collect();
+        for (what, keys, counts) in &cases {
+            let serial = full_verify(keys, counts, None);
+            assert_eq!(serial, *what == "as ranked", "{what}, serial");
+            for team in &teams {
+                assert_eq!(
+                    full_verify(keys, counts, Some(team)),
+                    serial,
+                    "{what}, width {}",
+                    team.size()
+                );
+            }
         }
     }
 
@@ -553,8 +680,8 @@ mod tests {
     #[test]
     fn verdicts_agree_with_the_oracle_on_occupied_values() {
         let b = ranked(Class::S);
-        let (keys, n) = (&b.keys_snapshot, b.keys_snapshot.len() as i32);
-        assert!(full_verify(keys, &b.counts) && oracle::full_verify(keys, &b.counts).1);
+        let (keys, n) = (&b.keys, b.keys.len() as i32);
+        assert!(full_verify(keys, &b.counts, None) && oracle::full_verify(keys, &b.counts).1);
         let mut rng = Randlc::new(SEED_DEFAULT);
         let mut tried = 0;
         while tried < 64 {
@@ -568,7 +695,7 @@ mod tests {
             let mut counts = b.counts.clone();
             counts[k] = c;
             assert!(!oracle::full_verify(keys, &counts).1, "oracle, counts[{k}] {delta:+}");
-            assert!(!full_verify(keys, &counts), "counts[{k}] {delta:+}");
+            assert!(!full_verify(keys, &counts, None), "counts[{k}] {delta:+}");
             tried += 1;
         }
     }
@@ -586,8 +713,8 @@ mod tests {
         assert!(k < 16, "first empty value {k}");
         let mut counts = b.counts.clone();
         counts[k] += 7;
-        assert!(oracle::full_verify(&b.keys_snapshot, &counts).1);
-        assert!(!full_verify(&b.keys_snapshot, &counts));
+        assert!(oracle::full_verify(&b.keys, &counts).1);
+        assert!(!full_verify(&b.keys, &counts, None));
     }
 
     /// A count that moves a slot past its bucket's window stops the
@@ -601,10 +728,10 @@ mod tests {
         // The lowest value of a middle bucket, and the bucket's window.
         let k = mk / 2;
         let (lo, hi) = (b.counts[k - 1], b.counts[k + width - 1]);
-        assert!(b.counts[k] > lo && (hi as usize) < b.keys_snapshot.len());
+        assert!(b.counts[k] > lo && (hi as usize) < b.keys.len());
         let mut counts = b.counts.clone();
         counts[k] += hi - lo;
-        assert!(scatter(&b.keys_snapshot, &counts).is_none());
+        assert!(sort_checked(&b.keys, &counts, None).is_none());
     }
 
     /// Counts that send a slot out of range fail verification; the
@@ -615,21 +742,21 @@ mod tests {
         let mk = b.params().max_key;
         let mut counts = b.counts.clone();
         counts[mk / 2] = 0; // slot -1
-        assert!(!full_verify(&b.keys_snapshot, &counts));
+        assert!(!full_verify(&b.keys, &counts, None));
         // The top value holds the first iteration's other marker.
-        assert_eq!(b.keys_snapshot.iter().max(), Some(&(mk as i32 - 1)));
+        assert_eq!(b.keys.iter().max(), Some(&(mk as i32 - 1)));
         let mut counts = b.counts.clone();
         counts[mk - 1] += 5; // slots past the end
-        assert!(!full_verify(&b.keys_snapshot, &counts));
+        assert!(!full_verify(&b.keys, &counts, None));
         // Counts that give the top value's bucket no room, and a count
         // past the key count.
-        assert!(!full_verify(&[0, 1, 2, 3], &[1, 2, 4, 4]));
-        assert!(!full_verify(&[0, 1, 2, 3], &[9, 2, 3, 4]));
-        let mut keys = b.keys_snapshot.clone();
+        assert!(!full_verify(&[0, 1, 2, 3], &[1, 2, 4, 4], None));
+        assert!(!full_verify(&[0, 1, 2, 3], &[9, 2, 3, 4], None));
+        let mut keys = b.keys.clone();
         keys[3] = mk as i32;
-        assert!(!full_verify(&keys, &b.counts));
+        assert!(!full_verify(&keys, &b.counts, None));
         keys[3] = -1;
-        assert!(!full_verify(&keys, &b.counts));
+        assert!(!full_verify(&keys, &b.counts, None));
     }
 
     #[test]
@@ -663,11 +790,11 @@ mod proptests {
             }
             assert_eq!(counts[mk - 1] as usize, keys.len(), "case {case}");
             assert!(counts.windows(2).all(|w| w[0] <= w[1]));
-            let (sorted, _) = scatter(&keys, &counts).expect("exact counts scatter in range");
+            let sorted = sort_checked(&keys, &counts, None).expect("exact counts scatter in range");
             let mut expect = keys.clone();
             expect.sort_unstable();
             assert_eq!(sorted, expect, "case {case}");
-            assert!(full_verify(&keys, &counts), "case {case}");
+            assert!(full_verify(&keys, &counts, None), "case {case}");
         }
     }
 

@@ -19,9 +19,9 @@ pub use params::MgParams;
 pub use zran3::zran3;
 
 use npb_core::{trace, BenchReport, Class, GuardConfig, GuardStats, Style, Verified};
-use npb_runtime::{guarded_loop, SharedMut, Team};
+use npb_runtime::{guarded_loop, run_par, SharedMut, Team};
 pub use ops::MgScratch;
-use ops::{interp, norm2u3, psinv, resid, rprj3, zero3};
+use ops::{interp, norm2u3, psinv, resid, rprj3, zero3, zero_chunks};
 
 /// MG benchmark state: the grid hierarchy.
 pub struct MgState {
@@ -83,25 +83,28 @@ impl MgState {
         &self.p
     }
 
-    /// Reset `u` to zero and regenerate the right-hand side.
-    pub fn reset(&mut self) {
-        self.zero_grids();
+    /// Zero `u` and `r` on `team` and regenerate the right-hand side.
+    pub fn reset(&mut self, team: Option<&Team>) {
+        self.zero_grids(team);
         let nf = self.sizes[self.lt - 1];
         zran3(&mut self.v, nf, self.p.nx);
     }
 
-    /// Zero `u` and `r` on every level.
-    fn zero_grids(&mut self) {
-        for lev in 0..self.lt {
-            self.u[lev].fill(0.0);
-            self.r[lev].fill(0.0);
-        }
+    /// Zero `u` and `r` on every level, all in one region on `team` (one
+    /// dispatch, not one per grid: at class S a grid is a few KB). The
+    /// grids come unwritten from the zeroing allocator, so the first call
+    /// is where each rank first touches the pages of its own chunks.
+    fn zero_grids(&mut self, team: Option<&Team>) {
+        // SAFETY: each rank writes only its own chunks of each grid.
+        let grids: Vec<SharedMut<f64>> =
+            self.u.iter_mut().chain(&mut self.r).map(|g| unsafe { SharedMut::new(g) }).collect();
+        run_par(team, |p| grids.iter().for_each(|g| zero_chunks(&p, g)));
     }
 
     /// `mg.f`'s untimed warm-up: reset, then one residual, V-cycle and
     /// residual. It reads `v` and never writes it.
     fn warm_up<const SAFE: bool>(&mut self, team: Option<&Team>) {
-        self.reset();
+        self.reset(team);
         self.resid_finest::<SAFE>(team);
         self.mg3p::<SAFE>(team);
         self.resid_finest::<SAFE>(team);
@@ -239,7 +242,7 @@ impl MgState {
         gcfg: &GuardConfig,
     ) -> MgOutcome {
         self.warm_up::<SAFE>(team);
-        self.zero_grids();
+        self.zero_grids(team);
         // Timed section starts here: drop the warm-up cycle's spans so
         // the profile covers exactly what `secs` covers.
         trace::reset();
@@ -354,7 +357,7 @@ mod tests {
     #[test]
     fn cycles_reduce_the_residual() {
         let mut st = MgState::new(Class::S);
-        st.reset();
+        st.reset(None);
         st.resid_finest::<false>(None);
         let (r0, _) = st.residual_norms::<false>(None);
         st.mg3p::<false>(None);
@@ -366,20 +369,29 @@ mod tests {
     }
 
     /// What `run_guarded` relies on to skip `mg.f`'s second `zran3`: the
-    /// warm-up leaves `v` bit for bit as a fresh `zran3` makes it.
+    /// warm-up leaves `v` bit for bit as a fresh `zran3` makes it,
+    /// serially and on a Team of 3; `zero_grids` then leaves every level
+    /// of `u` and `r` zero.
     #[test]
     fn warm_up_leaves_v_as_zran3_made_it() {
+        let team = Team::new(3);
         for class in [Class::S, Class::W] {
-            let mut st = MgState::new(class);
-            st.warm_up::<false>(None);
-            let nf = st.sizes[st.lt - 1];
+            let nf = MgParams::for_class(class).nx + 2;
             let mut fresh = vec![0.0; nf * nf * nf];
-            zran3(&mut fresh, nf, st.p.nx);
-            assert!(st.v.iter().any(|&x| x != 0.0));
-            assert!(
-                st.v.iter().map(|x| x.to_bits()).eq(fresh.iter().map(|x| x.to_bits())),
-                "{class:?}"
-            );
+            zran3(&mut fresh, nf, nf - 2);
+            for t in [None, Some(&team)] {
+                let what = format!("{class:?} width {}", t.map_or(0, Team::size));
+                let mut st = MgState::new(class);
+                st.warm_up::<false>(t);
+                assert!(st.v.iter().any(|&x| x != 0.0));
+                assert!(
+                    st.v.iter().map(|x| x.to_bits()).eq(fresh.iter().map(|x| x.to_bits())),
+                    "{what}"
+                );
+                assert!(st.u.iter().chain(&st.r).flatten().any(|&x| x != 0.0), "{what}");
+                st.zero_grids(t);
+                assert!(st.u.iter().chain(&st.r).flatten().all(|x| x.to_bits() == 0), "{what}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! faces per-plane and then the i3 faces after a barrier.
 
 use npb_core::{ld, st};
-use npb_runtime::{run_par, Partials, RankScratch, SharedMut, Team};
+use npb_runtime::{run_par, Par, Partials, RankScratch, SharedMut, Team};
 use std::ops::Range;
 
 /// Reusable per-rank line buffers for the stencil operators.
@@ -151,11 +151,15 @@ fn interp_row<const SAFE: bool>(u: &mut [f64], z: &[f64], even: f64, odd: f64) {
 
 /// Zero a grid.
 pub fn zero3(z: &SharedMut<f64>, _n: usize, team: Option<&Team>) {
-    run_par(team, |p| {
-        // SAFETY: the chunks of one region are disjoint, and nothing else
-        // touches `z` while it runs.
-        p.for_chunks(z.len(), |ids| unsafe { z.row_mut(ids.start, ids.len()) }.fill(0.0));
-    });
+    run_par(team, |p| zero_chunks(&p, z));
+}
+
+/// Zero this rank's chunks of `z`: one scheduled loop of the region `p`
+/// belongs to, so several grids can be zeroed in one region.
+pub(crate) fn zero_chunks(p: &Par<'_>, z: &SharedMut<f64>) {
+    // SAFETY: the chunks of one loop are disjoint, and nothing else
+    // touches `z` while it runs.
+    p.for_chunks(z.len(), |ids| unsafe { z.row_mut(ids.start, ids.len()) }.fill(0.0));
 }
 
 /// Periodic boundary exchange (`comm3`): copy the opposite interior

@@ -22,7 +22,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use npb_core::guard::parse_checkpoint_every;
-use npb_core::json::{json_escape, Json};
+use npb_core::json::{json_escape, Json, MAX_EXACT_UINT};
 use npb_core::{Class, ResourceLimits, Style, BENCHMARKS};
 
 use crate::{Backend, FaultKind, FaultPlan, Sched};
@@ -265,12 +265,11 @@ where
     }
 }
 
-/// A JSON number that is a non-negative integer.
+/// A JSON number that is a non-negative integer no larger than
+/// [`MAX_EXACT_UINT`], the largest one an `f64` reads back exactly.
 pub fn uint(x: &Json) -> Result<u64, String> {
-    match *x {
-        Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Ok(n as u64),
-        _ => Err("must be a non-negative integer or null".into()),
-    }
+    x.as_uint()
+        .ok_or_else(|| format!("must be a non-negative integer up to {MAX_EXACT_UINT} or null"))
 }
 
 /// A JSON boolean.

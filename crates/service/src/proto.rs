@@ -432,6 +432,25 @@ mod tests {
         }
     }
 
+    /// A seed above 2^53 − 1 is refused rather than read as its nearest
+    /// `f64`: `…993` and `…992` once shared a job id, and `2^64` read as
+    /// `u64::MAX`. The largest exact seed is a job of its own.
+    #[test]
+    fn seeds_an_f64_cannot_hold_are_bad_requests() {
+        let line =
+            |seed: &str| format!(r#"{{"op":"submit","bench":"EP","threads":2,"seed":{seed}}}"#);
+        for seed in ["9007199254740992", "9007199254740993", "18446744073709551616"] {
+            let err = Request::parse(&line(seed)).unwrap_err();
+            assert!(
+                err.contains("\"seed\"") && err.contains("up to 9007199254740991"),
+                "{seed}: {err}"
+            );
+        }
+        let top = submit_spec(&line("9007199254740991"));
+        assert_eq!(top.seed, 9007199254740991);
+        assert_ne!(top.job_id(), submit_spec(&line("9007199254740990")).job_id());
+    }
+
     /// One run, one job: a fault spelled without its default seed, and
     /// a backend or sched spelled at its default, key as the canonical
     /// spelling does, so they dedupe and share a cache slot.
@@ -492,6 +511,8 @@ mod tests {
             (r#""threads":1000000"#, "wider than"),
             (r#""threads":2,"checkpoint_every":0"#, "positive integer"),
             (r#""threads":2,"backend":"procs","inject":"nan:1""#, "cannot cross the procs exec"),
+            (r#""threads":2,"seed":9007199254740993"#, "up to 9007199254740991"),
+            (r#""threads":2,"seed":18446744073709551616"#, "up to 9007199254740991"),
         ] {
             let line = format!(r#"{{"op":"submit","bench":"EP",{fields},"retries":0}}"#);
             let reply = client.submit(&line).unwrap();

@@ -43,6 +43,6 @@ fn main() {
         "asymmetric spread {lo_spread} vs {hi_spread}"
     );
 
-    assert!(bench.full_verify(), "ranking must imply a correct sort");
+    assert!(bench.full_verify(Some(&team)), "ranking must imply a correct sort");
     println!("full verification passed: the ranking sorts the sequence.");
 }

@@ -33,7 +33,7 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt), one measurement system (benchmark/), one run description (RunSpec) =="
+echo "== one durable log (npb_core::log), one way to sleep (the runtime's wait::Gate), one checkpoint (npb_core::ckpt), one measurement system (benchmark/), one run description (RunSpec), one complex allocation (npb_ft::complex::zeroed) =="
 grep -rnE --include='*.rs' 'append\(true\)|append_record' crates src | grep -v '^crates/core/src/log.rs:' \
     && { echo "a durable append outside crates/core/src/log.rs (listed above)" >&2; exit 1; }
 grep -rn --include='*.rs' Condvar crates/runtime \
@@ -59,6 +59,16 @@ find crates src -name '*.rs' ! -path crates/runtime/src/spec.rs -print0 | sort -
      live && /"--(backend|sched|inject|spin-us|checkpoint-every)"/ { print FILENAME ":" FNR ": " $0; bad = 1 }
      END { exit bad }' \
     || { echo "a run flag spelled outside crates/runtime/src/spec.rs (listed above)" >&2; exit 1; }
+# A complex field is allocated zeroed, never filled element by element:
+# `vec![C64::ZERO; n]` writes every page on the calling thread, where
+# `complex::zeroed` leaves each to the rank that first fills it. Test
+# modules may build small fields either way.
+find crates -name '*.rs' -print0 | sort -z | xargs -0 awk '
+     FNR == 1 { live = 1 }
+     /^#\[cfg\(test\)\]/ { live = 0 }
+     live && /vec!\[C64::ZERO;/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0; bad = 1 }
+     END { exit bad }' \
+    || { echo "a complex field filled element by element (listed above): use complex::zeroed" >&2; exit 1; }
 
 echo "== tier-1: build =="
 cargo build --release

@@ -126,7 +126,7 @@ pub(crate) fn run_parent(cfg: &ProcsConfig) -> Result<BenchReport, RunError> {
     // Full verification against the final counts, on the parent's key
     // state (which is every rank's key state after round 10's markers).
     let counts_final = counts();
-    let full_ok = npb_is::full_verify(&keys, counts_final);
+    let full_ok = npb_is::full_verify(&keys, counts_final, None);
     let verified = if full_ok && failed == 0 && passed == TEST_ARRAY_SIZE * MAX_ITERATIONS {
         Verified::Success
     } else {
